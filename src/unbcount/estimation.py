@@ -269,10 +269,12 @@ def fit_mle(data, init: Optional[UnbParams] = None, level: float = 0.95) -> FitR
            for s in starts):
         starts.append(geo_start)
 
+    floor_count = [0]
+
     def neg_mean_loglik(u):
-        r = math.exp(u[0])
-        p = _sps.expit(u[1])
-        return -_loglik_rp(r, p, xs, w) / n
+        lp, floored = _dist.unb_logpmf_kernel(math.exp(u[0]), _sps.expit(u[1]), xs)
+        floor_count[0] += floored
+        return -float(np.dot(w, lp)) / n
 
     def neg_mean_grad(u):
         r = math.exp(u[0])
@@ -328,7 +330,8 @@ def fit_mle(data, init: Optional[UnbParams] = None, level: float = 0.95) -> FitR
         min(1e-4 * max(1.0, p_hat), 0.5 * p_hat, 0.5 * (1.0 - p_hat)),
     ])
     hess = _hessian_fd(lambda t: _loglik_rp(t[0], t[1], xs, w), theta, steps)
-    diag = {"grad_norm": grad_norm, "messages": messages, "hessian": hess}
+    diag = {"grad_norm": grad_norm, "messages": messages, "hessian": hess,
+            "pmf_floored": floor_count[0]}
     try:
         cov = np.linalg.inv(-hess)
     except np.linalg.LinAlgError:

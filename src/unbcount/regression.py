@@ -12,8 +12,8 @@ analytic beta-gradient
     dl/dbeta_k = sum_i y_ki [ x_i p_i - r q_i
                               + p_i q_i ((r+x_i)/(2+x_i)) F2_i / F1_i ]
 
-(F2/F1 the contiguous hypergeometric ratio; evaluated through the same
-kernel branches as the likelihood) and a finite-difference log-r
+(F2/F1 the contiguous hypergeometric ratio; evaluated from the same
+sums as the likelihood) and a finite-difference log-r
 gradient.  Standard errors invert the observed information in the
 original (beta, r) coordinates.  Linear predictors are clamped to |eta|
 <= 700 and per-observation probabilities floored at 1e-300, both counted
@@ -50,8 +50,9 @@ __all__ = [
 ]
 
 ETA_CLAMP = 700.0
-PMF_FLOOR = 1e-300
+PMF_FLOOR = _dist.PMF_FLOOR
 _LOGR_BOUNDS = (-8.0, 8.0)
+_GRAD_GATE = 1e-6  # on the gradient of the mean log-likelihood
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ def unb_reg_loglik(beta, r: float, design: np.ndarray, y) -> float:
     eta, _ = _eta(beta, design)
     mu = np.exp(eta)
     p = r / (2.0 * mu + r)
-    lp, _ = _dist.unb_logpmf_kernel(r, p, y, floor=PMF_FLOOR)
+    lp, _ = _dist.unb_logpmf_kernel(r, p, y)
     return float(np.sum(lp))
 
 
@@ -159,7 +160,7 @@ def _model_funcs(model: str):
     if model == "unb":
         def loglik(r, mu, y):
             p = r / (2.0 * mu + r)
-            lp, floored = _dist.unb_logpmf_kernel(r, p, y, floor=PMF_FLOOR)
+            lp, floored = _dist.unb_logpmf_kernel(r, p, y)
             return np.sum(lp), floored
 
         def deta(r, mu, y):
@@ -171,7 +172,9 @@ def _model_funcs(model: str):
             p = r / (mu + r)
             lp = (_sps.gammaln(r + y) - math.lgamma(r) - _sps.gammaln(y + 1.0)
                   + r * np.log(p) + y * np.log1p(-p))
-            return np.sum(np.maximum(lp, math.log(PMF_FLOOR))), 0
+            log_floor = math.log(PMF_FLOOR)
+            return (np.sum(np.maximum(lp, log_floor)),
+                    int(np.count_nonzero(lp < log_floor)))
 
         def deta(r, mu, y):
             p = r / (mu + r)
@@ -179,8 +182,9 @@ def _model_funcs(model: str):
     elif model == "up":
         def loglik(r, mu, y):
             lam = 2.0 * mu
-            surv = np.maximum(_sps.gammainc(y + 1.0, lam), PMF_FLOOR)
-            return np.sum(np.log(surv) - np.log(lam)), 0
+            surv = _sps.gammainc(y + 1.0, lam)
+            return (np.sum(np.log(np.maximum(surv, PMF_FLOOR)) - np.log(lam)),
+                    int(np.count_nonzero(surv < PMF_FLOOR)))
 
         def deta(r, mu, y):
             lam = 2.0 * mu
@@ -248,7 +252,13 @@ def _fit_regression(dataset, spec, model: str, level: float) -> RegressionFit:
                         options={"maxiter": 1000, "ftol": 1e-13, "gtol": 1e-9})
     iterations = res.nit
     messages = [str(res.message)]
-    if not res.success:
+
+    def grad_norm(theta):
+        return float(np.linalg.norm(neg_mean_grad(theta)))
+
+    # The ftol test can end a successful stage just above the gradient gate;
+    # the tighter retry then goes on from there.
+    if not res.success or grad_norm(res.x) >= _GRAD_GATE:
         res_retry = _opt.minimize(neg_mean_loglik, res.x, jac=neg_mean_grad,
                                   method="L-BFGS-B", bounds=bounds,
                                   options={"maxiter": 1000, "ftol": 1e-14,
@@ -266,11 +276,11 @@ def _fit_regression(dataset, spec, model: str, level: float) -> RegressionFit:
             if res_nm.fun < res.fun:
                 res = res_nm
 
-    grad_norm = float(np.linalg.norm(neg_mean_grad(res.x)))
-    converged = grad_norm < 1e-6
+    final_norm = grad_norm(res.x)
+    converged = final_norm < _GRAD_GATE
     return _finalize_fit(model, design, y, names, res.x, k, has_r, loglik_fn,
                          n, level, converged, iterations,
-                         {"grad_norm": grad_norm, "messages": messages,
+                         {"grad_norm": final_norm, "messages": messages,
                           "eta_clamped": clamp_count[0],
                           "pmf_floored": floor_count[0]})
 
@@ -338,7 +348,7 @@ def per_observation_pmf(fit: RegressionFit, dataset, spec: RegressionSpec) -> np
     loglik_fn, _ = _model_funcs(fit.model)
     if fit.model == "unb":
         p = fit.r / (2.0 * mu + fit.r)
-        lp, _ = _dist.unb_logpmf_kernel(fit.r, p, y, floor=PMF_FLOOR)
+        lp, _ = _dist.unb_logpmf_kernel(fit.r, p, y)
     elif fit.model == "nb":
         p = fit.r / (mu + fit.r)
         lp = (_sps.gammaln(fit.r + y) - math.lgamma(fit.r)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from conftest import GRID, NMES_SKIP_NOTICE
+from conftest import GRID, NMES_SKIP_NOTICE, hyp_pmf
 from unbcount.datasets import (
     NMES_COVARIATES,
     NMES_RESPONSE,
@@ -22,7 +22,6 @@ from unbcount.distributions import (
     NbParams,
     UnbParams,
     UpParams,
-    _unb_pmf_hyp,
     geom_pmf,
     nb_tail_cutoff,
     unb_cdf,
@@ -81,9 +80,9 @@ def test_criterion_02_dual_path_pmf():
     for r, p in GRID:
         params = UnbParams(r, p)
         vec = unb_pmf_vector(params, 50)
-        hyp = np.array([_unb_pmf_hyp(params, x) for x in range(51)])
+        hyp = np.array([hyp_pmf(params, x) for x in range(51)])
         worst = max(worst, float(np.max(np.abs(vec - hyp))))
-    report(2, f"hypergeometric pmf vs subtractive recurrence <= 1e-12 "
+    report(2, f"hypergeometric pmf vs the log-space term sums <= 1e-12 "
               f"(worst {worst:.2e})", worst <= 1e-12)
 
 
@@ -149,7 +148,7 @@ def test_criterion_06_moments():
         params = UnbParams(r, p)
         cutoff = min(nb_tail_cutoff(NbParams(r, p), 1e-14) + 50, 2000)
         xs = np.arange(cutoff + 1, dtype=float)
-        pmf = np.array([_unb_pmf_hyp(params, int(x)) for x in xs])
+        pmf = np.array([hyp_pmf(params, int(x)) for x in xs])
         m1 = float(np.sum(xs * pmf))
         var = float(np.sum(xs ** 2 * pmf)) - m1 ** 2
         e_mean = abs(unb_mean(params) - m1) / max(1.0, unb_mean(params))

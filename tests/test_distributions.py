@@ -1,18 +1,21 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as ssp
 from scipy import stats as sps
 
-from conftest import GRID
+from conftest import GRID, hyp_pmf, mp_logpmf
 from unbcount.distributions import (
     GeomParams,
     NbParams,
     UnbParams,
     UpParams,
-    _unb_pmf_hyp,
+    _unb_logpmf,
     geom_pmf,
     nb_cdf,
     nb_pmf,
@@ -102,7 +105,7 @@ class TestPmfVector:
     @pytest.mark.parametrize("r,p", GRID)
     def test_matches_hypergeometric_route(self, r, p):
         vec = unb_pmf_vector(UnbParams(r, p), 30)
-        direct = np.array([_unb_pmf_hyp(UnbParams(r, p), k) for k in range(31)])
+        direct = np.array([hyp_pmf(UnbParams(r, p), k) for k in range(31)])
         assert np.max(np.abs(vec - direct)) <= 1e-12
 
     def test_agreement_example(self):
@@ -113,9 +116,9 @@ class TestPmfVector:
     @pytest.mark.parametrize("r,p", GRID)
     def test_strictly_decreasing(self, r, p):
         vec = unb_pmf_vector(UnbParams(r, p), 30)
-        # below 1e-12 the subtractive recurrence is float noise; and where
-        # the analytic decrement p^r q^x C(r+x-1, r-1)/(x+1) is under a few
-        # ulps of p(x), equality of doubles is the best representable result
+        # where the analytic decrement p^r q^x C(r+x-1, r-1)/(x+1) is under
+        # a few ulps of p(x), equality of doubles is the best representable
+        # result
         live = vec > 1e-12
         v = vec[live]
         assert np.all(np.diff(v) <= 0.0)
@@ -233,7 +236,7 @@ class TestMoments:
         params = UnbParams(r, p)
         cutoff = min(nb_tail_cutoff(NbParams(r, p), 1e-14) + 50, 2000)
         xs = np.arange(cutoff + 1, dtype=float)
-        pmf = np.array([_unb_pmf_hyp(params, int(x)) for x in xs])
+        pmf = np.array([hyp_pmf(params, int(x)) for x in xs])
         m1 = float(np.sum(xs * pmf))
         m2 = float(np.sum(xs ** 2 * pmf))
         assert abs(unb_mean(params) - m1) <= 1e-9 * max(1.0, unb_mean(params))
@@ -415,3 +418,77 @@ class TestKernels:
              - unb_logpmf(UnbParams(r, p - h), int(x))) / (2.0 * h)
             for p, x in zip(ps, xs)])
         assert np.max(np.abs(der - fd) / np.maximum(1.0, np.abs(fd))) <= 1e-5
+
+
+ORACLE_R = (0.2, 0.7, 1.0, 1.5, 3.7, 12.0, 50.0)
+ORACLE_P = (0.01, 0.05, 0.2, 0.5, 0.8, 0.95)
+ORACLE_X = np.array([0, 1, 2, 5, 17, 60, 150, 400, 1000])
+
+
+class TestExactLogPmf:
+    """The one log-pmf routine against mpmath over r in [0.2, 50],
+    p in [0.01, 0.95], x <= 1000, through every entry point."""
+
+    @pytest.mark.parametrize("r", ORACLE_R)
+    def test_against_mpmath(self, r):
+        log_floor = math.log(1e-300)
+        for p in ORACLE_P:
+            exact = np.array([mp_logpmf(r, p, int(x)) for x in ORACLE_X])
+            shared = _unb_logpmf(r, p, ORACLE_X)
+            rows = _unb_logpmf(r, np.full(ORACLE_X.size, p), ORACLE_X)
+            scalar = np.array([unb_logpmf(UnbParams(r, p), int(x)) for x in ORACLE_X])
+            for got in (shared, rows, scalar):
+                assert np.max(np.abs(got - exact)) <= 1e-10, (r, p)
+            for p_arg in (p, np.full(ORACLE_X.size, p)):
+                kernel, floored = unb_logpmf_kernel(r, p_arg, ORACLE_X)
+                above = exact > log_floor
+                assert np.max(np.abs(kernel[above] - exact[above])) <= 1e-10, (r, p)
+                assert np.all(kernel[~above] == log_floor)
+                assert floored == np.count_nonzero(~above)
+
+    def test_deep_tail_at_large_q(self):
+        # pmf(150) is 4e-16 of pmf(0) here: a subtraction from pmf(0)
+        # cancels to noise, the tail sum does not.
+        kernel, floored = unb_logpmf_kernel(1.5, np.array([0.2]), np.array([150]))
+        assert floored == 0
+        assert kernel[0] == pytest.approx(mp_logpmf(1.5, 0.2, 150), abs=1e-10)
+
+    @pytest.mark.parametrize("r", [0.3, 1.0, 2.5, 20.0])
+    def test_dp_kernel_vs_central_difference_at_large_q(self, r):
+        xs = np.array([0, 1, 3, 10, 40, 120, 300])
+        for p in (0.05, 0.12, 0.24):
+            h = 1e-6 * p
+            fd = np.array([(unb_logpmf(UnbParams(r, p + h), int(x))
+                            - unb_logpmf(UnbParams(r, p - h), int(x))) / (2.0 * h)
+                           for x in xs])
+            for p_arg in (p, np.full(xs.size, p)):
+                der = unb_dlogpmf_dp_kernel(r, p_arg, xs)
+                assert np.max(np.abs(der - fd) / np.maximum(1.0, np.abs(fd))) <= 1e-6
+
+    # Error in log pmf against mpmath at the box corners: r = e^-8 with p
+    # near 0 has a k^-2 tail, cut after 2^20 terms (measured 4.5e-7 at x = 1,
+    # 4.5e-3 at x = 10^4); elsewhere it is within 1e-10.
+    CORNER_ERR = {(-8, "lo", 1): 1e-6, (-8, "lo", 10_000): 1e-2,
+                  (-8, "clamp", 1): 1e-6, (-8, "clamp", 10_000): 1e-2}
+
+    @pytest.mark.parametrize("log_r", [-8, 8])
+    @pytest.mark.parametrize("p_name", ["lo", "hi", "clamp"])
+    def test_box_corners_bounded(self, log_r, p_name):
+        r = math.exp(log_r)
+        p = {"lo": ssp.expit(-35.0), "hi": ssp.expit(35.0),
+             "clamp": r / (2.0 * math.exp(700.0) + r)}[p_name]
+        for x in (0, 1, 10_000):
+            exact = mp_logpmf(r, p, x)
+            for p_arg in (p, np.array([p])):
+                start = time.perf_counter()
+                got = float(_unb_logpmf(r, p_arg, np.array([x]))[0])
+                assert time.perf_counter() - start < 1.0, (x, p_arg)
+                assert math.isfinite(got)
+                tol = self.CORNER_ERR.get((log_r, p_name, x), 1e-10)
+                assert abs(got - exact) <= tol, (x, got, exact)
+        for p_arg in (p, np.array([p])):
+            tracemalloc.start()
+            _unb_logpmf(r, p_arg, np.array([10_000]))
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 32e6, peak

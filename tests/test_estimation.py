@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mp_logpmf
 from unbcount.distributions import UnbParams, unb_sample
 from unbcount.errors import (
     DataError,
@@ -207,6 +208,20 @@ class TestFitMle:
         data = unb_sample(UnbParams(3.0, 0.5), 2000, 31)
         fit = fit_mle(data, init=UnbParams(1.2, 0.3))
         assert fit.converged
+
+    def test_lone_outlier_converges_without_simplex(self):
+        # One count of 200 far past the rest of a q = 0.8 sample: its pmf is
+        # 5e-21 of pmf(0), where a subtraction from pmf(0) cancels.
+        data = np.append(unb_sample(UnbParams(1.5, 0.2), 2000, seed=7), 200)
+        fit = fit_mle(data)
+        assert fit.converged
+        # one successful L-BFGS-B stage per start: no retry, no Nelder-Mead
+        assert all(m.startswith("CONVERGENCE") for m in fit.diagnostics["messages"])
+        assert fit.diagnostics["pmf_floored"] == 0
+        xs, counts = np.unique(data, return_counts=True)
+        r, p = fit.params.r, fit.params.p
+        oracle = sum(int(c) * mp_logpmf(r, p, int(x)) for x, c in zip(xs, counts))
+        assert fit.log_likelihood == pytest.approx(oracle, rel=1e-9)
 
 
 class TestLrTest:

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from unbcount.datasets import Dataset
 from unbcount.distributions import UnbParams, unb_dlogpmf_dp_kernel, unb_pmf, unb_sample
 from unbcount.errors import DataError, DegenerateVuongError, RankDeficientError
+from unbcount import regression
 from unbcount.estimation import fit_mle, unb_loglik
 from unbcount.regression import (
     RegressionSpec,
+    _model_funcs,
     build_design,
     fit_nb_regression,
     fit_unb_regression,
@@ -126,6 +128,27 @@ class TestUnbRegressionFit:
         assert abs(fit.beta[2] + 0.4) <= 0.15
         assert abs(fit.r - 1.5) <= 0.4
 
+    def test_stage_stopped_above_gradient_gate_is_retried(self, monkeypatch):
+        # A loose ftol on the first L-BFGS-B stage makes it report success
+        # well above the gradient gate; the tighter retry must finish the job.
+        real_minimize = regression._opt.minimize
+        methods = []
+
+        def loose_first_stage(*args, **kwargs):
+            if not methods:
+                kwargs["options"] = dict(kwargs["options"], ftol=1e-5)
+            methods.append(kwargs.get("method"))
+            return real_minimize(*args, **kwargs)
+
+        monkeypatch.setattr(regression._opt, "minimize", loose_first_stage)
+        rng = np.random.default_rng(42)
+        data, _ = simulate_reg(
+            rng, 2000, np.array([0.3, 0.5]), 1.5,
+            lambda rg, n: {"z1": rg.normal(0, 1, n)})
+        fit = fit_unb_regression(data, RegressionSpec("y", ("z1",)))
+        assert methods[:2] == ["L-BFGS-B", "L-BFGS-B"]
+        assert fit.converged
+
     def test_intercept_only_recovery(self):
         # mean exp(0.4), r = 2; the intercept should land near 0.4
         rng = np.random.default_rng(7)
@@ -240,6 +263,14 @@ class TestComparatorRegressions:
         assert abs(fit.beta[0] - 0.5) <= 0.1
         assert abs(fit.beta[1] - 0.3) <= 0.05
         assert abs(fit.r - 2.0) <= 0.3
+
+    @pytest.mark.parametrize("model", ["unb", "nb", "up"])
+    def test_floored_pmfs_are_counted(self, model):
+        loglik, _ = _model_funcs(model)
+        y = np.array([0.0, 1.0, 500.0])
+        total, floored = loglik(2.0, np.full(3, 1e-3), y)
+        assert floored == 1
+        assert math.isfinite(total)
 
 
 class TestVuong:
