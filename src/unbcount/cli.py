@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,8 +29,11 @@ EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_CONVERGENCE = 3
 
-FIT_MODELS = ("unb", "nb", "up", "geometric")
-REG_MODELS = ("unb", "nb", "up")
+# Fitters by model name, looked up on their module at each call.
+FIT_MODELS = {"unb": "fit_mle", "nb": "fit_nb_mle", "up": "fit_up_mle",
+              "geometric": "fit_geometric"}
+REG_MODELS = {"unb": "fit_unb_regression", "nb": "fit_nb_regression",
+              "up": "fit_up_regression"}
 
 
 @dataclass
@@ -125,54 +128,22 @@ def _load_counts(config: RunConfig):
     return data, ds.response_counts(data, config.response)
 
 
-def _param_dict(params) -> dict:
-    if isinstance(params, dist.UnbParams) or isinstance(params, dist.NbParams):
-        return {"r": params.r, "p": params.p}
-    if isinstance(params, dist.UpParams):
-        return {"lam": params.lam}
-    if isinstance(params, dist.GeomParams):
-        return {"p": params.p}
-    raise DataError(f"unknown parameter object {params!r}")
-
-
-def _fit_one_marginal(model: str, counts, level: float) -> est.FitResult:
-    if model == "unb":
-        return est.fit_mle(counts, level=level)
-    if model == "nb":
-        return est.fit_nb_mle(counts, level=level)
-    if model == "up":
-        return est.fit_up_mle(counts, level=level)
-    if model == "geometric":
-        return est.fit_geometric(counts, level=level)
-    raise DataError(f"unknown model {model!r}; choose from {', '.join(FIT_MODELS)}")
-
-
-def _marginal_pmf_per_obs(model: str, fit: est.FitResult, counts) -> np.ndarray:
-    y = np.asarray(counts)
-    if model == "unb":
-        lp, _ = dist.unb_logpmf_kernel(fit.params.r, fit.params.p, y)
-        return np.exp(lp)
-    if model == "nb":
-        return np.array([dist.nb_pmf(fit.params, int(v)) for v in y])
-    if model == "up":
-        return np.array([math.exp(dist.up_logpmf(fit.params, int(v))) for v in y])
-    if model == "geometric":
-        return np.array([dist.geom_pmf(fit.params, int(v)) for v in y])
-    raise DataError(f"unknown model {model!r}")
+def _fitter(module, names: dict, model: str):
+    if model not in names:
+        raise DataError(f"unknown model {model!r}; choose from {', '.join(names)}")
+    return getattr(module, names[model])
 
 
 def cmd_fit(config: RunConfig) -> int:
     _, counts = _load_counts(config)
-    for m in config.models:
-        if m not in FIT_MODELS:
-            raise DataError(f"unknown model {m!r}; choose from {', '.join(FIT_MODELS)}")
+    fitters = [_fitter(est, FIT_MODELS, m) for m in config.models]
     results = []
     lines = [f"fit: response={config.response} n={counts.size}", ""]
     all_converged = True
-    for model in config.models:
-        fit = _fit_one_marginal(model, counts, config.level)
+    for model, fitter in zip(config.models, fitters):
+        fit = fitter(counts, level=config.level)
         all_converged &= fit.converged
-        pd = _param_dict(fit.params)
+        pd = asdict(fit.params)
         rec = {
             "model": model,
             "estimates": pd,
@@ -202,17 +173,6 @@ def cmd_fit(config: RunConfig) -> int:
         lines.append("")
     _emit(config, {"level": config.level, "results": results}, lines)
     return EXIT_OK if all_converged else EXIT_CONVERGENCE
-
-
-def _fit_one_regression(model: str, data, spec, level: float) -> reg.RegressionFit:
-    if model == "unb":
-        return reg.fit_unb_regression(data, spec, level)
-    if model == "nb":
-        return reg.fit_nb_regression(data, spec, level)
-    if model == "up":
-        return reg.fit_up_regression(data, spec, level)
-    raise DataError(f"unknown regression model {model!r}; choose from "
-                    f"{', '.join(REG_MODELS)}")
 
 
 def _regression_record(fit: reg.RegressionFit) -> dict:
@@ -259,7 +219,7 @@ def cmd_regress(config: RunConfig) -> int:
              f"covariates={','.join(config.covariates)} n={data.n}", ""]
     all_converged = True
     for model in config.models:
-        fit = _fit_one_regression(model, data, spec, config.level)
+        fit = _fitter(reg, REG_MODELS, model)(data, spec, config.level)
         all_converged &= fit.converged
         results.append(_regression_record(fit))
         lines.extend(_regression_lines(fit))
@@ -272,7 +232,6 @@ def cmd_compare(config: RunConfig) -> int:
         raise DataError("compare needs two or three models; the first is the reference")
     data, counts = _load_counts(config)
     use_regression = bool(config.covariates)
-    fits = {}
     pmfs = {}
     aic_rows = []
     all_converged = True
@@ -280,14 +239,14 @@ def cmd_compare(config: RunConfig) -> int:
         if use_regression:
             spec = reg.RegressionSpec(response=config.response,
                                       covariates=tuple(config.covariates))
-            fit = _fit_one_regression(model, data, spec, config.level)
+            fit = _fitter(reg, REG_MODELS, model)(data, spec, config.level)
             pmfs[model] = reg.per_observation_pmf(fit, data, spec)
-            ll, aic, conv = fit.log_likelihood, fit.aic, fit.converged
         else:
-            fit = _fit_one_marginal(model, counts, config.level)
-            pmfs[model] = _marginal_pmf_per_obs(model, fit, counts)
-            ll, aic, conv = fit.log_likelihood, fit.aic, fit.converged
-        fits[model] = fit
+            fit = _fitter(est, FIT_MODELS, model)(counts, level=config.level)
+            family = est._FAMILIES[model]
+            eta, r = family.eta_of(fit.params)
+            pmfs[model] = np.exp(family.logpmf(eta, r, counts)[0])
+        ll, aic, conv = fit.log_likelihood, fit.aic, fit.converged
         all_converged &= conv
         aic_rows.append({"model": model, "log_likelihood": ll, "aic": aic,
                          "converged": conv})

@@ -306,6 +306,11 @@ _LOG_FLOOR = math.log(PMF_FLOOR)
 # stalled the line searches of some marginal fits.
 _HEAD_LOSS = 16.0
 _TAIL_TOL = 1e-17
+# The head form takes sum_k k t_k = 1 - pmf(0) from pmf(0)'s closed form,
+# whose rounding is a fixed ~1e-15 of 1: where 1 - pmf(0) < 2^-10 (q near
+# 0, as at the low end of the regression's clamp) every x takes the tail
+# sum, or the p-derivative at x = 0 loses its digits.
+_LOG_PMF0_MAX = math.log1p(-2.0 ** -10)
 _TAIL_MAX = 2 ** 20   # tail terms past x; bounds the work at the box corners
 _BLOCK_MAX = 2 ** 16  # tail terms held at once, over all rows
 
@@ -378,13 +383,16 @@ def _tail_rows(r, lp, lq, x):
     return ls, lm
 
 
-def _unb_logpmf(r: float, p, x, dp: bool = False):
+def _unb_logpmf(r: float, p, x, dp: bool = False, q=None):
     """Exact log pmf of UNB(r, p) at the counts x; with ``dp`` also its
-    derivative in p.  Never -inf for 0 < p < 1.
+    derivative in p.  Never -inf for 0 < p < 1.  ``q`` is 1 - p where the
+    caller has it to more digits than 1 - p gives (the log-link families
+    compute both from the mean, and p rounds to 1 once q < 1.1e-16).
 
-    A scalar p shares one pass over k = 0..max(x) between all x (marginal
-    fits, pmf tables, per-row pmfs of one fitted law).  An array p is
-    broadcast against x and summed row by row (regression).  Against
+    A p with one value, scalar or an array whose entries are all equal,
+    shares one pass over k = 0..max(x) between all x (marginal fits, pmf
+    tables, per-row pmfs of one fitted law).  Other array p are broadcast
+    against x and summed row by row (regression).  Against
     mpmath the log pmf is within 2e-12 for r in [0.2, 50], p in
     [0.01, 0.95], x <= 1000.  At the corners of the fits' box (log r = +-8,
     logit p = +-35, the regression's p = r/(2 e^700 + r), x <= 10^4) it is
@@ -393,10 +401,21 @@ def _unb_logpmf(r: float, p, x, dp: bool = False):
     at x = 10^4, in under 0.2 s.
     """
     x = np.asarray(x, dtype=float)
+    if np.ndim(p):
+        p = np.asarray(p, dtype=float)
+        q = 1.0 - p if q is None else np.asarray(q, dtype=float)
+        if p.size and (p == p.flat[0]).all() and (q == q.flat[0]).all():
+            if x.shape != p.shape:
+                x = np.broadcast_to(x, np.broadcast_shapes(p.shape, x.shape))
+            p, q = p.flat[0], q.flat[0]
+    # log p keeps its relative digits (log(-log p) in _log_pmf0) from the
+    # smaller of p and q; log q enters only in sums, where absolute ones do.
     if np.ndim(p) == 0:
+        p = float(p)
+        q = 1.0 - p if q is None else float(q)
         shape = x.shape
         x = x.ravel()
-        lp, lq = math.log(p), math.log1p(-p)
+        lp, lq = math.log1p(-q) if q < p else math.log(p), math.log(q)
         lpmf0 = _log_pmf0(r, lp, lq)
         k = np.arange(np.max(x, initial=0.0) + 1.0)
         lt = _log_terms(r, lp, lq, k)
@@ -405,13 +424,15 @@ def _unb_logpmf(r: float, p, x, dp: bool = False):
         h = np.append(0.0, np.cumsum(t))[xi]
         hk = np.append(0.0, np.cumsum(k[:-1] * t))[xi]
     else:
-        p, x = np.broadcast_arrays(np.asarray(p, dtype=float), x)
+        p, q, x = np.broadcast_arrays(p, q, x)
         shape = x.shape
-        p, x = p.ravel(), x.ravel()
-        lp, lq = np.log(p), np.log1p(-p)
+        p, q, x = p.ravel(), q.ravel(), x.ravel()
+        with np.errstate(divide="ignore"):
+            lp = np.where(q < p, np.log1p(-q), np.log(p))
+        lq = np.log(q)
         lpmf0 = _log_pmf0(r, lp, lq)
         h, hk = _head_rows(r, lp, lq, lpmf0, x)
-    tail = h > 1.0 - 1.0 / _HEAD_LOSS
+    tail = (h > 1.0 - 1.0 / _HEAD_LOSS) | (lpmf0 > _LOG_PMF0_MAX)
     ls = lpmf0 + np.log1p(-np.where(tail, 0.0, h))
     with np.errstate(divide="ignore"):
         lm = np.log(np.maximum(-np.expm1(lpmf0) - np.exp(lpmf0) * hk, 0.0))
@@ -428,18 +449,19 @@ def _unb_logpmf(r: float, p, x, dp: bool = False):
             ls[tail], lm[tail] = _tail_rows(r, lp[tail], lq[tail], x[tail])
     if not dp:
         return ls.reshape(shape)
-    return ls.reshape(shape), (r / p - np.exp(lm - ls) / (1.0 - p)).reshape(shape)
+    return ls.reshape(shape), (r / p - np.exp(lm - ls) / q).reshape(shape)
 
 
-def unb_logpmf_kernel(r: float, p, x):
+def unb_logpmf_kernel(r: float, p, x, q=None):
     """Vectorised log pmf, floored at log(PMF_FLOOR) so that every entry
     stays finite in the fits' line searches; returns (log pmf array,
-    number of floored entries), which callers report.  perfbench/tracing.py
-    wraps this name and reads that pair, so both stay as they are."""
-    lp = _unb_logpmf(r, p, x)
+    number of floored entries), which callers report.  ``q`` as in
+    _unb_logpmf.  perfbench/tracing.py wraps this name and reads that
+    pair, so both stay as they are."""
+    lp = _unb_logpmf(r, p, x, q=q)
     return np.maximum(lp, _LOG_FLOOR), int(np.count_nonzero(lp < _LOG_FLOOR))
 
 
-def unb_dlogpmf_dp_kernel(r: float, p, x):
+def unb_dlogpmf_dp_kernel(r: float, p, x, q=None):
     """Vectorised d log pmf / dp, from the sums of the log pmf."""
-    return _unb_logpmf(r, p, x, dp=True)[1]
+    return _unb_logpmf(r, p, x, dp=True, q=q)[1]

@@ -1,26 +1,28 @@
-"""Fitting the UNB law to an i.i.d. count sample.
+"""Fitting the UNB law and its comparators to an i.i.d. count sample,
+and the one fitting engine that the regressions share.
 
-Method of moments inverts the closed-form mean and second moment; maximum
-likelihood runs a quasi-Newton ascent on the unconstrained coordinates
-(log r, logit p) with an analytic p-gradient and a finite-difference
-r-gradient, falling back to a simplex search when line searches fail.
+Method of moments inverts the closed-form mean and second moment.  Every
+maximum-likelihood fit, marginal or regression, runs on ``_fit``: a
+family (UNB, negative binomial, uniform-Poisson, geometric) with log-link
+mean mu = exp(eta), eta = design @ beta, fitted over (beta, log r) by
+quasi-Newton ascent with an analytic eta-gradient and a finite-difference
+log-r gradient, a tighter retry, and a simplex search when line searches
+fail.  A marginal fit is the intercept-only fit on the distinct counts
+with their frequencies as weights; its law's parameters ((r, p), lam or p)
+and their standard errors follow from (intercept, r) by the delta method.
 Standard errors come from the observed information (central-difference
-Hessian of the log-likelihood at the optimum, in the original
-coordinates).
+Hessian of the log-likelihood at the optimum, in (beta, r)).
 
 Convergence is judged on the gradient of the per-observation mean
 log-likelihood: an absolute 1e-6 gate on the total-sample gradient is
 below double-precision finite-difference noise once n is in the tens of
 thousands, while the mean-scaled gate is parameterisation-stable.
-
-Comparator fits (geometric, negative binomial, uniform-Poisson) for the
-covariate-free model comparison live here too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -72,7 +74,11 @@ class FitResult:
     ``params`` holds the fitted parameter object (UnbParams for the UNB
     fits, NbParams / UpParams / GeomParams for the comparators).
     ``std_errors``, ``cov_matrix`` and ``conf_intervals`` are None for the
-    method-of-moments fit.
+    method-of-moments fit.  The maximum-likelihood fits' ``diagnostics``
+    hold ``grad_norm``, ``messages`` (one per optimiser stage),
+    ``pmf_floored``, ``eta_clamped`` (both summed over objective
+    evaluations) and ``hessian``, in the engine's (intercept, r)
+    coordinates.
     """
 
     params: object
@@ -210,7 +216,8 @@ def unb_score_r(params: UnbParams, data, mode: str = "finite_difference") -> flo
 
 
 def _hessian_fd(f, theta, steps):
-    """Symmetric central-difference Hessian of a scalar function."""
+    """Symmetric central-difference Hessian of a scalar function, and the
+    function's value at theta."""
     k = len(theta)
     hess = np.empty((k, k))
     f0 = f(theta)
@@ -228,142 +235,278 @@ def _hessian_fd(f, theta, steps):
             fc = f(theta - ei + ej)
             fd_ = f(theta - ei - ej)
             hess[i, j] = hess[j, i] = (fa - fb - fc + fd_) / (4.0 * steps[i] * steps[j])
-    return hess
+    return hess, f0
 
 
 def _z_quantile(level: float) -> float:
     return float(_stats.norm.ppf(0.5 * (1.0 + level)))
 
 
+# ---------------------------------------------------------------------------
+# Families with log-link mean mu = exp(eta) (Cameron & Trivedi, Regression
+# Analysis of Count Data, 2nd ed., ch. 3):
+#   UNB        p = r/(2 mu + r), q = 2 mu/(2 mu + r)   (mean r q / 2p)
+#   NB         p = r/(mu + r),   q = mu/(mu + r)       (mean r q / p)
+#   geometric  NB with r fixed at 1
+#   UP         lam = 2 mu                              (mean lam / 2)
+# The kernels are looked up on their module at each call, where
+# perfbench/tracing.py wraps them.
+
+_ETA_CLAMP = 700.0
+_LOG_FLOOR = math.log(_dist.PMF_FLOOR)
 _LOGR_BOUNDS = (-8.0, 8.0)
-_LOGITP_BOUNDS = (-35.0, 35.0)
+_GRAD_GATE = 1e-6  # on the gradient of the mean log-likelihood
 
 
-def fit_mle(data, init: Optional[UnbParams] = None, level: float = 0.95) -> FitResult:
-    """Maximum likelihood over (r, p) by ascent on (log r, logit p).
+class _Family:
+    """A law of the table above.  ``n_shape`` is 1 when r is free (fitted as
+    log r after the coefficients), 0 otherwise; ``fixed_r`` is the r of a
+    law that fixes it.  ``logpmf(eta, r, y)`` gives the log pmf at the
+    counts y floored at log PMF_FLOOR and the number of entries floored,
+    ``deta(eta, r, y)`` its derivative in eta, ``law(theta)`` the law at
+    theta = (eta[, r]) with the Jacobian of its parameters in theta, and
+    ``eta_of(params)`` the inverse, (eta, r)."""
 
-    The initialiser defaults to the moment estimate when admissible, else
-    (r = 2, p = 1/(1 + mean)); the geometric-submodel start is always tried
-    as well and the better optimum kept.  Standard errors and confidence
-    intervals come from the inverse observed information at the optimum.
+    def __init__(self, name: str, params_type, kappa: float = 1.0, fixed_r=None):
+        self.name, self.params_type = name, params_type
+        self.kappa, self.fixed_r = kappa, fixed_r
+
+    @property
+    def n_shape(self) -> int:
+        return int(self.fixed_r is None)
+
+    def link(self, eta, r):
+        """p = r/(kappa mu + r) and q = kappa mu/(kappa mu + r), UNB's kappa 2,
+        NB's 1: q keeps its digits where p rounds to 1."""
+        s = self.kappa * np.exp(eta)
+        return r / (s + r), s / (s + r)
+
+    def law(self, theta):
+        r = theta[1] if self.n_shape else self.fixed_r
+        p, q = self.link(theta[0], r)
+        if self.n_shape:  # dp/deta = -p q, dp/dr = p q / r
+            return (self.params_type(float(r), float(p)),
+                    np.array([[0.0, 1.0], [-p * q, p * q / r]]))
+        return self.params_type(float(p)), np.array([[-p * q]])
+
+    def eta_of(self, params):
+        r = params.r if self.n_shape else self.fixed_r
+        return math.log(r * (1.0 - params.p) / (self.kappa * params.p)), r
+
+
+class _Unb(_Family):
+    def logpmf(self, eta, r, y):
+        p, q = self.link(eta, r)
+        return _dist.unb_logpmf_kernel(r, p, y, q=q)
+
+    def deta(self, eta, r, y):
+        p, q = self.link(eta, r)
+        return -p * q * _dist.unb_dlogpmf_dp_kernel(r, p, y, q=q)
+
+
+class _Nb(_Family):
+    def logpmf(self, eta, r, y):
+        p, q = self.link(eta, r)
+        lp = (_sps.gammaln(r + y) - math.lgamma(r) - _sps.gammaln(y + 1.0)
+              + r * np.log(p) + y * np.log(q))
+        return np.maximum(lp, _LOG_FLOOR), int(np.count_nonzero(lp < _LOG_FLOOR))
+
+    def deta(self, eta, r, y):
+        p, q = self.link(eta, r)
+        return y * p - r * q
+
+
+class _Up(_Family):
+    """pmf(x) = P(N > x) / lam with N ~ Poisson(lam); P(N > x) is floored."""
+
+    n_shape = 0
+
+    def logpmf(self, eta, r, y):
+        lam = 2.0 * np.exp(eta)
+        surv = _sps.gammainc(y + 1.0, lam)
+        return (np.log(np.maximum(surv, _dist.PMF_FLOOR)) - np.log(lam),
+                int(np.count_nonzero(surv < _dist.PMF_FLOOR)))
+
+    def deta(self, eta, r, y):
+        lam = 2.0 * np.exp(eta)
+        surv = np.maximum(_sps.gammainc(y + 1.0, lam), _dist.PMF_FLOOR)
+        log_pois = y * np.log(lam) - lam - _sps.gammaln(y + 1.0)
+        return lam * np.exp(log_pois) / surv - 1.0
+
+    def law(self, theta):
+        lam = 2.0 * math.exp(theta[0])
+        return self.params_type(lam), np.array([[lam]])
+
+    def eta_of(self, params):
+        return math.log(0.5 * params.lam), None
+
+
+_FAMILIES = {
+    "unb": _Unb("unb", UnbParams, kappa=2.0),
+    "nb": _Nb("nb", NbParams),
+    "up": _Up("up", UpParams),
+    "geometric": _Nb("geometric", GeomParams, fixed_r=1.0),
+}
+
+
+def _eta(beta, design):
+    """Linear predictors clamped to +-_ETA_CLAMP, and how many were."""
+    eta = design @ beta
+    clipped = int(np.count_nonzero(np.abs(eta) > _ETA_CLAMP))
+    return (np.clip(eta, -_ETA_CLAMP, _ETA_CLAMP) if clipped else eta), clipped
+
+
+def _fit(family, design, y, weights, starts):
+    """Maximum likelihood of ``family`` with eta = design @ beta over the
+    counts y with frequency weights, from each start theta = (beta[, log r]).
+
+    Each start runs L-BFGS-B on the mean log-likelihood, with the analytic
+    eta-gradient and a finite-difference log-r gradient; a tighter stage
+    follows when it fails or stops above the gradient gate, and Nelder-Mead
+    when that fails too.  The best optimum is kept.  Returns (theta, cov,
+    log-likelihood, converged, iterations, diagnostics) with theta =
+    (beta[, r]) and cov the inverse observed information (central-difference
+    Hessian) in those coordinates.
     """
+    n, k = float(np.sum(weights)), design.shape[1]
+    tally = {"pmf_floored": 0, "eta_clamped": 0}
+    messages, iterations = [], 0
+
+    def eta_r(theta):
+        eta, clipped = _eta(theta[:k], design)
+        tally["eta_clamped"] += clipped
+        return eta, math.exp(theta[k]) if family.n_shape else family.fixed_r
+
+    def neg_mean_loglik(theta):
+        lp, floored = family.logpmf(*eta_r(theta), y)
+        tally["pmf_floored"] += floored
+        return -float(np.dot(weights, lp)) / n
+
+    def neg_mean_grad(theta):
+        eta, r = eta_r(theta)
+        g_eta = np.where(np.abs(eta) >= _ETA_CLAMP, 0.0, family.deta(eta, r, y))
+        grad = design.T @ (weights * g_eta)
+        if family.n_shape:
+            h = 1e-6
+            lp, lm = (np.dot(weights, family.logpmf(eta, math.exp(theta[k] + s), y)[0])
+                      for s in (h, -h))
+            grad = np.append(grad, (lp - lm) / (2.0 * h))
+        return -grad / n
+
+    bounds = [(None, None)] * k + [_LOGR_BOUNDS] * family.n_shape
+
+    def stage(x0, method, **options):
+        nonlocal iterations
+        lbfgs = method == "L-BFGS-B"
+        res = _opt.minimize(neg_mean_loglik, x0, method=method, options=options,
+                            jac=neg_mean_grad if lbfgs else None,
+                            bounds=bounds if lbfgs else None)
+        iterations += res.nit
+        messages.append(str(res.message))
+        return res
+
+    def fun(res):
+        return res.fun
+
+    def grad_norm(res):
+        return float(np.linalg.norm(res.jac if "jac" in res else neg_mean_grad(res.x)))
+
+    results = []
+    for theta0 in starts:
+        res = stage(theta0, "L-BFGS-B", maxiter=1000, ftol=1e-13, gtol=1e-9)
+        # The ftol test can end a successful stage just above the gradient
+        # gate; the tighter retry then goes on from there.
+        if not res.success or grad_norm(res) >= _GRAD_GATE:
+            res = min(stage(res.x, "L-BFGS-B", maxiter=1000, ftol=1e-14, gtol=1e-10),
+                      res, key=fun)
+            if not res.success:
+                res = min(res, stage(res.x, "Nelder-Mead", maxiter=5000, xatol=1e-9,
+                                     fatol=1e-12), key=fun)
+        results.append(res)
+    best = min(results, key=fun)
+    final_norm = grad_norm(best)
+
+    theta = best.x.copy()
+    if family.n_shape:
+        theta[k] = math.exp(theta[k])
+    steps = 1e-4 * np.maximum(1.0, np.abs(theta))
+    if family.n_shape:
+        steps[k] = min(steps[k], 0.5 * theta[k])
+
+    def loglik(t):
+        r = t[k] if family.n_shape else family.fixed_r
+        return float(np.dot(weights, family.logpmf(_eta(t[:k], design)[0], r, y)[0]))
+
+    hess, ll = _hessian_fd(loglik, theta, steps)
+    diagnostics = dict(tally, grad_norm=final_norm, messages=messages, hessian=hess)
+    try:
+        cov = np.linalg.inv(-hess)
+    except np.linalg.LinAlgError:
+        cov = np.linalg.pinv(-hess)
+        diagnostics["singular_hessian"] = True
+    return theta, cov, ll, final_norm < _GRAD_GATE, iterations, diagnostics
+
+
+# ---------------------------------------------------------------------------
+# Marginal fits: intercept-only fits on the distinct counts
+
+
+def _marginal_counts(data, level: float):
+    """Distinct counts, their frequencies and the sample mean."""
     if not (0.0 < level < 1.0):
         raise DomainError(f"level must lie in (0, 1), got {level}")
     xs, w, n = _compress(data)
     m1 = float(np.dot(w, xs)) / n
     if m1 == 0.0:
         raise DegenerateDataError(
-            "all observations are zero: the likelihood increases towards the "
-            "p -> 1 boundary and no interior maximum exists")
+            "all observations are zero: the likelihood increases as the mean "
+            "goes to 0 and no interior maximum exists")
+    return xs, w, m1
 
-    starts = []
-    if init is not None:
-        starts.append(init)
-    else:
+
+def _fit_marginal(family, xs, w, starts, level: float) -> FitResult:
+    """The intercept-only fit with the frequencies as weights.  The law's
+    parameters and their covariance follow from (intercept[, r]) by the
+    delta method, exact at the optimum, where the gradient is zero."""
+    theta, cov, ll, converged, iterations, diagnostics = _fit(
+        family, np.ones((xs.size, 1)), xs, w, starts)
+    params, jac = family.law(theta)
+    cov = jac @ cov @ jac.T
+    se = tuple(math.sqrt(max(v, 0.0)) for v in np.diag(cov))
+    z = _z_quantile(level)
+    cis = tuple((e - z * s, e + z * s) for e, s in zip(astuple(params), se))
+    return FitResult(params=params, log_likelihood=ll, std_errors=se,
+                     cov_matrix=cov, conf_intervals=cis,
+                     aic=-2.0 * ll + 2.0 * len(se), converged=converged,
+                     iterations=iterations, method="mle", diagnostics=diagnostics)
+
+
+def fit_mle(data, init: Optional[UnbParams] = None, level: float = 0.95) -> FitResult:
+    """Maximum likelihood over (r, p).
+
+    The initialiser defaults to the moment estimate when admissible; the
+    geometric-submodel start (r = 2, p = 1/(1 + mean)) is always tried as
+    well and the better optimum kept.  Standard errors and confidence
+    intervals come from the inverse observed information at the optimum.
+    """
+    xs, w, m1 = _marginal_counts(data, level)
+    starts = [] if init is None else [init]
+    if init is None:
         try:
             starts.append(fit_mm(data).params)
         except DataError:
-            starts.append(UnbParams(2.0, 1.0 / (1.0 + m1)))
-    geo_start = UnbParams(2.0, 1.0 / (1.0 + m1))
-    if all(abs(s.r - geo_start.r) > 1e-12 or abs(s.p - geo_start.p) > 1e-12
-           for s in starts):
-        starts.append(geo_start)
-
-    floor_count = [0]
-
-    def neg_mean_loglik(u):
-        lp, floored = _dist.unb_logpmf_kernel(math.exp(u[0]), _sps.expit(u[1]), xs)
-        floor_count[0] += floored
-        return -float(np.dot(w, lp)) / n
-
-    def neg_mean_grad(u):
-        r = math.exp(u[0])
-        p = _sps.expit(u[1])
-        dp = float(np.dot(w, _dist.unb_dlogpmf_dp_kernel(r, p, xs))) / n
-        h = 1e-6
-        gr = (-_loglik_rp(math.exp(u[0] + h), p, xs, w)
-              + _loglik_rp(math.exp(u[0] - h), p, xs, w)) / (2.0 * h * n)
-        return np.array([gr, -dp * p * (1.0 - p)])
-
-    bounds = [_LOGR_BOUNDS, _LOGITP_BOUNDS]
-    best = None
-    iterations = 0
-    messages = []
-    for s in starts:
-        u0 = np.array([math.log(s.r), _sps.logit(s.p)])
-        u0 = np.clip(u0, [b[0] for b in bounds], [b[1] for b in bounds])
-        res = _opt.minimize(neg_mean_loglik, u0, jac=neg_mean_grad,
-                            method="L-BFGS-B", bounds=bounds,
-                            options={"maxiter": 500, "ftol": 1e-13, "gtol": 1e-9})
-        iterations += res.nit
-        messages.append(str(res.message))
-        if not res.success:
-            retry = _opt.minimize(neg_mean_loglik, res.x, jac=neg_mean_grad,
-                                  method="L-BFGS-B", bounds=bounds,
-                                  options={"maxiter": 500, "ftol": 1e-14,
-                                           "gtol": 1e-10})
-            iterations += retry.nit
-            messages.append(str(retry.message))
-            if retry.fun <= res.fun:
-                res = retry
-        if not res.success:
-            simplex = _opt.minimize(neg_mean_loglik, res.x, method="Nelder-Mead",
-                                    options={"maxiter": 2000, "xatol": 1e-10,
-                                             "fatol": 1e-13})
-            iterations += simplex.nit
-            messages.append(str(simplex.message))
-            if simplex.fun < res.fun:
-                res = simplex
-        if best is None or res.fun < best.fun:
-            best = res
-
-    grad_norm = float(np.linalg.norm(neg_mean_grad(best.x)))
-    converged = grad_norm < 1e-6
-    r_hat = math.exp(best.x[0])
-    p_hat = float(_sps.expit(best.x[1]))
-    params = UnbParams(r_hat, p_hat)
-    ll = _loglik_rp(r_hat, p_hat, xs, w)
-
-    theta = np.array([r_hat, p_hat])
-    steps = np.array([
-        min(1e-4 * max(1.0, r_hat), 0.5 * r_hat),
-        min(1e-4 * max(1.0, p_hat), 0.5 * p_hat, 0.5 * (1.0 - p_hat)),
-    ])
-    hess = _hessian_fd(lambda t: _loglik_rp(t[0], t[1], xs, w), theta, steps)
-    diag = {"grad_norm": grad_norm, "messages": messages, "hessian": hess,
-            "pmf_floored": floor_count[0]}
-    try:
-        cov = np.linalg.inv(-hess)
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(-hess)
-        diag["singular_hessian"] = True
-    se = tuple(math.sqrt(max(v, 0.0)) for v in np.diag(cov))
-    z = _z_quantile(level)
-    cis = tuple((est - z * s, est + z * s) for est, s in zip(theta, se))
-    return FitResult(params=params, log_likelihood=ll, std_errors=se,
-                     cov_matrix=cov, conf_intervals=cis,
-                     aic=-2.0 * ll + 4.0, converged=converged,
-                     iterations=iterations, method="mle", diagnostics=diag)
+            pass
+    thetas = [np.array([_FAMILIES["unb"].eta_of(s)[0], math.log(s.r)]) for s in starts]
+    thetas.append(np.array([math.log(m1), math.log(2.0)]))
+    return _fit_marginal(_FAMILIES["unb"], xs, w, thetas, level)
 
 
 def fit_geometric(data, level: float = 0.95) -> FitResult:
-    """Closed-form geometric MLE p = 1/(1 + mean), with observed-information
-    standard error."""
-    xs, w, n = _compress(data)
-    m1 = float(np.dot(w, xs)) / n
-    if m1 == 0.0:
-        raise DegenerateDataError("all observations are zero")
-    p_hat = 1.0 / (1.0 + m1)
-    q_hat = 1.0 - p_hat
-    ll = n * (math.log(p_hat) + m1 * math.log(q_hat))
-    info = n / (p_hat ** 2 * q_hat)
-    se = math.sqrt(1.0 / info)
-    z = _z_quantile(level)
-    return FitResult(params=GeomParams(p_hat), log_likelihood=ll,
-                     std_errors=(se,), cov_matrix=np.array([[1.0 / info]]),
-                     conf_intervals=((p_hat - z * se, p_hat + z * se),),
-                     aic=-2.0 * ll + 2.0, converged=True, iterations=0,
-                     method="mle")
+    """Geometric MLE p = 1/(1 + mean), with observed-information standard
+    error; the mean is the start and the optimum."""
+    xs, w, m1 = _marginal_counts(data, level)
+    return _fit_marginal(_FAMILIES["geometric"], xs, w,
+                         [np.array([math.log(m1)])], level)
 
 
 def lr_test_geometric(data) -> LrTestResult:
@@ -379,95 +522,19 @@ def lr_test_geometric(data) -> LrTestResult:
                         full_loglik=full.log_likelihood)
 
 
-def _nb_loglik(r, p, xs, w, n):
-    return float(np.dot(w, (_sps.gammaln(r + xs) - math.lgamma(r)
-                            - _sps.gammaln(xs + 1.0)
-                            + r * math.log(p) + xs * math.log(1.0 - p))))
-
-
 def fit_nb_mle(data, level: float = 0.95) -> FitResult:
-    """Negative binomial MLE over (r, p), same machinery as the UNB fit."""
-    xs, w, n = _compress(data)
-    m1 = float(np.dot(w, xs)) / n
-    if m1 == 0.0:
-        raise DegenerateDataError("all observations are zero")
-    var = float(np.dot(w, (xs - m1) ** 2)) / max(n - 1, 1)
+    """Negative binomial MLE over (r, p), started at the sample mean and the
+    moment estimate r = m1^2 / (var - m1) (r = 2 when var <= m1)."""
+    xs, w, m1 = _marginal_counts(data, level)
+    var = float(np.dot(w, (xs - m1) ** 2)) / max(np.sum(w) - 1.0, 1.0)
     r0 = m1 ** 2 / (var - m1) if var > m1 else 2.0
-    r0 = min(max(r0, 1e-2), 1e3)
-    u0 = np.array([math.log(r0), _sps.logit(1.0 / (1.0 + m1 / r0))])
-
-    def nll(u):
-        r = math.exp(u[0])
-        p = _sps.expit(u[1])
-        return -_nb_loglik(r, p, xs, w, n) / n
-
-    def grad(u):
-        r = math.exp(u[0])
-        p = _sps.expit(u[1])
-        q = 1.0 - p
-        dll_dr = float(np.dot(w, _sps.digamma(r + xs))) - n * _sps.digamma(r) \
-            + n * math.log(p)
-        dll_dp = n * r / p - float(np.dot(w, xs)) / q
-        return np.array([-dll_dr * r, -dll_dp * p * q]) / n
-
-    bounds = [_LOGR_BOUNDS, _LOGITP_BOUNDS]
-    res = _opt.minimize(nll, np.clip(u0, -8, 8), jac=grad, method="L-BFGS-B",
-                        bounds=bounds,
-                        options={"maxiter": 500, "ftol": 1e-13, "gtol": 1e-9})
-    r_hat = math.exp(res.x[0])
-    p_hat = float(_sps.expit(res.x[1]))
-    ll = _nb_loglik(r_hat, p_hat, xs, w, n)
-    theta = np.array([r_hat, p_hat])
-    steps = np.array([
-        min(1e-4 * max(1.0, r_hat), 0.5 * r_hat),
-        min(1e-4 * max(1.0, p_hat), 0.5 * p_hat, 0.5 * (1.0 - p_hat)),
-    ])
-    hess = _hessian_fd(lambda t: _nb_loglik(t[0], t[1], xs, w, n), theta, steps)
-    try:
-        cov = np.linalg.inv(-hess)
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(-hess)
-    se = tuple(math.sqrt(max(v, 0.0)) for v in np.diag(cov))
-    z = _z_quantile(level)
-    cis = tuple((est - z * s, est + z * s) for est, s in zip(theta, se))
-    converged = bool(res.success) and float(np.linalg.norm(grad(res.x))) < 1e-6
-    return FitResult(params=NbParams(r_hat, p_hat), log_likelihood=ll,
-                     std_errors=se, cov_matrix=cov, conf_intervals=cis,
-                     aic=-2.0 * ll + 4.0, converged=converged,
-                     iterations=res.nit, method="mle")
-
-
-def _up_loglik(lam, xs, w):
-    return float(np.dot(w, np.log(np.maximum(_sps.gammainc(xs + 1.0, lam), 1e-300))
-                        - math.log(lam)))
+    start = np.array([math.log(m1), math.log(min(max(r0, 1e-2), 1e3))])
+    return _fit_marginal(_FAMILIES["nb"], xs, w, [start], level)
 
 
 def fit_up_mle(data, level: float = 0.95) -> FitResult:
-    """Uniform-Poisson MLE for the latent rate, one-dimensional search
-    initialised at twice the sample mean (the distribution mean is lam/2)."""
-    xs, w, n = _compress(data)
-    m1 = float(np.dot(w, xs)) / n
-    if m1 == 0.0:
-        raise DegenerateDataError("all observations are zero")
-    res = _opt.minimize_scalar(
-        lambda u: -_up_loglik(math.exp(u), xs, w) / n,
-        bracket=(math.log(2.0 * m1) - 1.0, math.log(2.0 * m1) + 1.0),
-        method="brent", options={"xtol": 1e-12})
-    lam_hat = math.exp(res.x)
-    ll = _up_loglik(lam_hat, xs, w)
-    h = 1e-4 * max(1.0, lam_hat)
-    d2 = (_up_loglik(lam_hat + h, xs, w) - 2.0 * ll
-          + _up_loglik(lam_hat - h, xs, w)) / h ** 2
-    var = -1.0 / d2 if d2 < 0 else math.nan
-    se = math.sqrt(var) if var == var and var > 0 else math.nan
-    z = _z_quantile(level)
-    h_s = 1e-5 * max(1.0, lam_hat)
-    score = (_up_loglik(lam_hat + h_s, xs, w)
-             - _up_loglik(lam_hat - h_s, xs, w)) / (2.0 * h_s)
-    return FitResult(params=UpParams(lam_hat), log_likelihood=ll,
-                     std_errors=(se,),
-                     cov_matrix=np.array([[var]]),
-                     conf_intervals=((lam_hat - z * se, lam_hat + z * se),),
-                     aic=-2.0 * ll + 2.0,
-                     converged=abs(score) / n < 1e-6,
-                     iterations=getattr(res, "nit", 0) or 0, method="mle")
+    """Uniform-Poisson MLE for the latent rate, started at twice the sample
+    mean (the distribution mean is lam/2)."""
+    xs, w, m1 = _marginal_counts(data, level)
+    return _fit_marginal(_FAMILIES["up"], xs, w, [np.array([math.log(m1)])],
+                         level)

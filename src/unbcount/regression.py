@@ -1,13 +1,17 @@
 """Log-link count regression with a UNB response, plus comparators.
 
-The conditional mean mu_i = exp(beta . y_i) enters the UNB pmf through
-p_i = r / (2 mu_i + r) (the distribution mean is r q / 2p).  The negative
-binomial comparator uses p_i = r / (mu_i + r); the uniform-Poisson one
-links its latent rate as lam_i = 2 mu_i since its mean is lam / 2, so all
-three models share the same conditional-mean scale.
+The conditional mean mu_i = exp(beta . y_i) sets each response law
+through its family's link (``estimation._FAMILIES``): p_i = r / (2 mu_i + r)
+for UNB (the distribution mean is r q / 2p), p_i = r / (mu_i + r) for the
+negative binomial comparator, and lam_i = 2 mu_i for the uniform-Poisson
+one, whose mean is lam / 2, so all three models share the same
+conditional-mean scale.  q_i is computed from mu_i, never as 1 - p_i,
+which rounds to 0 once eta is below about log r - 37.
 
-Optimisation is joint quasi-Newton ascent over (beta, log r) with the
-analytic beta-gradient
+Each fit is build_design, a rank check, one start (intercept log mean,
+log r from the moment estimate) and the fitting engine of
+``estimation._fit`` with unit weights: joint quasi-Newton ascent over
+(beta, log r) with the analytic beta-gradient
 
     dl/dbeta_k = sum_i y_ki [ x_i p_i - r q_i
                               + p_i q_i ((r+x_i)/(2+x_i)) F2_i / F1_i ]
@@ -28,13 +32,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import optimize as _opt
+# Unused here since the fits run on estimation's engine; perfbench/tracing.py
+# wraps regression._opt, so it stays importable.
+from scipy import optimize as _opt  # noqa: F401
 from scipy import special as _sps
+from scipy import stats as _stats
 
-from . import distributions as _dist
 from .datasets import Dataset
 from .errors import DataError, DegenerateVuongError, DomainError, RankDeficientError
-from .estimation import _hessian_fd, fit_mm
+from .estimation import _FAMILIES, _eta, _fit, fit_mm
 
 __all__ = [
     "RegressionSpec",
@@ -48,12 +54,6 @@ __all__ = [
     "vuong_test",
     "per_observation_pmf",
 ]
-
-ETA_CLAMP = 700.0
-PMF_FLOOR = _dist.PMF_FLOOR
-_LOGR_BOUNDS = (-8.0, 8.0)
-_GRAD_GATE = 1e-6  # on the gradient of the mean log-likelihood
-
 
 @dataclass(frozen=True)
 class RegressionSpec:
@@ -129,12 +129,6 @@ def _check_rank(x: np.ndarray):
             f"rank {np.linalg.matrix_rank(x)})")
 
 
-def _eta(beta, design):
-    eta = design @ beta
-    clipped = int(np.count_nonzero(np.abs(eta) > ETA_CLAMP))
-    return np.clip(eta, -ETA_CLAMP, ETA_CLAMP), clipped
-
-
 def unb_reg_loglik(beta, r: float, design: np.ndarray, y) -> float:
     """Log-likelihood of the UNB regression at (beta, r).
 
@@ -148,215 +142,63 @@ def unb_reg_loglik(beta, r: float, design: np.ndarray, y) -> float:
     if not r > 0.0:
         raise DomainError(f"r must be positive, got {r}")
     eta, _ = _eta(beta, design)
-    mu = np.exp(eta)
-    p = r / (2.0 * mu + r)
-    lp, _ = _dist.unb_logpmf_kernel(r, p, y)
+    lp, _ = _FAMILIES["unb"].logpmf(eta, r, y)
     return float(np.sum(lp))
 
 
-def _model_funcs(model: str):
-    """(mean loglik, mean beta-gradient) builders per response family."""
-
-    if model == "unb":
-        def loglik(r, mu, y):
-            p = r / (2.0 * mu + r)
-            lp, floored = _dist.unb_logpmf_kernel(r, p, y)
-            return np.sum(lp), floored
-
-        def deta(r, mu, y):
-            p = r / (2.0 * mu + r)
-            # d logpmf / deta = (dp/deta) * d logpmf / dp, dp/deta = -p q
-            return -p * (1.0 - p) * _dist.unb_dlogpmf_dp_kernel(r, p, y)
-    elif model == "nb":
-        def loglik(r, mu, y):
-            p = r / (mu + r)
-            lp = (_sps.gammaln(r + y) - math.lgamma(r) - _sps.gammaln(y + 1.0)
-                  + r * np.log(p) + y * np.log1p(-p))
-            log_floor = math.log(PMF_FLOOR)
-            return (np.sum(np.maximum(lp, log_floor)),
-                    int(np.count_nonzero(lp < log_floor)))
-
-        def deta(r, mu, y):
-            p = r / (mu + r)
-            return y * p - r * (1.0 - p)
-    elif model == "up":
-        def loglik(r, mu, y):
-            lam = 2.0 * mu
-            surv = _sps.gammainc(y + 1.0, lam)
-            return (np.sum(np.log(np.maximum(surv, PMF_FLOOR)) - np.log(lam)),
-                    int(np.count_nonzero(surv < PMF_FLOOR)))
-
-        def deta(r, mu, y):
-            lam = 2.0 * mu
-            surv = np.maximum(_sps.gammainc(y + 1.0, lam), PMF_FLOOR)
-            log_pois = y * np.log(lam) - lam - _sps.gammaln(y + 1.0)
-            return lam * np.exp(log_pois) / surv - 1.0
-    else:
-        raise DomainError(f"unknown regression model {model!r}")
-    return loglik, deta
-
-
-def _fit_regression(dataset, spec, model: str, level: float) -> RegressionFit:
+def _regress(family, dataset, spec: RegressionSpec) -> RegressionFit:
+    """The design, a rank check, one start and the engine, unit weights."""
     design, y, names = build_design(dataset, spec)
     n, k = design.shape
     if n <= k + 1:
         raise DataError(f"need more rows than parameters: n={n}, columns={k}")
     _check_rank(design)
-    loglik_fn, deta_fn = _model_funcs(model)
-    has_r = model in ("unb", "nb")
-
-    beta0 = np.zeros(k)
+    theta0 = np.zeros(k + family.n_shape)
     if spec.intercept:
-        beta0[0] = math.log(float(np.mean(y)) + 0.5 / n)
-    if has_r:
+        theta0[0] = math.log(float(np.mean(y)) + 0.5 / n)
+    if family.n_shape:
         try:
             r0 = fit_mm(y).params.r
         except DataError:
             r0 = 2.0
-        theta0 = np.append(beta0, math.log(min(max(r0, 1e-3), 1e3)))
-    else:
-        theta0 = beta0
-
-    clamp_count = [0]
-    floor_count = [0]
-
-    def unpack(theta):
-        beta = theta[:k]
-        r = math.exp(theta[k]) if has_r else None
-        eta, clipped = _eta(beta, design)
-        clamp_count[0] += clipped
-        return beta, r, np.exp(eta), eta
-
-    def neg_mean_loglik(theta):
-        _, r, mu, _ = unpack(theta)
-        ll, floored = loglik_fn(r, mu, y)
-        floor_count[0] += floored
-        return -ll / n
-
-    def neg_mean_grad(theta):
-        beta, r, mu, eta = unpack(theta)
-        g_eta = deta_fn(r, mu, y)
-        g_eta = np.where(np.abs(eta) >= ETA_CLAMP, 0.0, g_eta)
-        g_beta = design.T @ g_eta / n
-        if has_r:
-            h = 1e-6
-            lp = loglik_fn(math.exp(theta[k] + h), mu, y)[0]
-            lm = loglik_fn(math.exp(theta[k] - h), mu, y)[0]
-            g_r = (lp - lm) / (2.0 * h * n)
-            return -np.append(g_beta, g_r)
-        return -g_beta
-
-    bounds = [(None, None)] * k + ([_LOGR_BOUNDS] if has_r else [])
-    res = _opt.minimize(neg_mean_loglik, theta0, jac=neg_mean_grad,
-                        method="L-BFGS-B", bounds=bounds,
-                        options={"maxiter": 1000, "ftol": 1e-13, "gtol": 1e-9})
-    iterations = res.nit
-    messages = [str(res.message)]
-
-    def grad_norm(theta):
-        return float(np.linalg.norm(neg_mean_grad(theta)))
-
-    # The ftol test can end a successful stage just above the gradient gate;
-    # the tighter retry then goes on from there.
-    if not res.success or grad_norm(res.x) >= _GRAD_GATE:
-        res_retry = _opt.minimize(neg_mean_loglik, res.x, jac=neg_mean_grad,
-                                  method="L-BFGS-B", bounds=bounds,
-                                  options={"maxiter": 1000, "ftol": 1e-14,
-                                           "gtol": 1e-10})
-        iterations += res_retry.nit
-        messages.append(str(res_retry.message))
-        if res_retry.fun <= res.fun:
-            res = res_retry
-        if not res.success:
-            res_nm = _opt.minimize(neg_mean_loglik, res.x, method="Nelder-Mead",
-                                   options={"maxiter": 5000, "xatol": 1e-9,
-                                            "fatol": 1e-12})
-            iterations += res_nm.nit
-            messages.append(str(res_nm.message))
-            if res_nm.fun < res.fun:
-                res = res_nm
-
-    final_norm = grad_norm(res.x)
-    converged = final_norm < _GRAD_GATE
-    return _finalize_fit(model, design, y, names, res.x, k, has_r, loglik_fn,
-                         n, level, converged, iterations,
-                         {"grad_norm": final_norm, "messages": messages,
-                          "eta_clamped": clamp_count[0],
-                          "pmf_floored": floor_count[0]})
-
-
-def _finalize_fit(model, design, y, names, theta_opt, k, has_r, loglik_fn,
-                  n, level, converged, iterations, diagnostics) -> RegressionFit:
-    from scipy import stats as _stats
-
-    beta_hat = theta_opt[:k]
-    r_hat = math.exp(theta_opt[k]) if has_r else None
-
-    def total_loglik(t):
-        eta = np.clip(design @ t[:k], -ETA_CLAMP, ETA_CLAMP)
-        mu = np.exp(eta)
-        r = t[k] if has_r else None
-        return loglik_fn(r, mu, y)[0]
-
-    theta_orig = np.append(beta_hat, r_hat) if has_r else beta_hat
-    steps = 1e-4 * np.maximum(1.0, np.abs(theta_orig))
-    if has_r:
-        steps[k] = min(steps[k], 0.5 * r_hat)
-    hess = _hessian_fd(total_loglik, theta_orig, steps)
-    diagnostics["hessian"] = hess
-    try:
-        cov = np.linalg.inv(-hess)
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(-hess)
-        diagnostics["singular_hessian"] = True
+        theta0[k] = math.log(min(max(r0, 1e-3), 1e3))
+    theta, cov, ll, converged, iterations, diagnostics = _fit(
+        family, design, y, np.ones(n), [theta0])
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        wald = np.where(se > 0, theta_orig / se, np.nan)
-    p_values = 2.0 * _stats.norm.sf(np.abs(wald))
-    ll = total_loglik(theta_orig)
-    n_params = k + (1 if has_r else 0)
-    return RegressionFit(beta=beta_hat, r=r_hat, std_errors=se, wald_t=wald,
-                         p_values=p_values, log_likelihood=ll,
-                         aic=-2.0 * ll + 2.0 * n_params, converged=converged,
-                         model=model, coef_names=names, iterations=iterations,
+        wald = np.where(se > 0, theta / se, np.nan)
+    return RegressionFit(beta=theta[:k], r=float(theta[k]) if family.n_shape else None,
+                         std_errors=se, wald_t=wald,
+                         p_values=2.0 * _stats.norm.sf(np.abs(wald)),
+                         log_likelihood=ll, aic=-2.0 * ll + 2.0 * theta.size,
+                         converged=converged, model=family.name,
+                         coef_names=names, iterations=iterations,
                          diagnostics=diagnostics)
 
 
 def fit_unb_regression(dataset, spec: RegressionSpec,
                        level: float = 0.95) -> RegressionFit:
     """UNB response with log link on the conditional mean."""
-    return _fit_regression(dataset, spec, "unb", level)
+    return _regress(_FAMILIES["unb"], dataset, spec)
 
 
 def fit_nb_regression(dataset, spec: RegressionSpec,
                       level: float = 0.95) -> RegressionFit:
     """Negative binomial comparator, same link and inference pipeline."""
-    return _fit_regression(dataset, spec, "nb", level)
+    return _regress(_FAMILIES["nb"], dataset, spec)
 
 
 def fit_up_regression(dataset, spec: RegressionSpec,
                       level: float = 0.95) -> RegressionFit:
     """Uniform-Poisson comparator; latent rate 2 mu, no dispersion term."""
-    return _fit_regression(dataset, spec, "up", level)
+    return _regress(_FAMILIES["up"], dataset, spec)
 
 
 def per_observation_pmf(fit: RegressionFit, dataset, spec: RegressionSpec) -> np.ndarray:
     """Fitted probability of each observed response, for Vuong comparisons."""
     design, y, _ = build_design(dataset, spec)
-    eta = np.clip(design @ fit.beta, -ETA_CLAMP, ETA_CLAMP)
-    mu = np.exp(eta)
-    loglik_fn, _ = _model_funcs(fit.model)
-    if fit.model == "unb":
-        p = fit.r / (2.0 * mu + fit.r)
-        lp, _ = _dist.unb_logpmf_kernel(fit.r, p, y)
-    elif fit.model == "nb":
-        p = fit.r / (mu + fit.r)
-        lp = (_sps.gammaln(fit.r + y) - math.lgamma(fit.r)
-              - _sps.gammaln(y + 1.0) + fit.r * np.log(p) + y * np.log1p(-p))
-    else:
-        lam = 2.0 * mu
-        lp = np.log(np.maximum(_sps.gammainc(y + 1.0, lam), PMF_FLOOR)) - np.log(lam)
-    return np.exp(np.maximum(lp, math.log(PMF_FLOOR)))
+    eta, _ = _eta(fit.beta, design)
+    return np.exp(_FAMILIES[fit.model].logpmf(eta, fit.r, y)[0])
 
 
 def vuong_test(pmf1_per_obs, pmf2_per_obs) -> VuongResult:

@@ -24,13 +24,14 @@ def hyp_pmf(params, x: int) -> float:
     return math.exp(log_base) * gauss_2f1(1.0, r + x, 2.0 + x, q)
 
 
-def mp_logpmf(r, p, x):
+def mp_logpmf(r, p, x, q=None):
     """log pmf through mpmath's hyp2f1, at 30 digits, or enough more that
-    q = 1 - p is not rounded to 1."""
+    q = 1 - p is not rounded to 1.  ``q``, when given, is 1 - p to more
+    digits than p carries (p near 1)."""
     dps = 30 + max(0, int(-math.log10(p)))
     with mpmath.workdps(dps):
         r, p = mpmath.mpf(r), mpmath.mpf(p)
-        q = 1 - p
+        q = 1 - p if q is None else mpmath.mpf(q)
         return float(x * mpmath.log(q) + r * mpmath.log(p) - mpmath.log(1 + x)
                      + mpmath.loggamma(r + x) - mpmath.loggamma(r)
                      - mpmath.loggamma(x + 1)

@@ -108,14 +108,14 @@ class TestFit:
 
     def test_convergence_exit_code(self, tmp_path, capsys, monkeypatch):
         from unbcount import estimation as est
+        real_fit = est.fit_mle
 
         def fake_fit(counts, level=0.95):
-            fit = est.fit_mle(counts, level=level)
+            fit = real_fit(counts, level=level)
             fit.converged = False
             return fit
 
-        monkeypatch.setattr(cli, "_fit_one_marginal",
-                            lambda model, counts, level: fake_fit(counts, level))
+        monkeypatch.setattr(est, "fit_mle", fake_fit)
         counts = unb_sample(UnbParams(3.0, 0.5), 500, 29)
         path = write_counts(tmp_path / "c.txt", counts)
         code, out, _ = run_cli(["fit", "--input", path, "--models", "unb"], capsys)
@@ -191,6 +191,33 @@ class TestCompare:
         assert len(body["fits"]) == 3
         assert len(body["vuong"]) == 2
         assert body["vuong"][0]["reference"] == "unb"
+
+
+    def test_marginal_vuong_z_from_weighted_per_value_logpmfs(self, tmp_path, capsys):
+        from unbcount import distributions as dist
+        from unbcount import estimation as est
+        counts = unb_sample(UnbParams(3.0, 0.5), 4000, 43)
+        path = write_counts(tmp_path / "c.txt", counts)
+        code, out, _ = run_cli(["compare", "--input", path,
+                                "--models", "unb,nb,up", "--format", "json"],
+                               capsys)
+        assert code == 0
+        xs, w = np.unique(counts, return_counts=True)
+        logpmf = {
+            "unb": lambda f, x: dist.unb_logpmf(f.params, x),
+            "nb": lambda f, x: dist.nb_logpmf(f.params, x),
+            "up": lambda f, x: dist.up_logpmf(f.params, x),
+        }
+        lp = {}
+        for model, fit in (("unb", est.fit_mle(counts)), ("nb", est.fit_nb_mle(counts)),
+                           ("up", est.fit_up_mle(counts))):
+            lp[model] = np.array([logpmf[model](fit, int(x)) for x in xs])
+        for row in json.loads(out)["vuong"]:
+            m = lp["unb"] - lp[row["against"]]
+            n = w.sum()
+            omega = math.sqrt(np.dot(w, m ** 2) / n - (np.dot(w, m) / n) ** 2)
+            assert row["z"] == pytest.approx(np.dot(w, m) / (omega * math.sqrt(n)),
+                                             rel=1e-9)
 
 
 class TestSummarize:

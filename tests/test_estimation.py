@@ -1,11 +1,16 @@
 import math
 
+from dataclasses import astuple
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mp_logpmf
+from unbcount import distributions as dist
+from unbcount.datasets import Dataset
 from unbcount.distributions import UnbParams, unb_sample
 from unbcount.errors import (
     DataError,
@@ -14,6 +19,8 @@ from unbcount.errors import (
     UnderDispersionError,
 )
 from unbcount.estimation import (
+    _FAMILIES,
+    _fit,
     fit_geometric,
     fit_mle,
     fit_mm,
@@ -24,6 +31,13 @@ from unbcount.estimation import (
     unb_loglik,
     unb_score_p,
     unb_score_r,
+)
+from unbcount.regression import (
+    RegressionSpec,
+    fit_nb_regression,
+    fit_unb_regression,
+    fit_up_regression,
+    unb_reg_loglik,
 )
 
 LN2 = math.log(2.0)
@@ -272,3 +286,118 @@ class TestComparatorFits:
         # the UP maximum likelihood rate need not equal 2*mean exactly,
         # but should sit near it
         assert abs(fit.params.lam - 2.0 * float(np.mean(data))) <= 0.5
+
+
+def mp_family_logpmf(model, eta, r, y):
+    """Exact log pmf of the UNB or NB family at eta, with p and q from the
+    mean at enough digits that p = 1 - q is not rounded to 1."""
+    with mpmath.workdps(40 + int(abs(eta) / 2)):
+        mu, r = mpmath.exp(mpmath.mpf(eta)), mpmath.mpf(r)
+        kappa = 2 if model == "unb" else 1
+        p, q = r / (kappa * mu + r), kappa * mu / (kappa * mu + r)
+        if model == "unb":
+            return mpmath.mpf(mp_logpmf(r, p, y, q=q))
+        return (mpmath.loggamma(r + y) - mpmath.loggamma(r) - mpmath.loggamma(y + 1)
+                + r * mpmath.log(p) + y * mpmath.log(q))
+
+
+# Values of the marginal fits on unb_sample(UnbParams(3, 0.5), 20000, 1000),
+# recorded before the marginal fits ran on the regression engine: estimates,
+# log-likelihood, standard errors.
+RECORDED_FITS = {
+    "unb": ((2.8956167205282375, 0.49205420668428235), -33542.862854984814,
+            (0.11407281619742196, 0.010010698451179512)),
+    "nb": ((1.2350555513736998, 0.4524583879076883), -33543.690783447055,
+           (0.026413399580272404, 0.005710475505549247)),
+    "up": ((3.1217381323102744,), -34238.633254827946, (0.022149529114594637,)),
+    "geometric": ((0.40086587027980436,), -33595.3362734669,
+                  (0.002194047947221061,)),
+}
+MARGINAL_FITS = {"unb": fit_mle, "nb": fit_nb_mle, "up": fit_up_mle,
+                 "geometric": fit_geometric}
+REGRESSION_FITS = {"unb": fit_unb_regression, "nb": fit_nb_regression,
+                   "up": fit_up_regression}
+
+
+class TestOneEngine:
+    @pytest.mark.parametrize("model", ["unb", "nb"])
+    def test_link_is_exact_inside_eta_clamp(self, model):
+        # Below eta ~ log r - 37, p = r/(kappa mu + r) rounds to 1; q comes
+        # from the mean, so the log pmf and its eta-derivative stay exact.
+        family = _FAMILIES[model]
+        y = np.array([0, 1, 3])
+        h = mpmath.mpf("1e-6")
+        for eta in (-40.0, -100.0, -700.0):
+            for r in (0.5, 2.0, 20.0):
+                etas = np.full(3, eta)
+                lp, floored = family.logpmf(etas, r, y)
+                deta = family.deta(etas, r, y)
+                oracle = [mp_family_logpmf(model, eta, r, int(x)) for x in y]
+                assert np.all(np.isfinite(lp)) and np.all(np.isfinite(deta))
+                expect = np.maximum([float(v) for v in oracle], math.log(dist.PMF_FLOOR))
+                assert lp == pytest.approx(expect, abs=1e-10)
+                assert floored == sum(float(v) < math.log(dist.PMF_FLOOR) for v in oracle)
+                if model == "unb":
+                    p, q = family.link(etas, r)
+                    exact = dist._unb_logpmf(r, p, y, q=q)
+                    assert exact == pytest.approx([float(v) for v in oracle], abs=1e-10)
+                for i, x in enumerate(y):
+                    fd = float((mp_family_logpmf(model, eta + h, r, int(x))
+                                - mp_family_logpmf(model, eta - h, r, int(x))) / (2 * h))
+                    assert deta[i] == pytest.approx(fd, rel=1e-6)
+        assert math.isfinite(unb_reg_loglik(np.array([-40.0]), 2.0, np.ones((3, 1)),
+                                            np.array([0, 0, 1])))
+
+    def test_nb_marginal_mle_converges(self):
+        # One L-BFGS-B stage from a start clipped to logit p in [-8, 8]
+        # stopped this fit unconverged; the engine's ladder finishes it.
+        fit = fit_nb_mle(unb_sample(UnbParams(1.0, 0.6), 200_000, 809))
+        assert fit.converged
+        assert fit.diagnostics["grad_norm"] < 1e-6
+
+    def test_every_fit_carries_the_diagnostics(self):
+        keys = {"grad_norm", "messages", "pmf_floored", "eta_clamped", "hessian"}
+        y = unb_sample(UnbParams(2.0, 0.45), 500, 3)
+        for fit in MARGINAL_FITS.values():
+            assert keys <= set(fit(y).diagnostics)
+        z = np.random.default_rng(3).normal(0.0, 1.0, y.size)
+        data = Dataset(column_names=("y", "z"),
+                       columns={"y": y.astype(float), "z": z}, n=y.size)
+        for fit in REGRESSION_FITS.values():
+            assert keys <= set(fit(data, RegressionSpec("y", ("z",))).diagnostics)
+
+    def test_up_marginal_counts_floored_outlier(self):
+        # P(N > 500) for N ~ Poisson(3) is far below 1e-300
+        data = np.append(unb_sample(UnbParams(3.0, 0.5), 2000, 5), 500)
+        fit = fit_up_mle(data)
+        assert fit.diagnostics["pmf_floored"] >= 1
+        assert math.isfinite(fit.log_likelihood)
+
+    @pytest.mark.parametrize("model", ["unb", "nb", "up", "geometric"])
+    def test_marginal_fit_is_intercept_only_regression(self, model):
+        y = unb_sample(UnbParams(2.0, 0.45), 2000, 5)
+        family = _FAMILIES[model]
+        if model == "geometric":
+            theta, _, loglik, converged, _, _ = _fit(
+                family, np.ones((y.size, 1)), y, np.ones(y.size),
+                [np.array([math.log(np.mean(y))])])
+        else:
+            data = Dataset(column_names=("y",), columns={"y": y.astype(float)},
+                           n=y.size)
+            rfit = REGRESSION_FITS[model](data, RegressionSpec("y", ()))
+            theta = np.append(rfit.beta, [] if rfit.r is None else [rfit.r])
+            loglik, converged = rfit.log_likelihood, rfit.converged
+        mfit = MARGINAL_FITS[model](y)
+        assert converged and mfit.converged
+        assert mfit.log_likelihood == pytest.approx(loglik, rel=1e-9)
+        assert astuple(mfit.params) == pytest.approx(astuple(family.law(theta)[0]),
+                                                     rel=1e-6)
+
+    @pytest.mark.parametrize("model", list(RECORDED_FITS))
+    def test_marginal_fits_match_recorded_values(self, model):
+        estimates, loglik, std_errors = RECORDED_FITS[model]
+        fit = MARGINAL_FITS[model](unb_sample(UnbParams(3.0, 0.5), 20_000, 1000))
+        assert fit.converged
+        assert fit.log_likelihood == pytest.approx(loglik, rel=1e-9)
+        assert astuple(fit.params) == pytest.approx(estimates, rel=1e-6)
+        assert fit.std_errors == pytest.approx(std_errors, rel=1e-4)

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from unbcount.datasets import Dataset
 from unbcount.distributions import UnbParams, unb_dlogpmf_dp_kernel, unb_pmf, unb_sample
 from unbcount.errors import DataError, DegenerateVuongError, RankDeficientError
-from unbcount import regression
-from unbcount.estimation import fit_mle, unb_loglik
+from unbcount import estimation
+from unbcount.estimation import _FAMILIES, fit_mle, unb_loglik
 from unbcount.regression import (
     RegressionSpec,
-    _model_funcs,
     build_design,
     fit_nb_regression,
     fit_unb_regression,
@@ -131,7 +130,7 @@ class TestUnbRegressionFit:
     def test_stage_stopped_above_gradient_gate_is_retried(self, monkeypatch):
         # A loose ftol on the first L-BFGS-B stage makes it report success
         # well above the gradient gate; the tighter retry must finish the job.
-        real_minimize = regression._opt.minimize
+        real_minimize = estimation._opt.minimize
         methods = []
 
         def loose_first_stage(*args, **kwargs):
@@ -140,7 +139,7 @@ class TestUnbRegressionFit:
             methods.append(kwargs.get("method"))
             return real_minimize(*args, **kwargs)
 
-        monkeypatch.setattr(regression._opt, "minimize", loose_first_stage)
+        monkeypatch.setattr(estimation._opt, "minimize", loose_first_stage)
         rng = np.random.default_rng(42)
         data, _ = simulate_reg(
             rng, 2000, np.array([0.3, 0.5]), 1.5,
@@ -264,13 +263,14 @@ class TestComparatorRegressions:
         assert abs(fit.beta[1] - 0.3) <= 0.05
         assert abs(fit.r - 2.0) <= 0.3
 
-    @pytest.mark.parametrize("model", ["unb", "nb", "up"])
+    @pytest.mark.parametrize("model", ["unb", "nb", "up", "geometric"])
     def test_floored_pmfs_are_counted(self, model):
-        loglik, _ = _model_funcs(model)
+        family = _FAMILIES[model]
+        r = 2.0 if family.n_shape else family.fixed_r
         y = np.array([0.0, 1.0, 500.0])
-        total, floored = loglik(2.0, np.full(3, 1e-3), y)
+        lp, floored = family.logpmf(np.full(3, math.log(1e-3)), r, y)
         assert floored == 1
-        assert math.isfinite(total)
+        assert np.all(np.isfinite(lp))
 
 
 class TestVuong:
