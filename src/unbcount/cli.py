@@ -113,7 +113,8 @@ def _raw_count_file(path) -> Optional[np.ndarray]:
 def _load_counts(config: RunConfig):
     if not config.input:
         raise DataError("--input is required")
-    if not config.covariates:
+    columns = config.covariates + ((config.group_by,) if config.group_by else ())
+    if not columns:
         raw = _raw_count_file(config.input)
         if raw is not None:
             name = config.response or "count"
@@ -123,7 +124,7 @@ def _load_counts(config: RunConfig):
             return data, raw
     if not config.response:
         raise DataError("--response is required")
-    data = ds.load_csv(config.input, config.response, config.covariates,
+    data = ds.load_csv(config.input, config.response, columns,
                        delimiter=config.delimiter)
     return data, ds.response_counts(data, config.response)
 

@@ -93,10 +93,11 @@ def _parse_cell(token: str, column: str, line_no: int) -> float:
 def load_csv(path, response: str, covariates=(), delimiter: str = ",") -> Dataset:
     """Load a delimited text file with a header row.
 
-    Only the selected columns (response plus covariates) are validated:
-    the response must be non-negative integers, and rows with missing
-    values in any selected column are dropped, each recorded as a
-    (row, column) diagnostic on the returned dataset.
+    Only the selected columns (response plus covariates) are parsed and
+    stored, and only they are validated: the response must be
+    non-negative integers, and rows with missing values in any selected
+    column are dropped, each recorded as a (row, column) diagnostic on the
+    returned dataset.
     """
     path = Path(path)
     if not path.exists():
@@ -110,13 +111,13 @@ def load_csv(path, response: str, covariates=(), delimiter: str = ",") -> Datase
         header = [h.strip() for h in header]
         if len(set(header)) != len(header):
             raise DataError(f"{path}: duplicate column names in header")
-        selected = [response, *covariates]
+        selected = list(dict.fromkeys([response, *covariates]))
         for name in selected:
             if name not in header:
                 raise DataError(f"{path}: column {name!r} not found "
                                 f"(available: {', '.join(header)})")
-        idx = {name: header.index(name) for name in header}
-        raw = {name: [] for name in header}
+        idx = [header.index(name) for name in selected]
+        raw = [[] for _ in selected]
         dropped = []
         for line_no, row in enumerate(reader, start=2):
             if len(row) == 0 or all(cell.strip() == "" for cell in row):
@@ -124,25 +125,24 @@ def load_csv(path, response: str, covariates=(), delimiter: str = ",") -> Datase
             if len(row) != len(header):
                 raise DataError(
                     f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}")
-            values = {name: _parse_cell(row[idx[name]], name, line_no)
-                      for name in header}
-            missing = [name for name in selected if math.isnan(values[name])]
+            values = [_parse_cell(row[i], name, line_no) for i, name in zip(idx, selected)]
+            missing = [name for name, v in zip(selected, values) if math.isnan(v)]
             if missing:
                 dropped.append((line_no, missing[0]))
                 continue
-            for name in header:
-                raw[name].append(values[name])
-    if not raw[response]:
+            for col, v in zip(raw, values):
+                col.append(v)
+    if not raw[0]:
         raise DataError(f"{path}: no usable data rows")
-    columns = {name: np.asarray(vals, dtype=float) for name, vals in raw.items()}
+    columns = {name: np.asarray(vals, dtype=float) for name, vals in zip(selected, raw)}
     resp = columns[response]
     bad = np.nonzero((np.abs(resp - np.rint(resp)) > 1e-9) | (resp < 0))[0]
     if bad.size:
         raise DataError(
             f"{path}: row {bad[0] + 2}: response {response!r} value "
             f"{resp[bad[0]]!r} is not a non-negative integer")
-    return Dataset(column_names=tuple(header), columns=columns,
-                   n=len(raw[response]), dropped_rows=tuple(dropped))
+    return Dataset(column_names=tuple(selected), columns=columns,
+                   n=resp.size, dropped_rows=tuple(dropped))
 
 
 def write_csv(dataset: Dataset, path, delimiter: str = ","):

@@ -10,8 +10,9 @@ log-r gradient, a tighter retry, and a simplex search when line searches
 fail.  A marginal fit is the intercept-only fit on the distinct counts
 with their frequencies as weights; its law's parameters ((r, p), lam or p)
 and their standard errors follow from (intercept, r) by the delta method.
-Standard errors come from the observed information (central-difference
-Hessian of the log-likelihood at the optimum, in (beta, r)).
+Standard errors come from the observed information at the optimum, in
+(beta, r): the symmetrised central difference of the same score the
+optimiser uses, 2p score evaluations for p parameters.
 
 Convergence is judged on the gradient of the per-observation mean
 log-likelihood: an absolute 1e-6 gate on the total-sample gradient is
@@ -215,29 +216,6 @@ def unb_score_r(params: UnbParams, data, mode: str = "finite_difference") -> flo
     return (_loglik_rp(r + h, p, xs, w) - _loglik_rp(r - h, p, xs, w)) / (2.0 * h)
 
 
-def _hessian_fd(f, theta, steps):
-    """Symmetric central-difference Hessian of a scalar function, and the
-    function's value at theta."""
-    k = len(theta)
-    hess = np.empty((k, k))
-    f0 = f(theta)
-    for i in range(k):
-        ei = np.zeros(k)
-        ei[i] = steps[i]
-        fpp = f(theta + ei)
-        fmm = f(theta - ei)
-        hess[i, i] = (fpp - 2.0 * f0 + fmm) / steps[i] ** 2
-        for j in range(i + 1, k):
-            ej = np.zeros(k)
-            ej[j] = steps[j]
-            fa = f(theta + ei + ej)
-            fb = f(theta + ei - ej)
-            fc = f(theta - ei + ej)
-            fd_ = f(theta - ei - ej)
-            hess[i, j] = hess[j, i] = (fa - fb - fc + fd_) / (4.0 * steps[i] * steps[j])
-    return hess, f0
-
-
 def _z_quantile(level: float) -> float:
     return float(_stats.norm.ppf(0.5 * (1.0 + level)))
 
@@ -365,8 +343,9 @@ def _fit(family, design, y, weights, starts):
     follows when it fails or stops above the gradient gate, and Nelder-Mead
     when that fails too.  The best optimum is kept.  Returns (theta, cov,
     log-likelihood, converged, iterations, diagnostics) with theta =
-    (beta[, r]) and cov the inverse observed information (central-difference
-    Hessian) in those coordinates.
+    (beta[, r]) and cov the inverse observed information in those
+    coordinates, the symmetrised central difference of the score.  The
+    log-likelihood is the best stage's value at its optimum.
     """
     n, k = float(np.sum(weights)), design.shape[1]
     tally = {"pmf_floored": 0, "eta_clamped": 0}
@@ -393,7 +372,12 @@ def _fit(family, design, y, weights, starts):
             grad = np.append(grad, (lp - lm) / (2.0 * h))
         return -grad / n
 
-    bounds = [(None, None)] * k + [_LOGR_BOUNDS] * family.n_shape
+    # Past +-_ETA_CLAMP every eta of a design of ones is clamped and the
+    # objective is flat, so there that bound is exact; it spares an unbounded
+    # one-coordinate line search its ABNORMAL ends.
+    beta_bounds = ((-_ETA_CLAMP, _ETA_CLAMP) if k == 1 and np.all(design == 1.0)
+                   else (None, None))
+    bounds = [beta_bounds] * k + [_LOGR_BOUNDS] * family.n_shape
 
     def stage(x0, method, **options):
         nonlocal iterations
@@ -426,25 +410,35 @@ def _fit(family, design, y, weights, starts):
     best = min(results, key=fun)
     final_norm = grad_norm(best)
 
+    # the tallies count the optimiser's evaluations, not the information's
+    diagnostics = dict(tally, grad_norm=final_norm, messages=messages)
     theta = best.x.copy()
     if family.n_shape:
         theta[k] = math.exp(theta[k])
-    steps = 1e-4 * np.maximum(1.0, np.abs(theta))
+    # 1e-3, not smaller: the r column differences the finite-difference
+    # log-r gradient, whose rounding a smaller step amplifies.
+    steps = 1e-3 * np.maximum(1.0, np.abs(theta))
     if family.n_shape:
         steps[k] = min(steps[k], 0.5 * theta[k])
 
-    def loglik(t):
-        r = t[k] if family.n_shape else family.fixed_r
-        return float(np.dot(weights, family.logpmf(_eta(t[:k], design)[0], r, y)[0]))
+    def score(t):
+        """The log-likelihood gradient in (beta, r): g_r = g_logr / r."""
+        if not family.n_shape:
+            return -n * neg_mean_grad(t)
+        g = -n * neg_mean_grad(np.append(t[:k], math.log(t[k])))
+        g[k] /= t[k]
+        return g
 
-    hess, ll = _hessian_fd(loglik, theta, steps)
-    diagnostics = dict(tally, grad_norm=final_norm, messages=messages, hessian=hess)
+    hess = np.column_stack([(score(theta + e) - score(theta - e)) / (2.0 * s)
+                            for e, s in zip(np.diag(steps), steps)])
+    hess = 0.5 * (hess + hess.T)
+    diagnostics["hessian"] = hess
     try:
         cov = np.linalg.inv(-hess)
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(-hess)
         diagnostics["singular_hessian"] = True
-    return theta, cov, ll, final_norm < _GRAD_GATE, iterations, diagnostics
+    return theta, cov, float(-n * best.fun), final_norm < _GRAD_GATE, iterations, diagnostics
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ log r from the moment estimate) and the fitting engine of
 (F2/F1 the contiguous hypergeometric ratio; evaluated from the same
 sums as the likelihood) and a finite-difference log-r
 gradient.  Standard errors invert the observed information in the
-original (beta, r) coordinates.  Linear predictors are clamped to |eta|
-<= 700 and per-observation probabilities floored at 1e-300, both counted
-in the fit diagnostics, so line searches survive excursions far from the
-optimum.
+original (beta, r) coordinates, the central difference of that score.
+Linear predictors are clamped to |eta| <= 700 and per-observation
+probabilities floored at 1e-300, both counted in the fit diagnostics, so
+line searches survive excursions far from the optimum.
 """
 
 from __future__ import annotations

@@ -38,6 +38,26 @@ def mp_logpmf(r, p, x, q=None):
                      + mpmath.log(mpmath.hyp2f1(1, r + x, 2 + x, q)))
 
 
+def fd_hessian(f, theta, steps):
+    """Symmetric central-difference Hessian of a scalar function from its
+    values alone, 2k^2 + 1 of them: the oracle for the fitting engine's
+    observed information, which differences the score instead."""
+    k = len(theta)
+    hess = np.empty((k, k))
+    f0 = f(theta)
+    for i in range(k):
+        ei = np.zeros(k)
+        ei[i] = steps[i]
+        hess[i, i] = (f(theta + ei) - 2.0 * f0 + f(theta - ei)) / steps[i] ** 2
+        for j in range(i + 1, k):
+            ej = np.zeros(k)
+            ej[j] = steps[j]
+            hess[i, j] = hess[j, i] = (
+                f(theta + ei + ej) - f(theta + ei - ej) - f(theta - ei + ej)
+                + f(theta - ei - ej)) / (4.0 * steps[i] * steps[j])
+    return hess
+
+
 NMES_SKIP_NOTICE = (
     "NMES file not available: run scripts/fetch_nmes.py and set "
     f"{NMES_ENV_VAR} to its output directory")

@@ -251,3 +251,18 @@ class TestSummarize:
         assert code == 0
         body = json.loads(out)
         assert [g["group"] for g in body["groups"]] == ["g=1", "g=0"]
+
+    def test_grouped_beside_text_column(self, tmp_path, capsys):
+        # Only the response and the group column are parsed; a row whose
+        # group is NA is dropped.
+        path = tmp_path / "s.csv"
+        path.write_text("id,y,g\nalice,0,1\nbob,2,1\ncarol,1,0\ndave,3,0\neve,4,NA\n",
+                        encoding="utf-8")
+        code, out, _ = run_cli(["summarize", "--input", str(path), "--response", "y",
+                                "--group-by", "g", "--format", "json"], capsys)
+        assert code == 0
+        assert {g["group"]: g["n"] for g in json.loads(out)["groups"]} == {"g=1": 2,
+                                                                          "g=0": 2}
+        code, _, _ = run_cli(["fit", "--input", str(path), "--response", "y",
+                              "--models", "geometric"], capsys)
+        assert code == 0

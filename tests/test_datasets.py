@@ -57,6 +57,12 @@ class TestLoadCsv:
         data = load_csv(f, "y", ["a"])
         assert data.n == 2
 
+    def test_unselected_text_column_not_parsed(self, tmp_path):
+        f = write_file(tmp_path / "d.csv", "id,y,a\nalice,0,1\nbob,2,NA\ncarol,1,3\n")
+        data = load_csv(f, "y", ["a"])
+        assert data.column_names == ("y", "a") and set(data.columns) == {"y", "a"}
+        assert data.n == 2 and data.dropped_rows == ((3, "a"),)
+
     def test_empty_file(self, tmp_path):
         f = write_file(tmp_path / "d.csv", "")
         with pytest.raises(DataError, match="empty"):

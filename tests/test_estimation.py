@@ -279,6 +279,15 @@ class TestComparatorFits:
         assert abs(fit.params.r - 3.0) <= 0.3
         assert abs(fit.params.p - 0.5) <= 0.03
 
+    def test_up_marginal_fit_ends_in_one_stage(self):
+        # The intercept is bounded at the eta clamp, where the bound is
+        # exact; unbounded, both L-BFGS-B stages ended ABNORMAL and the fit
+        # finished in Nelder-Mead.
+        fit = fit_up_mle(unb_sample(UnbParams(3.0, 0.5), 20_000, 1000))
+        assert fit.converged
+        assert len(fit.diagnostics["messages"]) == 1
+        assert fit.diagnostics["messages"][0].startswith("CONVERGENCE")
+
     def test_up_mean_matching(self):
         data = unb_sample(UnbParams(3.0, 0.5), 5000, 47)
         fit = fit_up_mle(data)

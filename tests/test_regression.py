@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from unbcount.datasets import Dataset
 from unbcount.distributions import UnbParams, unb_dlogpmf_dp_kernel, unb_pmf, unb_sample
 from unbcount.errors import DataError, DegenerateVuongError, RankDeficientError
-from unbcount import estimation
+from unbcount import distributions, estimation
 from unbcount.estimation import _FAMILIES, fit_mle, unb_loglik
 from unbcount.regression import (
     RegressionSpec,
@@ -20,6 +20,8 @@ from unbcount.regression import (
     unb_reg_loglik,
     vuong_test,
 )
+
+from conftest import fd_hessian
 
 
 def make_dataset(yv, **covs):
@@ -224,6 +226,63 @@ class TestUnbRegressionFit:
         assert f_unb.aic == pytest.approx(-2.0 * f_unb.log_likelihood + 2.0 * 3)
         assert f_nb.aic == pytest.approx(-2.0 * f_nb.log_likelihood + 2.0 * 3)
         assert f_up.aic == pytest.approx(-2.0 * f_up.log_likelihood + 2.0 * 2)
+
+
+REGRESSION_FITS = {"unb": fit_unb_regression, "nb": fit_nb_regression,
+                   "up": fit_up_regression}
+
+
+class TestObservedInformation:
+    @pytest.mark.parametrize("model", list(REGRESSION_FITS))
+    def test_std_errors_match_loglik_stencil(self, model):
+        rng = np.random.default_rng(17)
+        data, _ = simulate_reg(
+            rng, 1500, np.array([0.3, 0.4, -0.3, 0.2]), 1.8,
+            lambda rg, n: {"z1": rg.normal(0, 1, n),
+                           "z2": rg.integers(0, 2, n).astype(float),
+                           "z3": rg.uniform(-1, 1, n)})
+        spec = RegressionSpec("y", ("z1", "z2", "z3"))
+        fit = REGRESSION_FITS[model](data, spec)
+        assert fit.converged
+        design, y, _ = build_design(data, spec)
+        family, k = _FAMILIES[model], design.shape[1]
+        theta = np.append(fit.beta, [] if fit.r is None else [fit.r])
+
+        def loglik(t):
+            r = t[k] if family.n_shape else family.fixed_r
+            return float(np.sum(family.logpmf(design @ t[:k], r, y)[0]))
+
+        hess = fd_hessian(loglik, theta, 1e-4 * np.maximum(1.0, np.abs(theta)))
+        se = np.sqrt(np.diag(np.linalg.inv(-hess)))
+        assert fit.std_errors == pytest.approx(se, rel=1e-4)
+
+    def test_information_costs_linear_in_parameters(self, monkeypatch):
+        # Kernel calls after the optimiser: 2 score evaluations per
+        # parameter, each one dp-kernel and two value calls.  A stencil of
+        # log-likelihood values takes 2 p^2 + 1 (163 at p = 9).
+        calls = {"n": 0, "at_minimize": 0}
+        for name in ("unb_logpmf_kernel", "unb_dlogpmf_dp_kernel"):
+            def counted(*args, _real=getattr(distributions, name), **kwargs):
+                calls["n"] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(distributions, name, counted)
+        real_minimize = estimation._opt.minimize
+
+        def minimize(*args, **kwargs):
+            res = real_minimize(*args, **kwargs)
+            calls["at_minimize"] = calls["n"]
+            return res
+
+        monkeypatch.setattr(estimation._opt, "minimize", minimize)
+        rng = np.random.default_rng(23)
+        for s in (1, 4, 7):
+            names = tuple(f"z{j}" for j in range(s))
+            data, _ = simulate_reg(
+                rng, 600, np.append(0.4, np.full(s, 0.1)), 2.0,
+                lambda rg, n: {z: rg.normal(0, 0.5, n) for z in names})
+            fit_unb_regression(data, RegressionSpec("y", names))
+            p = s + 2
+            assert calls["n"] - calls["at_minimize"] <= 6 * p
 
 
 class TestComparatorRegressions:
