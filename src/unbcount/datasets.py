@@ -97,7 +97,8 @@ def load_csv(path, response: str, covariates=(), delimiter: str = ",") -> Datase
     stored, and only they are validated: the response must be
     non-negative integers, and rows with missing values in any selected
     column are dropped, each recorded as a (row, column) diagnostic on the
-    returned dataset.
+    returned dataset.  Diagnostics and errors number a row by its line in
+    the file, the header being line 1.
     """
     path = Path(path)
     if not path.exists():
@@ -118,7 +119,7 @@ def load_csv(path, response: str, covariates=(), delimiter: str = ",") -> Datase
                                 f"(available: {', '.join(header)})")
         idx = [header.index(name) for name in selected]
         raw = [[] for _ in selected]
-        dropped = []
+        lines, dropped = [], []
         for line_no, row in enumerate(reader, start=2):
             if len(row) == 0 or all(cell.strip() == "" for cell in row):
                 continue
@@ -130,6 +131,7 @@ def load_csv(path, response: str, covariates=(), delimiter: str = ",") -> Datase
             if missing:
                 dropped.append((line_no, missing[0]))
                 continue
+            lines.append(line_no)
             for col, v in zip(raw, values):
                 col.append(v)
     if not raw[0]:
@@ -139,8 +141,8 @@ def load_csv(path, response: str, covariates=(), delimiter: str = ",") -> Datase
     bad = np.nonzero((np.abs(resp - np.rint(resp)) > 1e-9) | (resp < 0))[0]
     if bad.size:
         raise DataError(
-            f"{path}: row {bad[0] + 2}: response {response!r} value "
-            f"{resp[bad[0]]!r} is not a non-negative integer")
+            f"{path}: row {lines[bad[0]]}: response {response!r} value "
+            f"{float(resp[bad[0]])} is not a non-negative integer")
     return Dataset(column_names=tuple(selected), columns=columns,
                    n=resp.size, dropped_rows=tuple(dropped))
 

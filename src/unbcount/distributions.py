@@ -297,8 +297,13 @@ def geom_pmf(params: GeomParams, x) -> float:
 #         below pmf(0), so it is taken only while pmf(x) >= pmf(0)/_HEAD_LOSS;
 #   tail  sum_{k>=x} t_k: it cannot cancel, and runs past x until a
 #         geometric estimate of the rest is below _TAIL_TOL of the sum.
-# d log t_k / dp = r/p - k/q, so d log pmf / dp = r/p - E_t[k | k >= x] / q
-# comes from the same sums (in the head form through sum_k k t_k = 1 - pmf(0)).
+# The derivatives come from the same sums.  d log t_k / dp = r/p - k/q and,
+# at fixed p, d log t_k / dr = log p + H_k with H_k = psi(r+k) - psi(r) >= 0,
+# so with m = E_t[k | k >= x]
+#   d log pmf / d logit p = p q (r/p - m/q) = r q - p m,
+#   d log pmf / dr        = log p + E_t[H_k | k >= x].
+# The head form takes them through pmf(0)'s closed forms: sum_k k t_k =
+# 1 - pmf(0), and d log pmf(0) / dr from _dlog_pmf0_dr.
 
 PMF_FLOOR = 1e-300
 _LOG_FLOOR = math.log(PMF_FLOOR)
@@ -321,6 +326,11 @@ def _log_terms(r, lp, lq, k):
             - _sps.gammaln(k + 1.0) - np.log1p(k))
 
 
+def _harmonic(r, k):
+    """H_k = psi(r+k) - psi(r) = sum_{j<k} 1/(r+j), elementwise."""
+    return _sps.digamma(r + k) - _sps.digamma(r)
+
+
 def _log_pmf0(r, lp, lq):
     """log pmf(0) = log[(p - p^r) / (q (r-1))], the r = 1 limit -p log(p)/q."""
     if r == 1.0:
@@ -330,32 +340,45 @@ def _log_pmf0(r, lp, lq):
             - math.log(abs(r - 1.0)))
 
 
-def _head_rows(r, lp, lq, lpmf0, x):
-    """sum_{k<x} t_k / pmf(0) and sum_{k<x} k t_k / pmf(0), row by row."""
+def _dlog_pmf0_dr(r, lp):
+    """d log pmf(0) / dr = (-v/expm1(-v) - 1)/(r - 1) with v = (r-1) log p;
+    where |v| < 1e-2 its series, log p / 2 at r = 1."""
+    v = (r - 1.0) * lp
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        exact = (-v / np.expm1(-v) - 1.0) / (r - 1.0)
+    w = v * v
+    series = lp * (0.5 + v * (1.0 / 12.0 - w * (1.0 / 720.0 - w / 30240.0)))
+    return np.where(np.abs(v) < 1e-2, series, exact)
+
+
+def _head_rows(r, lp, lq, lpmf0, x, grad):
+    """sum_{k<x} t_k / pmf(0) row by row; with ``grad`` also the same sums
+    of k t_k and H_k t_k."""
     order = np.argsort(x, kind="stable")
     xs, lp, lq, lpmf0 = x[order], lp[order], lq[order], lpmf0[order]
-    h = np.zeros(x.size)
-    hk = np.zeros(x.size)
+    acc = np.zeros((3 if grad else 1, x.size))
     for k in range(int(xs[-1]) if xs.size else 0):
         s = np.searchsorted(xs, k, side="right")  # rows with x > k
         t = np.exp(_log_terms(r, lp[s:], lq[s:], float(k)) - lpmf0[s:])
-        h[s:] += t
-        hk[s:] += k * t
-    h[order], hk[order] = h.copy(), hk.copy()
-    return h, hk
+        acc[0, s:] += t
+        if grad:
+            acc[1:, s:] += np.array([[k], [_harmonic(r, k)]]) * t
+    acc[:, order] = acc.copy()
+    return acc
 
 
-def _tail_rows(r, lp, lq, x):
-    """log sum_{k>=x} t_k and log sum_{k>=x} k t_k, row by row.
+def _tail_rows(r, lp, lq, x, grad):
+    """log sum_{k>=x} t_k row by row; with ``grad`` also the logs of the
+    same sums of k t_k and H_k t_k.
 
     Blocks of terms grow until the rest past the last term K, estimated as
     t_K rho/(1 - rho) with rho = t_{K+1}/t_K < 1, is below _TAIL_TOL of the
     sum; the estimate is then added.  It is exact for geometric tails, and
     half the true rest for the k^-2 tails of r << 1, p -> 0 that _TAIL_MAX
-    cuts.
+    cuts.  Past K the weight k grows by 1 and H_k by about 1/(r+K) a term,
+    which scales the rest by K + 1/(1 - rho) and H_K + 1/((r+K)(1 - rho)).
     """
-    ls = np.full(x.size, -np.inf)
-    lm = ls.copy()
+    acc = np.full((3 if grad else 1, x.size), -np.inf)
     start = x.copy()
     live = np.arange(x.size)
     width = max(32, 1024 // x.size)
@@ -365,29 +388,36 @@ def _tail_rows(r, lp, lq, x):
         lt = _log_terms(r, lp[live, None], lq[live, None], k)
         top = lt.max(axis=1)
         t = np.exp(lt - top[:, None])
-        ls[live] = np.logaddexp(ls[live], top + np.log(t.sum(axis=1)))
-        lm[live] = np.logaddexp(lm[live], top + np.log((k * t).sum(axis=1)))
         last = k[:, -1]
         rho = np.exp(lq[live]) * (r + last) / (last + 2.0)
         falling = rho < 1.0
+        sums = [t.sum(axis=1)]
         with np.errstate(divide="ignore", invalid="ignore"):
-            lrem = np.where(falling, lt[:, -1] + np.log(rho / (1.0 - rho)), -np.inf)
-            lrem_k = lrem + np.log(np.where(falling, last + 1.0 / (1.0 - rho), 1.0))
-        done = (falling & (lrem <= ls[live] + math.log(_TAIL_TOL))) | (
+            rest = [np.where(falling, lt[:, -1] + np.log(rho / (1.0 - rho)), -np.inf)]
+            if grad:
+                hk = _harmonic(r, k)
+                sums += [(k * t).sum(axis=1), (hk * t).sum(axis=1)]
+                run = 1.0 / np.where(falling, 1.0 - rho, 1.0)
+                rest += [rest[0] + np.log(last + run),
+                         rest[0] + np.log(hk[:, -1] + run / (r + last))]
+            acc[:, live] = np.logaddexp(acc[:, live], top + np.log(sums))
+        done = (falling & (rest[0] <= acc[0, live] + math.log(_TAIL_TOL))) | (
             start[live] - x[live] >= _TAIL_MAX)
         end = live[done]
-        ls[end] = np.logaddexp(ls[end], lrem[done])
-        lm[end] = np.logaddexp(lm[end], lrem_k[done])
+        acc[:, end] = np.logaddexp(acc[:, end], np.array(rest)[:, done])
         live = live[~done]
         width = min(2 * width, max(32, _BLOCK_MAX // max(live.size, 1)))
-    return ls, lm
+    return acc
 
 
-def _unb_logpmf(r: float, p, x, dp: bool = False, q=None):
-    """Exact log pmf of UNB(r, p) at the counts x; with ``dp`` also its
-    derivative in p.  Never -inf for 0 < p < 1.  ``q`` is 1 - p where the
-    caller has it to more digits than 1 - p gives (the log-link families
-    compute both from the mean, and p rounds to 1 once q < 1.1e-16).
+def _unb_logpmf(r: float, p, x, grad: bool = False, q=None):
+    """Exact log pmf of UNB(r, p) at the counts x; with ``grad`` also its
+    derivatives in logit p and, at fixed p, in r: (log pmf, d/d logit p,
+    d/dr).  The logit-p derivative r q - p m stays finite where the
+    p-derivative r/p - m/q overflows (q < m/1.8e308).  Never -inf for
+    0 < p < 1.  ``q`` is 1 - p where the caller has it to more digits than
+    1 - p gives (the log-link families compute both from the mean, and p
+    rounds to 1 once q < 1.1e-16).
 
     A p with one value, scalar or an array whose entries are all equal,
     shares one pass over k = 0..max(x) between all x (marginal fits, pmf
@@ -419,10 +449,11 @@ def _unb_logpmf(r: float, p, x, dp: bool = False, q=None):
         lpmf0 = _log_pmf0(r, lp, lq)
         k = np.arange(np.max(x, initial=0.0) + 1.0)
         lt = _log_terms(r, lp, lq, k)
+        weights = np.array([np.ones_like(k), k, _harmonic(r, k)] if grad else [np.ones_like(k)])
         t = np.exp(lt[:-1] - lpmf0)
         xi = x.astype(np.intp)
-        h = np.append(0.0, np.cumsum(t))[xi]
-        hk = np.append(0.0, np.cumsum(k[:-1] * t))[xi]
+        head = np.append(np.zeros((len(weights), 1)),
+                         np.cumsum(weights[:, :-1] * t, axis=1), axis=1)[:, xi]
     else:
         p, q, x = np.broadcast_arrays(p, q, x)
         shape = x.shape
@@ -431,37 +462,50 @@ def _unb_logpmf(r: float, p, x, dp: bool = False, q=None):
             lp = np.where(q < p, np.log1p(-q), np.log(p))
         lq = np.log(q)
         lpmf0 = _log_pmf0(r, lp, lq)
-        h, hk = _head_rows(r, lp, lq, lpmf0, x)
-    tail = (h > 1.0 - 1.0 / _HEAD_LOSS) | (lpmf0 > _LOG_PMF0_MAX)
-    ls = lpmf0 + np.log1p(-np.where(tail, 0.0, h))
-    with np.errstate(divide="ignore"):
-        lm = np.log(np.maximum(-np.expm1(lpmf0) - np.exp(lpmf0) * hk, 0.0))
+        head = _head_rows(r, lp, lq, lpmf0, x, grad)
+    tail = (head[0] > 1.0 - 1.0 / _HEAD_LOSS) | (lpmf0 > _LOG_PMF0_MAX)
+    h = np.where(tail, 0.0, head[0])
+    ls = lpmf0 + np.log1p(-h)
+    if grad:
+        with np.errstate(divide="ignore"):
+            lm = np.log(np.maximum(-np.expm1(lpmf0) - np.exp(lpmf0) * head[1], 0.0))
+        dr = (_dlog_pmf0_dr(r, lp) - h * lp - head[2]) / (1.0 - h)
     if np.any(tail):
         if np.ndim(lp) == 0:
             xt = xi[tail]
             lo, hi = int(xt.min()), int(xt.max())
-            s, m = _tail_rows(r, np.array([lp]), np.array([lq]), np.array([float(hi)]))
+            rest = _tail_rows(r, np.array([lp]), np.array([lq]), np.array([float(hi)]), grad)
             with np.errstate(divide="ignore"):
-                lkt = lt[lo:hi] + np.log(k[lo:hi])
-            ls[tail] = np.logaddexp.accumulate(np.append(lt[lo:hi], s)[::-1])[::-1][xt - lo]
-            lm[tail] = np.logaddexp.accumulate(np.append(lkt, m)[::-1])[::-1][xt - lo]
+                lw = np.log(weights[:, lo:hi])
+            sums = [np.logaddexp.accumulate(np.append(lt[lo:hi] + w, s)[::-1])[::-1][xt - lo]
+                    for w, s in zip(lw, rest[:, 0])]
         else:
-            ls[tail], lm[tail] = _tail_rows(r, lp[tail], lq[tail], x[tail])
-    if not dp:
+            sums = _tail_rows(r, lp[tail], lq[tail], x[tail], grad)
+        ls[tail] = sums[0]
+        if grad:
+            lm[tail] = sums[1]
+            dr[tail] = np.broadcast_to(lp, tail.shape)[tail] + np.exp(sums[2] - sums[0])
+    if not grad:
         return ls.reshape(shape)
-    return ls.reshape(shape), (r / p - np.exp(lm - ls) / q).reshape(shape)
+    dlogit = r * q - p * np.exp(lm - ls)
+    return ls.reshape(shape), dlogit.reshape(shape), dr.reshape(shape)
 
 
-def unb_logpmf_kernel(r: float, p, x, q=None):
+def unb_logpmf_kernel(r: float, p, x, q=None, grad: bool = False):
     """Vectorised log pmf, floored at log(PMF_FLOOR) so that every entry
     stays finite in the fits' line searches; returns (log pmf array,
-    number of floored entries), which callers report.  ``q`` as in
-    _unb_logpmf.  perfbench/tracing.py wraps this name and reads that
-    pair, so both stay as they are."""
-    lp = _unb_logpmf(r, p, x, q=q)
-    return np.maximum(lp, _LOG_FLOOR), int(np.count_nonzero(lp < _LOG_FLOOR))
+    number of floored entries), which callers report, and with ``grad``
+    also the unfloored log pmf's derivatives in logit p and in r at fixed
+    p.  ``q`` as in _unb_logpmf.  perfbench/tracing.py wraps this name and
+    reads the floored count as the second entry, so that stays as it is."""
+    out = _unb_logpmf(r, p, x, grad=grad, q=q)
+    lp = out[0] if grad else out
+    floored = (np.maximum(lp, _LOG_FLOOR), int(np.count_nonzero(lp < _LOG_FLOOR)))
+    return floored + out[1:] if grad else floored
 
 
 def unb_dlogpmf_dp_kernel(r: float, p, x, q=None):
-    """Vectorised d log pmf / dp, from the sums of the log pmf."""
-    return _unb_logpmf(r, p, x, dp=True, q=q)[1]
+    """Vectorised d log pmf / dp, the logit-p derivative over p q."""
+    p = np.asarray(p, dtype=float)
+    q = 1.0 - p if q is None else q
+    return _unb_logpmf(r, p, x, grad=True, q=q)[1] / (p * q)

@@ -5,14 +5,15 @@ Method of moments inverts the closed-form mean and second moment.  Every
 maximum-likelihood fit, marginal or regression, runs on ``_fit``: a
 family (UNB, negative binomial, uniform-Poisson, geometric) with log-link
 mean mu = exp(eta), eta = design @ beta, fitted over (beta, log r) by
-quasi-Newton ascent with an analytic eta-gradient and a finite-difference
-log-r gradient, a tighter retry, and a simplex search when line searches
-fail.  A marginal fit is the intercept-only fit on the distinct counts
-with their frequencies as weights; its law's parameters ((r, p), lam or p)
-and their standard errors follow from (intercept, r) by the delta method.
+quasi-Newton ascent on the log-likelihood and its analytic gradient, both
+from one kernel pass per evaluation, a tighter retry, and a simplex search
+when neither gets below the gradient gate.  A marginal fit is the
+intercept-only fit on the distinct counts with their frequencies as
+weights; its law's parameters ((r, p), lam or p) and their standard
+errors follow from (intercept, r) by the delta method.
 Standard errors come from the observed information at the optimum, in
 (beta, r): the symmetrised central difference of the same score the
-optimiser uses, 2p score evaluations for p parameters.
+optimiser uses, 2p kernel passes for p parameters.
 
 Convergence is judged on the gradient of the per-observation mean
 log-likelihood: an absolute 1e-6 gate on the total-sample gradient is
@@ -167,20 +168,12 @@ def unb_loglik(params: UnbParams, data) -> float:
 
 
 def unb_score_p(params: UnbParams, data) -> float:
-    """Analytic derivative of the log-likelihood in p:
-
-    -sum x_i/(1-p) + n r/p
-    - sum ((r+x_i)/(2+x_i)) 2F1(2, r+x_i+1; 3+x_i; q) / 2F1(1, r+x_i; 2+x_i; q).
-    """
-    xs, w, n = _compress(data)
-    r, p = params.r, params.p
-    q = 1.0 - p
-    total = -float(np.dot(w, xs)) / q + n * r / p
-    for x, wt in zip(xs, w):
-        f1 = series_2f1_raw(1.0, r + x, 2.0 + x, q).value
-        f2 = series_2f1_raw(2.0, r + x + 1.0, 3.0 + x, q).value
-        total -= wt * ((r + x) / (2.0 + x)) * (f2 / f1)
-    return total
+    """Analytic derivative of the log-likelihood in p, sum r/p - m_i/q with
+    m_i = E_t[k | k >= x_i] from the log-pmf kernel's sums (equal to
+    -sum x_i/q + n r/p
+    - sum ((r+x_i)/(2+x_i)) 2F1(2, r+x_i+1; 3+x_i; q) / 2F1(1, r+x_i; 2+x_i; q))."""
+    xs, w, _ = _compress(data)
+    return float(np.dot(w, _dist.unb_dlogpmf_dp_kernel(params.r, params.p, xs)))
 
 
 def _score_r_theta(params: UnbParams, data) -> float:
@@ -240,10 +233,12 @@ class _Family:
     """A law of the table above.  ``n_shape`` is 1 when r is free (fitted as
     log r after the coefficients), 0 otherwise; ``fixed_r`` is the r of a
     law that fixes it.  ``logpmf(eta, r, y)`` gives the log pmf at the
-    counts y floored at log PMF_FLOOR and the number of entries floored,
-    ``deta(eta, r, y)`` its derivative in eta, ``law(theta)`` the law at
-    theta = (eta[, r]) with the Jacobian of its parameters in theta, and
-    ``eta_of(params)`` the inverse, (eta, r)."""
+    counts y floored at log PMF_FLOOR and the number of entries floored;
+    ``logpmf_grad(eta, r, y)`` gives those and, in the same pass, the
+    unfloored log pmf's derivatives in eta and in log r (None for a law
+    without r).  ``law(theta)`` gives the law at theta = (eta[, r]) with
+    the Jacobian of its parameters in theta, and ``eta_of(params)`` the
+    inverse, (eta, r)."""
 
     def __init__(self, name: str, params_type, kappa: float = 1.0, fixed_r=None):
         self.name, self.params_type = name, params_type
@@ -277,9 +272,12 @@ class _Unb(_Family):
         p, q = self.link(eta, r)
         return _dist.unb_logpmf_kernel(r, p, y, q=q)
 
-    def deta(self, eta, r, y):
+    def logpmf_grad(self, eta, r, y):
+        """logit p = log(r / kappa) - eta: d/d eta = p m - r q, and d/d log r =
+        r d/dr at fixed p - d/d eta."""
         p, q = self.link(eta, r)
-        return -p * q * _dist.unb_dlogpmf_dp_kernel(r, p, y, q=q)
+        lp, floored, dlogit, dr = _dist.unb_logpmf_kernel(r, p, y, q=q, grad=True)
+        return lp, floored, -dlogit, r * dr + dlogit
 
 
 class _Nb(_Family):
@@ -289,9 +287,11 @@ class _Nb(_Family):
               + r * np.log(p) + y * np.log(q))
         return np.maximum(lp, _LOG_FLOOR), int(np.count_nonzero(lp < _LOG_FLOOR))
 
-    def deta(self, eta, r, y):
+    def logpmf_grad(self, eta, r, y):
         p, q = self.link(eta, r)
-        return y * p - r * q
+        g_eta = y * p - r * q
+        g_r = r * (_sps.digamma(r + y) - _sps.digamma(r) + np.log(p)) - g_eta
+        return (*self.logpmf(eta, r, y), g_eta, g_r)
 
 
 class _Up(_Family):
@@ -300,16 +300,15 @@ class _Up(_Family):
     n_shape = 0
 
     def logpmf(self, eta, r, y):
+        return self.logpmf_grad(eta, r, y)[:2]
+
+    def logpmf_grad(self, eta, r, y):
         lam = 2.0 * np.exp(eta)
         surv = _sps.gammainc(y + 1.0, lam)
-        return (np.log(np.maximum(surv, _dist.PMF_FLOOR)) - np.log(lam),
-                int(np.count_nonzero(surv < _dist.PMF_FLOOR)))
-
-    def deta(self, eta, r, y):
-        lam = 2.0 * np.exp(eta)
-        surv = np.maximum(_sps.gammainc(y + 1.0, lam), _dist.PMF_FLOOR)
+        kept = np.maximum(surv, _dist.PMF_FLOOR)
         log_pois = y * np.log(lam) - lam - _sps.gammaln(y + 1.0)
-        return lam * np.exp(log_pois) / surv - 1.0
+        return (np.log(kept) - np.log(lam), int(np.count_nonzero(surv < _dist.PMF_FLOOR)),
+                lam * np.exp(log_pois) / kept - 1.0, None)
 
     def law(self, theta):
         lam = 2.0 * math.exp(theta[0])
@@ -338,14 +337,17 @@ def _fit(family, design, y, weights, starts):
     """Maximum likelihood of ``family`` with eta = design @ beta over the
     counts y with frequency weights, from each start theta = (beta[, log r]).
 
-    Each start runs L-BFGS-B on the mean log-likelihood, with the analytic
-    eta-gradient and a finite-difference log-r gradient; a tighter stage
-    follows when it fails or stops above the gradient gate, and Nelder-Mead
-    when that fails too.  The best optimum is kept.  Returns (theta, cov,
-    log-likelihood, converged, iterations, diagnostics) with theta =
-    (beta[, r]) and cov the inverse observed information in those
-    coordinates, the symmetrised central difference of the score.  The
-    log-likelihood is the best stage's value at its optimum.
+    Each start runs L-BFGS-B on the mean log-likelihood and its analytic
+    gradient in (beta, log r), both from one pass of the family's kernel
+    per evaluation; a tighter stage follows when it stops above the
+    gradient gate, and Nelder-Mead on the value alone when that does too.
+    The gate alone judges a stage: with an exact gradient, a line search
+    can end ABNORMAL at a point already below it.  The best optimum is
+    kept.  Returns (theta, cov, log-likelihood, converged, iterations,
+    diagnostics) with theta = (beta[, r]) and cov the inverse observed
+    information in those coordinates, the symmetrised central difference
+    of the same score.  The log-likelihood is the best stage's value at
+    its optimum.
     """
     n, k = float(np.sum(weights)), design.shape[1]
     tally = {"pmf_floored": 0, "eta_clamped": 0}
@@ -356,21 +358,15 @@ def _fit(family, design, y, weights, starts):
         tally["eta_clamped"] += clipped
         return eta, math.exp(theta[k]) if family.n_shape else family.fixed_r
 
-    def neg_mean_loglik(theta):
-        lp, floored = family.logpmf(*eta_r(theta), y)
-        tally["pmf_floored"] += floored
-        return -float(np.dot(weights, lp)) / n
-
-    def neg_mean_grad(theta):
+    def value_grad(theta):
+        """The negative mean log-likelihood and its gradient in theta."""
         eta, r = eta_r(theta)
-        g_eta = np.where(np.abs(eta) >= _ETA_CLAMP, 0.0, family.deta(eta, r, y))
-        grad = design.T @ (weights * g_eta)
+        lp, floored, g_eta, g_logr = family.logpmf_grad(eta, r, y)
+        tally["pmf_floored"] += floored
+        grad = design.T @ (weights * np.where(np.abs(eta) >= _ETA_CLAMP, 0.0, g_eta))
         if family.n_shape:
-            h = 1e-6
-            lp, lm = (np.dot(weights, family.logpmf(eta, math.exp(theta[k] + s), y)[0])
-                      for s in (h, -h))
-            grad = np.append(grad, (lp - lm) / (2.0 * h))
-        return -grad / n
+            grad = np.append(grad, np.dot(weights, g_logr))
+        return -float(np.dot(weights, lp)) / n, -grad / n
 
     # Past +-_ETA_CLAMP every eta of a design of ones is clamped and the
     # objective is flat, so there that bound is exact; it spares an unbounded
@@ -382,8 +378,8 @@ def _fit(family, design, y, weights, starts):
     def stage(x0, method, **options):
         nonlocal iterations
         lbfgs = method == "L-BFGS-B"
-        res = _opt.minimize(neg_mean_loglik, x0, method=method, options=options,
-                            jac=neg_mean_grad if lbfgs else None,
+        res = _opt.minimize(value_grad if lbfgs else lambda t: value_grad(t)[0], x0,
+                            method=method, options=options, jac=lbfgs,
                             bounds=bounds if lbfgs else None)
         iterations += res.nit
         messages.append(str(res.message))
@@ -393,17 +389,20 @@ def _fit(family, design, y, weights, starts):
         return res.fun
 
     def grad_norm(res):
-        return float(np.linalg.norm(res.jac if "jac" in res else neg_mean_grad(res.x)))
+        return float(np.linalg.norm(res.jac if "jac" in res else value_grad(res.x)[1]))
+
+    def short(res):  # nan-safe
+        return not grad_norm(res) < _GRAD_GATE
 
     results = []
     for theta0 in starts:
         res = stage(theta0, "L-BFGS-B", maxiter=1000, ftol=1e-13, gtol=1e-9)
         # The ftol test can end a successful stage just above the gradient
         # gate; the tighter retry then goes on from there.
-        if not res.success or grad_norm(res) >= _GRAD_GATE:
+        if short(res):
             res = min(stage(res.x, "L-BFGS-B", maxiter=1000, ftol=1e-14, gtol=1e-10),
                       res, key=fun)
-            if not res.success:
+            if short(res):
                 res = min(res, stage(res.x, "Nelder-Mead", maxiter=5000, xatol=1e-9,
                                      fatol=1e-12), key=fun)
         results.append(res)
@@ -415,17 +414,19 @@ def _fit(family, design, y, weights, starts):
     theta = best.x.copy()
     if family.n_shape:
         theta[k] = math.exp(theta[k])
-    # 1e-3, not smaller: the r column differences the finite-difference
-    # log-r gradient, whose rounding a smaller step amplifies.
-    steps = 1e-3 * np.maximum(1.0, np.abs(theta))
+    # The score is exact, so the step trades the difference's O(step^2)
+    # truncation against the score's rounding over the step.  On the
+    # NMES-shaped regressions both are about 1e-9 of the standard errors at
+    # 1e-5; 1e-3 left a truncation of 5e-6.
+    steps = 1e-5 * np.maximum(1.0, np.abs(theta))
     if family.n_shape:
         steps[k] = min(steps[k], 0.5 * theta[k])
 
     def score(t):
         """The log-likelihood gradient in (beta, r): g_r = g_logr / r."""
         if not family.n_shape:
-            return -n * neg_mean_grad(t)
-        g = -n * neg_mean_grad(np.append(t[:k], math.log(t[k])))
+            return -n * value_grad(t)[1]
+        g = -n * value_grad(np.append(t[:k], math.log(t[k])))[1]
         g[k] /= t[k]
         return g
 

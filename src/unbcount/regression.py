@@ -11,15 +11,17 @@ which rounds to 0 once eta is below about log r - 37.
 Each fit is build_design, a rank check, one start (intercept log mean,
 log r from the moment estimate) and the fitting engine of
 ``estimation._fit`` with unit weights: joint quasi-Newton ascent over
-(beta, log r) with the analytic beta-gradient
+(beta, log r) with the analytic gradient
 
-    dl/dbeta_k = sum_i y_ki [ x_i p_i - r q_i
-                              + p_i q_i ((r+x_i)/(2+x_i)) F2_i / F1_i ]
+    dl/dbeta_k = sum_i y_ki (p_i m_i - r q_i),
+    dl/dlog r  = sum_i [ r (log p_i + E[H_k | k >= x_i]) - p_i m_i + r q_i ],
 
-(F2/F1 the contiguous hypergeometric ratio; evaluated from the same
-sums as the likelihood) and a finite-difference log-r
-gradient.  Standard errors invert the observed information in the
-original (beta, r) coordinates, the central difference of that score.
+m_i = E[k | k >= x_i] and H_k = psi(r+k) - psi(r), both means over the
+terms nb(k)/(k+1) whose sum is the pmf, evaluated in the same kernel pass
+as the likelihood (for the negative binomial, m_i = x_i and the sum
+collapses to its one term).  Standard errors invert the observed
+information in the original (beta, r) coordinates, the central difference
+of that score.
 Linear predictors are clamped to |eta| <= 700 and per-observation
 probabilities floored at 1e-300, both counted in the fit diagnostics, so
 line searches survive excursions far from the optimum.

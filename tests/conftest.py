@@ -28,14 +28,20 @@ def mp_logpmf(r, p, x, q=None):
     """log pmf through mpmath's hyp2f1, at 30 digits, or enough more that
     q = 1 - p is not rounded to 1.  ``q``, when given, is 1 - p to more
     digits than p carries (p near 1)."""
-    dps = 30 + max(0, int(-math.log10(p)))
+    return float(mp_logpmf_mpf(r, p, x, q))
+
+
+def mp_logpmf_mpf(r, p, x, q=None):
+    """mp_logpmf as an mpmath number, at no fewer digits than the caller's
+    (mpmath.diff raises them to difference it)."""
+    dps = max(mpmath.mp.dps, 30 + max(0, int(-math.log10(p))))
     with mpmath.workdps(dps):
         r, p = mpmath.mpf(r), mpmath.mpf(p)
         q = 1 - p if q is None else mpmath.mpf(q)
-        return float(x * mpmath.log(q) + r * mpmath.log(p) - mpmath.log(1 + x)
-                     + mpmath.loggamma(r + x) - mpmath.loggamma(r)
-                     - mpmath.loggamma(x + 1)
-                     + mpmath.log(mpmath.hyp2f1(1, r + x, 2 + x, q)))
+        return (x * mpmath.log(q) + r * mpmath.log(p) - mpmath.log(1 + x)
+                + mpmath.loggamma(r + x) - mpmath.loggamma(r)
+                - mpmath.loggamma(x + 1)
+                + mpmath.log(mpmath.hyp2f1(1, r + x, 2 + x, q)))
 
 
 def fd_hessian(f, theta, steps):

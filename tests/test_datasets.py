@@ -31,6 +31,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 3"):
             load_csv(f, "y")
 
+    def test_bad_response_names_its_file_line(self, tmp_path):
+        # the dropped NA row shifts the kept rows: -1 is the third kept row
+        # but sits on line 4 of the file
+        f = write_file(tmp_path / "d.csv", "y,a\n0,NA\n1,1\n-1,2\n")
+        with pytest.raises(DataError, match=r"row 4: response 'y' value -1\.0 is not"):
+            load_csv(f, "y", ["a"])
+
     def test_non_integer_response(self, tmp_path):
         f = write_file(tmp_path / "d.csv", "y\n0\n1.5\n")
         with pytest.raises(DataError, match="non-negative integer"):

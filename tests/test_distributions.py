@@ -2,6 +2,7 @@ import math
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import special as ssp
 from scipy import stats as sps
 
-from conftest import GRID, hyp_pmf, mp_logpmf
+from conftest import GRID, hyp_pmf, mp_logpmf, mp_logpmf_mpf
 from unbcount.distributions import (
     GeomParams,
     NbParams,
@@ -420,6 +421,9 @@ class TestKernels:
         assert np.max(np.abs(der - fd) / np.maximum(1.0, np.abs(fd))) <= 1e-5
 
 
+R_SCORE_R = (0.05, 0.3, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 3.0, 20.0, 300.0)
+R_SCORE_P = (0.01, 0.5, 0.999)
+R_SCORE_X = np.array([0, 1, 5, 20, 150])
 ORACLE_R = (0.2, 0.7, 1.0, 1.5, 3.7, 12.0, 50.0)
 ORACLE_P = (0.01, 0.05, 0.2, 0.5, 0.8, 0.95)
 ORACLE_X = np.array([0, 1, 2, 5, 17, 60, 150, 400, 1000])
@@ -464,6 +468,36 @@ class TestExactLogPmf:
             for p_arg in (p, np.full(xs.size, p)):
                 der = unb_dlogpmf_dp_kernel(r, p_arg, xs)
                 assert np.max(np.abs(der - fd) / np.maximum(1.0, np.abs(fd))) <= 1e-6
+
+    @pytest.mark.parametrize("r", R_SCORE_R)
+    def test_derivatives_against_mpmath(self, r):
+        # d log pmf / dr at fixed p and d log pmf / d logit p from the sums
+        # of the log pmf, on the shared-p pass and on the row-by-row one (an
+        # extra row with another p keeps the rows from being collapsed),
+        # through the head form and the tail sum.
+        for p in R_SCORE_P:
+            with mpmath.workdps(40):
+                mp_p = mpmath.mpf(p)
+                exact_r = np.array([float(mpmath.diff(
+                    lambda s: mp_logpmf_mpf(s, p, int(x)), mpmath.mpf(r)))
+                    for x in R_SCORE_X])
+                exact_logit = np.array([float(mp_p * (1 - mp_p) * mpmath.diff(
+                    lambda s: mp_logpmf_mpf(r, s, int(x)), mp_p)) for x in R_SCORE_X])
+            shared = _unb_logpmf(r, p, R_SCORE_X, grad=True)
+            rows = [v[:-1] for v in _unb_logpmf(
+                r, np.append(np.full(R_SCORE_X.size, p), 0.77), np.append(R_SCORE_X, 3),
+                grad=True)]
+            for _, d_logit, d_r in (shared, rows):
+                for got, exact in ((d_r, exact_r), (d_logit, exact_logit)):
+                    err = np.abs(got - exact) / np.maximum(1.0, np.abs(exact))
+                    assert np.max(err) <= 1e-10, (r, p, err)
+
+    def test_kernel_gradient_is_the_unfloored_derivatives(self):
+        p, xs = np.array([0.3, 0.6]), np.array([2, 4000])
+        lp, floored, d_logit, d_r = unb_logpmf_kernel(2.0, p, xs, grad=True)
+        exact, e_logit, e_r = _unb_logpmf(2.0, p, xs, grad=True)
+        assert floored == 1 and lp[1] == math.log(1e-300) and exact[1] < lp[1]
+        assert np.array_equal(d_logit, e_logit) and np.array_equal(d_r, e_r)
 
     # Error in log pmf against mpmath at the box corners: r = e^-8 with p
     # near 0 has a k^-2 tail, cut after 2^20 terms (measured 4.5e-7 at x = 1,

@@ -1,5 +1,5 @@
 import math
-
+import warnings
 from dataclasses import astuple
 
 import mpmath
@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mp_logpmf
+from conftest import mp_logpmf, mp_logpmf_mpf
 from unbcount import distributions as dist
+from unbcount import estimation
 from unbcount.datasets import Dataset
 from unbcount.distributions import UnbParams, unb_sample
 from unbcount.errors import (
@@ -305,7 +306,7 @@ def mp_family_logpmf(model, eta, r, y):
         kappa = 2 if model == "unb" else 1
         p, q = r / (kappa * mu + r), kappa * mu / (kappa * mu + r)
         if model == "unb":
-            return mpmath.mpf(mp_logpmf(r, p, y, q=q))
+            return mp_logpmf_mpf(r, p, y, q=q)
         return (mpmath.loggamma(r + y) - mpmath.loggamma(r) - mpmath.loggamma(y + 1)
                 + r * mpmath.log(p) + y * mpmath.log(q))
 
@@ -340,7 +341,7 @@ class TestOneEngine:
             for r in (0.5, 2.0, 20.0):
                 etas = np.full(3, eta)
                 lp, floored = family.logpmf(etas, r, y)
-                deta = family.deta(etas, r, y)
+                deta = family.logpmf_grad(etas, r, y)[2]
                 oracle = [mp_family_logpmf(model, eta, r, int(x)) for x in y]
                 assert np.all(np.isfinite(lp)) and np.all(np.isfinite(deta))
                 expect = np.maximum([float(v) for v in oracle], math.log(dist.PMF_FLOOR))
@@ -356,6 +357,52 @@ class TestOneEngine:
                     assert deta[i] == pytest.approx(fd, rel=1e-6)
         assert math.isfinite(unb_reg_loglik(np.array([-40.0]), 2.0, np.ones((3, 1)),
                                             np.array([0, 0, 1])))
+
+    @pytest.mark.parametrize("model", ["unb", "nb"])
+    def test_eta_derivative_finite_where_q_underflows_m(self, model):
+        # q = 2 e^-699 / (2 e^-699 + e^8) is near 1e-307, so m/q overflows
+        # for y = 100; the fused form p m - r q stays exact.
+        eta, r, y = -699.0, math.exp(8.0), 100
+        h = mpmath.mpf("1e-6")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            g_eta = _FAMILIES[model].logpmf_grad(np.array([eta]), r, np.array([y]))[2]
+        fd = float((mp_family_logpmf(model, eta + h, r, y)
+                    - mp_family_logpmf(model, eta - h, r, y)) / (2 * h))
+        assert np.isfinite(g_eta[0])
+        assert g_eta[0] == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("model", ["unb", "nb"])
+    def test_log_r_derivative_vs_central_difference(self, model):
+        family = _FAMILIES[model]
+        y = np.array([0, 1, 5, 30])
+        h = mpmath.mpf("1e-8")
+        for eta in (-2.0, 0.5, 3.0):
+            for r in (0.3, 2.0, 50.0):
+                g_logr = family.logpmf_grad(np.full(y.size, eta), r, y)[3]
+                for i, x in enumerate(y):
+                    fd = float((mp_family_logpmf(model, eta, r * mpmath.exp(h), int(x))
+                                - mp_family_logpmf(model, eta, r * mpmath.exp(-h), int(x)))
+                               / (2 * h))
+                    assert g_logr[i] == pytest.approx(fd, rel=1e-8, abs=1e-10)
+
+    def test_stage_below_gate_is_final_whatever_its_message(self, monkeypatch):
+        # With an exact gradient a line search can end ABNORMAL at a point
+        # already below the gate; that stage ends the ladder.
+        real_minimize = estimation._opt.minimize
+        methods = []
+
+        def abnormal(*args, **kwargs):
+            methods.append(kwargs["method"])
+            res = real_minimize(*args, **kwargs)
+            res.success, res.message = False, "ABNORMAL: "
+            return res
+
+        monkeypatch.setattr(estimation._opt, "minimize", abnormal)
+        fit = fit_nb_mle(unb_sample(UnbParams(2.0, 0.45), 2000, 5))
+        assert methods == ["L-BFGS-B"]
+        assert fit.diagnostics["messages"] == ["ABNORMAL: "]
+        assert fit.converged and fit.diagnostics["grad_norm"] < 1e-6
 
     def test_nb_marginal_mle_converges(self):
         # One L-BFGS-B stage from a start clipped to logit p in [-8, 8]

@@ -258,8 +258,8 @@ class TestObservedInformation:
 
     def test_information_costs_linear_in_parameters(self, monkeypatch):
         # Kernel calls after the optimiser: 2 score evaluations per
-        # parameter, each one dp-kernel and two value calls.  A stencil of
-        # log-likelihood values takes 2 p^2 + 1 (163 at p = 9).
+        # parameter, each one kernel pass for the value and the score.  A
+        # stencil of log-likelihood values takes 2 p^2 + 1 (163 at p = 9).
         calls = {"n": 0, "at_minimize": 0}
         for name in ("unb_logpmf_kernel", "unb_dlogpmf_dp_kernel"):
             def counted(*args, _real=getattr(distributions, name), **kwargs):
@@ -282,7 +282,36 @@ class TestObservedInformation:
                 lambda rg, n: {z: rg.normal(0, 0.5, n) for z in names})
             fit_unb_regression(data, RegressionSpec("y", names))
             p = s + 2
-            assert calls["n"] - calls["at_minimize"] <= 6 * p
+            assert calls["n"] - calls["at_minimize"] <= 2 * p
+
+    def test_one_kernel_pass_per_optimizer_evaluation(self, monkeypatch):
+        # The value and the whole gradient, log r included, come from one
+        # pass: no finite-difference log r, no separate dp-kernel call.
+        calls = {"unb_logpmf_kernel": 0, "unb_dlogpmf_dp_kernel": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(distributions, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(distributions, name, counted)
+        real_minimize = estimation._opt.minimize
+        stages = []
+
+        def minimize(*args, **kwargs):
+            before = dict(calls)
+            res = real_minimize(*args, **kwargs)
+            stages.append((res.nfev, {k: calls[k] - before[k] for k in calls}))
+            return res
+
+        monkeypatch.setattr(estimation._opt, "minimize", minimize)
+        rng = np.random.default_rng(29)
+        data, _ = simulate_reg(rng, 800, np.array([0.4, 0.2, -0.1]), 1.5,
+                               lambda rg, n: {"z1": rg.normal(0, 0.5, n),
+                                              "z2": rg.uniform(-1, 1, n)})
+        fit_unb_regression(data, RegressionSpec("y", ("z1", "z2")))
+        fit_mle(unb_sample(UnbParams(0.5, 0.3), 5000, 3))
+        assert stages
+        for nfev, used in stages:
+            assert used == {"unb_logpmf_kernel": nfev, "unb_dlogpmf_dp_kernel": 0}
 
 
 class TestComparatorRegressions:

@@ -39,9 +39,16 @@ def test_tracer_sees_kernels_optimizer_and_fits():
     assert before == after
     names = tracer.spans.names
     recorded = {names[i] for i in tracer.spans.name}
-    assert {tracing.KERNEL, tracing.DP_KERNEL, "estimation.optimizer",
-            "estimation.fit_mle", "estimation.fit_mm",
-            "regression.fit_unb_regression"} <= recorded
+    assert {tracing.KERNEL, "estimation.optimizer", "estimation.fit_mle",
+            "estimation.fit_mm", "regression.fit_unb_regression"} <= recorded
     m = tracing.layer_metrics(tracer.spans)
     assert m["estimation.fits"] == 1 and m["regression.fits"] == 1
     assert m["distributions.kernel_calls"] > 0 and m["estimation.optimizer_calls"] > 0
+    # Each optimiser evaluation is one kernel call, made directly under the
+    # optimiser's span: the kernel spans cover every evaluation.
+    arr = tracer.spans.arrays()
+    kernel, optimizer = names.index(tracing.KERNEL), names.index("estimation.optimizer")
+    opt_ids = np.nonzero(arr["name"] == optimizer)[0]
+    under = np.bincount(arr["parent"][(arr["name"] == kernel) & (arr["parent"] >= 0)],
+                        minlength=arr["name"].size)
+    assert np.array_equal(under[opt_ids], arr["attrs"][opt_ids, 1].astype(int))
