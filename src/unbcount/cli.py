@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
@@ -34,24 +34,6 @@ FIT_MODELS = {"unb": "fit_mle", "nb": "fit_nb_mle", "up": "fit_up_mle",
               "geometric": "fit_geometric"}
 REG_MODELS = {"unb": "fit_unb_regression", "nb": "fit_nb_regression",
               "up": "fit_up_regression"}
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    input: Optional[str] = None
-    response: Optional[str] = None
-    covariates: tuple = ()
-    models: tuple = ("unb",)
-    seed: int = 0
-    level: float = 0.95
-    fmt: str = "text"
-    output: Optional[str] = None
-    delimiter: str = ","
-    group_by: Optional[str] = None
-    r: Optional[float] = None
-    p: Optional[float] = None
-    n: Optional[int] = None
 
 
 def _num(x) -> str:
@@ -78,7 +60,7 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(config: RunConfig, payload: dict, text_lines: list):
+def _emit(config: argparse.Namespace, payload: dict, text_lines: list):
     body = {"schema_version": SCHEMA_VERSION, "command": config.subcommand}
     body.update(payload)
     if config.fmt == "json":
@@ -110,7 +92,7 @@ def _raw_count_file(path) -> Optional[np.ndarray]:
     return arr.astype(np.int64)
 
 
-def _load_counts(config: RunConfig):
+def _load_counts(config: argparse.Namespace):
     if not config.input:
         raise DataError("--input is required")
     columns = config.covariates + ((config.group_by,) if config.group_by else ())
@@ -135,7 +117,7 @@ def _fitter(module, names: dict, model: str):
     return getattr(module, names[model])
 
 
-def cmd_fit(config: RunConfig) -> int:
+def cmd_fit(config: argparse.Namespace) -> int:
     _, counts = _load_counts(config)
     fitters = [_fitter(est, FIT_MODELS, m) for m in config.models]
     results = []
@@ -209,18 +191,18 @@ def _regression_lines(fit: reg.RegressionFit) -> list:
     return lines
 
 
-def cmd_regress(config: RunConfig) -> int:
+def cmd_regress(config: argparse.Namespace) -> int:
     if not config.covariates:
         raise DataError("--covariates is required for regress")
     data, _ = _load_counts(config)
     spec = reg.RegressionSpec(response=config.response,
-                              covariates=tuple(config.covariates))
+                              covariates=config.covariates)
     results = []
     lines = [f"regress: response={config.response} "
              f"covariates={','.join(config.covariates)} n={data.n}", ""]
     all_converged = True
     for model in config.models:
-        fit = _fitter(reg, REG_MODELS, model)(data, spec, config.level)
+        fit = _fitter(reg, REG_MODELS, model)(data, spec)
         all_converged &= fit.converged
         results.append(_regression_record(fit))
         lines.extend(_regression_lines(fit))
@@ -228,7 +210,7 @@ def cmd_regress(config: RunConfig) -> int:
     return EXIT_OK if all_converged else EXIT_CONVERGENCE
 
 
-def cmd_compare(config: RunConfig) -> int:
+def cmd_compare(config: argparse.Namespace) -> int:
     if not (2 <= len(config.models) <= 3):
         raise DataError("compare needs two or three models; the first is the reference")
     data, counts = _load_counts(config)
@@ -239,8 +221,8 @@ def cmd_compare(config: RunConfig) -> int:
     for model in config.models:
         if use_regression:
             spec = reg.RegressionSpec(response=config.response,
-                                      covariates=tuple(config.covariates))
-            fit = _fitter(reg, REG_MODELS, model)(data, spec, config.level)
+                                      covariates=config.covariates)
+            fit = _fitter(reg, REG_MODELS, model)(data, spec)
             pmfs[model] = reg.per_observation_pmf(fit, data, spec)
         else:
             fit = _fitter(est, FIT_MODELS, model)(counts, level=config.level)
@@ -284,7 +266,7 @@ def cmd_compare(config: RunConfig) -> int:
     return EXIT_OK if all_converged else EXIT_CONVERGENCE
 
 
-def cmd_simulate(config: RunConfig) -> int:
+def cmd_simulate(config: argparse.Namespace) -> int:
     if config.r is None or config.p is None or config.n is None:
         raise DataError("simulate requires --r, --p and --n")
     if not config.output:
@@ -310,7 +292,7 @@ def cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_summarize(config: RunConfig) -> int:
+def cmd_summarize(config: argparse.Namespace) -> int:
     data, _ = _load_counts(config)
     groups = ds.summarize(data, config.response, config.group_by)
     freq = ds.frequency_table(data, config.response)
@@ -338,21 +320,32 @@ def cmd_summarize(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _names(text: str) -> tuple:
+    """A comma-separated list, blanks dropped."""
+    return tuple(t.strip() for t in text.split(",") if t.strip())
+
+
+def _delimiter(text: str) -> str:
+    return "\t" if text == "\\t" or text.lower() == "tab" else text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unbcount",
         description="Count-model toolkit: uniform-negative-binomial fitting, "
                     "regression, and model comparison on CSV data.")
+    # fit, regress and compare read group_by; summarize reads covariates
+    parser.set_defaults(covariates=(), group_by=None)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p, *, covariates=True, models=None):
         p.add_argument("--input", help="input CSV path")
         p.add_argument("--response", help="response column name")
         if covariates:
-            p.add_argument("--covariates", default="",
+            p.add_argument("--covariates", type=_names, default="",
                            help="comma-separated covariate column names")
         if models:
-            p.add_argument("--models", default=models,
+            p.add_argument("--models", type=_names, default=models,
                            help="comma-separated model list")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--level", type=float, default=0.95,
@@ -360,8 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="fmt", choices=("text", "json"),
                        default="text")
         p.add_argument("--output", help="write output to this path instead of stdout")
-        p.add_argument("--delimiter", default=",",
-                       help="field delimiter (e.g. ',', ';', tab)")
+        p.add_argument("--delimiter", type=_delimiter, default=",",
+                       help="field delimiter (e.g. ',', ';', tab or \\t)")
 
     add_common(sub.add_parser("fit", help="fit marginal count models"),
                models="unb")
@@ -387,32 +380,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    covs = tuple(c.strip() for c in getattr(args, "covariates", "").split(",")
-                 if c.strip())
-    models = tuple(m.strip() for m in getattr(args, "models", "unb").split(",")
-                   if m.strip())
-    delim = getattr(args, "delimiter", ",")
-    if delim == "\\t" or delim.lower() == "tab":
-        delim = "\t"
-    return RunConfig(
-        subcommand=args.subcommand,
-        input=getattr(args, "input", None),
-        response=getattr(args, "response", None),
-        covariates=covs,
-        models=models,
-        seed=getattr(args, "seed", 0),
-        level=getattr(args, "level", 0.95),
-        fmt=getattr(args, "fmt", "text"),
-        output=getattr(args, "output", None),
-        delimiter=delim,
-        group_by=getattr(args, "group_by", None),
-        r=getattr(args, "r", None),
-        p=getattr(args, "p", None),
-        n=getattr(args, "n", None),
-    )
-
-
 _DISPATCH = {
     "fit": cmd_fit,
     "regress": cmd_regress,
@@ -425,9 +392,8 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
     try:
-        return _DISPATCH[config.subcommand](config)
+        return _DISPATCH[args.subcommand](args)
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE

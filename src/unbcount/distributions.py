@@ -12,28 +12,23 @@ and the tail sum, which cannot cancel, elsewhere (see the comment above
 it).
 
 Comparator laws (negative binomial with pmf C(r+n-1, n) p^r q^n, the
-geometric, and the uniform-Poisson mixture) live here as well.
+geometric, and the uniform-Poisson mixture) live here as well.  Each law
+has one formula: the scalar functions and the fitting engine's families
+call the same vectorised log pmfs, and the cdfs are closed forms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import special as _sps
 
 from .errors import DomainError
-# series_2f1_raw is unused here, but perfbench/tracing.py wraps the specfun
-# names by their attribute on this module, so it stays importable.
-from .specfun import (  # noqa: F401
-    DEFAULT_CONTROL,
-    SeriesControl,
-    confluent_1f1,
-    gauss_2f1,
-    series_2f1_raw,
-)
+# These are unused here, but perfbench/tracing.py wraps the specfun names by
+# their attribute on this module, so they stay importable.
+from .specfun import confluent_1f1, gauss_2f1, series_2f1_raw  # noqa: F401
 
 __all__ = [
     "UnbParams",
@@ -138,19 +133,13 @@ def unb_pmf_vector(params: UnbParams, x_max) -> np.ndarray:
     return np.exp(_unb_logpmf(params.r, params.p, np.arange(x_max + 1)))
 
 
-def unb_cdf(params: UnbParams, x, ctrl: Optional[SeriesControl] = None) -> float:
-    """P(X <= x) = F_NB(x) + ((r+x)/(x+2)) C(r+x-1, x) p^r q^(x+1)
-    2F1(1, r+x+1; x+3; q)."""
-    ctrl = ctrl or DEFAULT_CONTROL
+def unb_cdf(params: UnbParams, x) -> float:
+    """P(X <= x) = P(N <= x) + (x+1) pmf(x+1) with N the latent negative
+    binomial: X <= x when N <= x, and with probability (x+1)/(N+1) when
+    N > x.  Both terms are closed forms; the min trims rounding only."""
     x = _check_count(x)
-    r, p = params.r, params.p
-    q = 1.0 - p
-    f_nb = nb_cdf(NbParams(r, p), x)
-    log_coef = (math.log(r + x) - math.log(x + 2.0)
-                + math.lgamma(r + x) - math.lgamma(r) - math.lgamma(x + 1.0)
-                + r * math.log(p) + (x + 1.0) * math.log(q))
-    f2 = gauss_2f1(1.0, r + x + 1.0, x + 3.0, q, ctrl)
-    return min(f_nb + math.exp(log_coef + math.log(f2)), 1.0)
+    return min(nb_cdf(NbParams(params.r, params.p), x)
+               + (x + 1.0) * unb_pmf(params, x + 1), 1.0)
 
 
 def unb_mean(params: UnbParams) -> float:
@@ -184,26 +173,18 @@ def _mgf_series(params: UnbParams, w: float) -> float:
 
 
 def unb_mgf(params: UnbParams, t: float) -> float:
-    """Moment generating function E[e^(tX)], defined for t < -log q.
-
-    Closed form p^r [g(p) - g(1 - q e^t)] / (q (e^t - 1)) with
-    g(u) = (1 - u^(1-r))/(r - 1); the printed source formula carries a
-    spurious e^(-t) factor and fails M(0) = 1, so the form here is
-    re-derived from the mixture and pinned by the moment tests.
-    """
-    r, p, q = params.r, params.p, params.q
-    if not t < -math.log(q):
-        raise DomainError(f"mgf requires t < -log(q) = {-math.log(q)}, got {t}")
-    w = math.exp(t)
-    if abs(w - 1.0) < 1e-6:
-        return _mgf_series(params, w)
-    g_p = _one_minus_pow_over(p, r)
-    g_w = _one_minus_pow_over(1.0 - q * w, r)
-    return math.exp(r * math.log(p)) * (g_p - g_w) / (q * (w - 1.0))
+    """Moment generating function E[e^(tX)] = unb_pgf(e^t), defined for
+    t < -log q.  The printed source formula carries a spurious e^(-t) factor
+    and fails M(0) = 1, so the closed form is re-derived from the mixture
+    and pinned by the moment tests."""
+    if not t < -math.log(params.q):
+        raise DomainError(f"mgf requires t < -log(q) = {-math.log(params.q)}, got {t}")
+    return unb_pgf(params, math.exp(t))
 
 
 def unb_pgf(params: UnbParams, s: float) -> float:
-    """Probability generating function E[s^X] for |s| < 1/q."""
+    """Probability generating function E[s^X] for |s| < 1/q, in closed form
+    p^r [g(p) - g(1 - q s)] / (q (s - 1)) with g(u) = (1 - u^(1-r))/(r - 1)."""
     r, p, q = params.r, params.p, params.q
     if not abs(s) < 1.0 / q:
         raise DomainError(f"pgf requires |s| < 1/q = {1.0 / q}, got {s}")
@@ -226,31 +207,36 @@ def unb_sample(params: UnbParams, n: int, seed: int) -> np.ndarray:
     return rng.integers(0, latent + 1)
 
 
+def _up_logpmf(lam, x):
+    """Uniform-Poisson log pmf at the counts x, elementwise, from the
+    Poisson survival identity pmf(x) = P(N > x) / lam with N ~ Poisson(lam),
+    -inf where P(N > x) underflows; also P(N > x)."""
+    surv = _sps.gammainc(x + 1.0, lam)
+    with np.errstate(divide="ignore"):
+        return np.log(surv) - np.log(lam), surv
+
+
 def up_logpmf(params: UpParams, x) -> float:
-    """log pmf of the uniform-Poisson law, via the Poisson survival identity
-    pmf(x) = P(N >= x + 1) / lam with N Poisson(lam)."""
-    x = _check_count(x)
-    lam = params.lam
-    surv = float(_sps.gammainc(x + 1.0, lam))
-    if surv <= 0.0:
-        return -math.inf
-    return math.log(surv) - math.log(lam)
+    """log pmf of the uniform-Poisson law."""
+    return float(_up_logpmf(params.lam, _check_count(x))[0])
 
 
-def up_pmf(params: UpParams, x, ctrl: Optional[SeriesControl] = None) -> float:
-    """Uniform-Poisson pmf lam^x e^(-lam)/(x+1)! * 1F1(1; x+2; lam)."""
-    ctrl = ctrl or DEFAULT_CONTROL
-    x = _check_count(x)
-    lam = params.lam
-    log_base = x * math.log(lam) - lam - math.lgamma(x + 2.0)
-    return math.exp(log_base) * confluent_1f1(1.0, x + 2.0, lam, ctrl)
+def up_pmf(params: UpParams, x) -> float:
+    """Uniform-Poisson pmf P(N > x) / lam, equal to the source's
+    lam^x e^(-lam)/(x+1)! 1F1(1; x+2; lam) without its overflow."""
+    return math.exp(up_logpmf(params, x))
+
+
+def _nb_logpmf(r: float, p, x, q=None):
+    """Negative binomial log pmf log[C(r+x-1, x) p^r q^x] at the counts x,
+    elementwise; ``q`` is 1 - p where the caller has it to more digits."""
+    q = 1.0 - p if q is None else q
+    return (_sps.gammaln(r + x) - math.lgamma(r) - _sps.gammaln(x + 1.0)
+            + r * np.log(p) + x * np.log(q))
 
 
 def nb_logpmf(params: NbParams, x) -> float:
-    x = _check_count(x)
-    r, p, q = params.r, params.p, params.q
-    return (math.lgamma(r + x) - math.lgamma(r) - math.lgamma(x + 1.0)
-            + r * math.log(p) + x * math.log(q))
+    return float(_nb_logpmf(params.r, params.p, _check_count(x)))
 
 
 def nb_pmf(params: NbParams, x) -> float:
@@ -258,15 +244,8 @@ def nb_pmf(params: NbParams, x) -> float:
 
 
 def nb_cdf(params: NbParams, x) -> float:
-    """P(N <= x) by direct summation of the pmf."""
-    x = _check_count(x)
-    r, p, q = params.r, params.p, params.q
-    term = math.exp(r * math.log(p))  # pmf at 0
-    total = term
-    for k in range(x):
-        term *= q * (r + k) / (k + 1.0)
-        total += term
-    return min(total, 1.0)
+    """P(N <= x) = I_p(r, x+1), the regularised incomplete beta function."""
+    return float(_sps.betainc(params.r, _check_count(x) + 1.0, params.p))
 
 
 def nb_tail_cutoff(params: NbParams, tail: float = 1e-12) -> int:

@@ -30,7 +30,6 @@ from typing import Optional
 import numpy as np
 from scipy import optimize as _opt
 from scipy import special as _sps
-from scipy import stats as _stats
 
 from . import distributions as _dist
 from .distributions import GeomParams, NbParams, UnbParams, UpParams
@@ -210,7 +209,7 @@ def unb_score_r(params: UnbParams, data, mode: str = "finite_difference") -> flo
 
 
 def _z_quantile(level: float) -> float:
-    return float(_stats.norm.ppf(0.5 * (1.0 + level)))
+    return float(_sps.ndtri(0.5 * (1.0 + level)))
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +282,7 @@ class _Unb(_Family):
 class _Nb(_Family):
     def logpmf(self, eta, r, y):
         p, q = self.link(eta, r)
-        lp = (_sps.gammaln(r + y) - math.lgamma(r) - _sps.gammaln(y + 1.0)
-              + r * np.log(p) + y * np.log(q))
+        lp = _dist._nb_logpmf(r, p, y, q)
         return np.maximum(lp, _LOG_FLOOR), int(np.count_nonzero(lp < _LOG_FLOOR))
 
     def logpmf_grad(self, eta, r, y):
@@ -304,10 +302,11 @@ class _Up(_Family):
 
     def logpmf_grad(self, eta, r, y):
         lam = 2.0 * np.exp(eta)
-        surv = _sps.gammainc(y + 1.0, lam)
+        lp, surv = _dist._up_logpmf(lam, y)
         kept = np.maximum(surv, _dist.PMF_FLOOR)
         log_pois = y * np.log(lam) - lam - _sps.gammaln(y + 1.0)
-        return (np.log(kept) - np.log(lam), int(np.count_nonzero(surv < _dist.PMF_FLOOR)),
+        return (np.maximum(lp, _LOG_FLOOR - np.log(lam)),
+                int(np.count_nonzero(surv < _dist.PMF_FLOOR)),
                 lam * np.exp(log_pois) / kept - 1.0, None)
 
     def law(self, theta):
@@ -511,7 +510,7 @@ def lr_test_geometric(data) -> LrTestResult:
     full = fit_mle(data)
     restricted = fit_geometric(data)
     stat = 2.0 * (full.log_likelihood - restricted.log_likelihood)
-    p_value = float(_stats.chi2.sf(max(stat, 0.0), 1))
+    p_value = float(_sps.chdtrc(1, max(stat, 0.0)))
     return LrTestResult(statistic=stat, df=1, p_value=p_value,
                         restricted_loglik=restricted.log_likelihood,
                         full_loglik=full.log_likelihood)

@@ -38,7 +38,6 @@ import numpy as np
 # wraps regression._opt, so it stays importable.
 from scipy import optimize as _opt  # noqa: F401
 from scipy import special as _sps
-from scipy import stats as _stats
 
 from .datasets import Dataset
 from .errors import DataError, DegenerateVuongError, DomainError, RankDeficientError
@@ -171,27 +170,24 @@ def _regress(family, dataset, spec: RegressionSpec) -> RegressionFit:
         wald = np.where(se > 0, theta / se, np.nan)
     return RegressionFit(beta=theta[:k], r=float(theta[k]) if family.n_shape else None,
                          std_errors=se, wald_t=wald,
-                         p_values=2.0 * _stats.norm.sf(np.abs(wald)),
+                         p_values=2.0 * _sps.ndtr(-np.abs(wald)),
                          log_likelihood=ll, aic=-2.0 * ll + 2.0 * theta.size,
                          converged=converged, model=family.name,
                          coef_names=names, iterations=iterations,
                          diagnostics=diagnostics)
 
 
-def fit_unb_regression(dataset, spec: RegressionSpec,
-                       level: float = 0.95) -> RegressionFit:
+def fit_unb_regression(dataset, spec: RegressionSpec) -> RegressionFit:
     """UNB response with log link on the conditional mean."""
     return _regress(_FAMILIES["unb"], dataset, spec)
 
 
-def fit_nb_regression(dataset, spec: RegressionSpec,
-                      level: float = 0.95) -> RegressionFit:
+def fit_nb_regression(dataset, spec: RegressionSpec) -> RegressionFit:
     """Negative binomial comparator, same link and inference pipeline."""
     return _regress(_FAMILIES["nb"], dataset, spec)
 
 
-def fit_up_regression(dataset, spec: RegressionSpec,
-                      level: float = 0.95) -> RegressionFit:
+def fit_up_regression(dataset, spec: RegressionSpec) -> RegressionFit:
     """Uniform-Poisson comparator; latent rate 2 mu, no dispersion term."""
     return _regress(_FAMILIES["up"], dataset, spec)
 

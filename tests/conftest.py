@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from unbcount.datasets import NMES_ENV_VAR, load_nmes, nmes_path_from_env
-from unbcount.specfun import gauss_2f1
+from unbcount.specfun import confluent_1f1, gauss_2f1
 
 # The (r, p) grid used by the distribution-level property tests.
 GRID_R = (0.5, 1.0, 2.0, 5.0, 20.0)
@@ -22,6 +22,31 @@ def hyp_pmf(params, x: int) -> float:
     log_base = (x * math.log(q) + r * math.log(p) - math.log(1.0 + x)
                 + math.lgamma(r + x) - math.lgamma(r) - math.lgamma(x + 1.0))
     return math.exp(log_base) * gauss_2f1(1.0, r + x, 2.0 + x, q)
+
+
+def hyp_cdf(params, x: int) -> float:
+    """UNB cdf through the source's 2F1 form, F_NB(x) + ((r+x)/(x+2))
+    C(r+x-1, x) p^r q^(x+1) 2F1(1, r+x+1; x+3; q), with F_NB summed term by
+    term: a route apart from the library's incomplete-beta form."""
+    r, p = params.r, params.p
+    q = 1.0 - p
+    term = f_nb = p ** r
+    for k in range(x):
+        term *= q * (r + k) / (k + 1.0)
+        f_nb += term
+    log_coef = (math.log(r + x) - math.log(x + 2.0)
+                + math.lgamma(r + x) - math.lgamma(r) - math.lgamma(x + 1.0)
+                + r * math.log(p) + (x + 1.0) * math.log(q))
+    return f_nb + math.exp(log_coef) * gauss_2f1(1.0, r + x + 1.0, x + 3.0, q)
+
+
+def hyp_up_pmf(params, x: int) -> float:
+    """Uniform-Poisson pmf through the source's 1F1 form
+    lam^x e^(-lam) / (x+1)! 1F1(1; x+2; lam): a route apart from the
+    library's Poisson survival identity."""
+    lam = params.lam
+    log_base = x * math.log(lam) - lam - math.lgamma(x + 2.0)
+    return math.exp(log_base) * confluent_1f1(1.0, x + 2.0, lam)
 
 
 def mp_logpmf(r, p, x, q=None):

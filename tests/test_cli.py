@@ -78,6 +78,17 @@ class TestFit:
         assert code == 2
         assert "empty" in err
 
+    @pytest.mark.parametrize("delimiter", ["tab", "\\t"])
+    def test_tab_separated_file(self, tmp_path, capsys, delimiter):
+        path = tmp_path / "c.tsv"
+        path.write_text("id\ty\na\t0\nb\t2\nc\t1\nd\t3\ne\t4\n", encoding="utf-8")
+        code, out, _ = run_cli(["fit", "--input", str(path), "--response", "y",
+                                "--models", "geometric", "--delimiter", delimiter,
+                                "--format", "json"], capsys)
+        assert code == 0
+        rec = json.loads(out)["results"][0]
+        assert rec["estimates"]["p"] == pytest.approx(1.0 / 3.0, rel=1e-9)  # 1/(1 + mean)
+
     def test_unknown_model_exit_2(self, tmp_path, capsys):
         path = write_counts(tmp_path / "c.txt", [0, 1, 2, 1, 0, 3])
         code, _, err = run_cli(["fit", "--input", path, "--models", "zeta"],

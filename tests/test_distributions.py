@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import special as ssp
 from scipy import stats as sps
 
-from conftest import GRID, hyp_pmf, mp_logpmf, mp_logpmf_mpf
+from conftest import GRID, hyp_cdf, hyp_pmf, hyp_up_pmf, mp_logpmf, mp_logpmf_mpf
 from unbcount.distributions import (
     GeomParams,
     NbParams,
@@ -152,6 +152,23 @@ class TestCdf:
 
     def test_total_mass(self):
         assert unb_cdf(UnbParams(3.0, 0.5), 200) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("r,p", GRID)
+    def test_matches_hypergeometric_route(self, r, p):
+        params = UnbParams(r, p)
+        for x in range(31):
+            assert abs(unb_cdf(params, x) - hyp_cdf(params, x)) <= 1e-12, x
+
+    @pytest.mark.parametrize("r", [0.05, 0.5, 1.0, 3.0, 20.0, 300.0])
+    def test_against_mpmath_partial_sums(self, r):
+        # At r = 300, p = 0.01 the 2F1 of the source's form overflows.
+        xs = (0, 1, 5, 30, 60)
+        for p in (0.01, 0.3, 0.5, 0.9):
+            with mpmath.workdps(30):
+                pmf = [mpmath.exp(mp_logpmf_mpf(r, p, k)) for k in range(xs[-1] + 1)]
+                exact = np.array([float(mpmath.fsum(pmf[:x + 1])) for x in xs])
+            got = np.array([unb_cdf(UnbParams(r, p), x) for x in xs])
+            assert np.max(np.abs(got - exact)) <= 1e-12, (r, p)
 
     @pytest.mark.parametrize("r,p", [(0.5, 0.1), (20.0, 0.1), (2.0, 0.9)])
     def test_monotone(self, r, p):
@@ -325,6 +342,16 @@ class TestUniformPoisson:
         assert up_pmf(UpParams(lam), 0) == pytest.approx(
             (1.0 - math.exp(-lam)) / lam, rel=1e-13)
 
+    @pytest.mark.parametrize("lam", [750.0, 1000.0])
+    def test_at_zero_where_the_confluent_form_overflows(self, lam):
+        assert abs(up_pmf(UpParams(lam), 0) - (1.0 - math.exp(-lam)) / lam) <= 1e-13
+
+    @pytest.mark.parametrize("r,p", GRID)
+    def test_matches_confluent_route(self, r, p):
+        params = UpParams(r * (1.0 - p) / p)  # the NB mean, the UNB's r -> inf limit
+        for x in range(31):
+            assert abs(up_pmf(params, x) - hyp_up_pmf(params, x)) <= 1e-12, x
+
     def test_poisson_mixture_oracle(self):
         lam = 3.0
         n = np.arange(0, 300)
@@ -355,6 +382,13 @@ class TestComparators:
         params = NbParams(2.5, 0.4)
         partial = sum(nb_pmf(params, k) for k in range(8))
         assert nb_cdf(params, 7) == pytest.approx(partial, rel=1e-12)
+
+    def test_nb_cdf_where_p_to_the_r_underflows(self):
+        # p^r = 1e-600: a sum started from the pmf at 0 stays at 0
+        with mpmath.workdps(30):
+            exact = float(mpmath.betainc(300, 40_001, 0, mpmath.mpf(0.01),
+                                         regularized=True))
+        assert abs(nb_cdf(NbParams(300.0, 0.01), 40_000) - exact) <= 1e-12
 
     def test_geom_pmf_value(self):
         assert geom_pmf(GeomParams(0.5), 2) == 0.125
@@ -435,16 +469,23 @@ class TestExactLogPmf:
 
     @pytest.mark.parametrize("r", ORACLE_R)
     def test_against_mpmath(self, r):
+        # The row-by-row legs carry an extra row with another p, which keeps
+        # the rows from being collapsed into the shared-p pass; it is dropped
+        # from the comparison.
         log_floor = math.log(1e-300)
+        n = ORACLE_X.size
+        xs = np.append(ORACLE_X, 3)
         for p in ORACLE_P:
             exact = np.array([mp_logpmf(r, p, int(x)) for x in ORACLE_X])
+            ps = np.append(np.full(n, p), 0.77)
             shared = _unb_logpmf(r, p, ORACLE_X)
-            rows = _unb_logpmf(r, np.full(ORACLE_X.size, p), ORACLE_X)
+            rows = _unb_logpmf(r, ps, xs)[:n]
             scalar = np.array([unb_logpmf(UnbParams(r, p), int(x)) for x in ORACLE_X])
             for got in (shared, rows, scalar):
                 assert np.max(np.abs(got - exact)) <= 1e-10, (r, p)
-            for p_arg in (p, np.full(ORACLE_X.size, p)):
-                kernel, floored = unb_logpmf_kernel(r, p_arg, ORACLE_X)
+            for p_arg, x_arg in ((p, ORACLE_X), (ps, xs)):
+                kernel, floored = unb_logpmf_kernel(r, p_arg, x_arg)
+                kernel = kernel[:n]
                 above = exact > log_floor
                 assert np.max(np.abs(kernel[above] - exact[above])) <= 1e-10, (r, p)
                 assert np.all(kernel[~above] == log_floor)
@@ -465,8 +506,10 @@ class TestExactLogPmf:
             fd = np.array([(unb_logpmf(UnbParams(r, p + h), int(x))
                             - unb_logpmf(UnbParams(r, p - h), int(x))) / (2.0 * h)
                            for x in xs])
-            for p_arg in (p, np.full(xs.size, p)):
-                der = unb_dlogpmf_dp_kernel(r, p_arg, xs)
+            # an extra row with another p keeps the rows apart, as above
+            rows = (np.append(np.full(xs.size, p), 0.77), np.append(xs, 3))
+            for p_arg, x_arg in ((p, xs), rows):
+                der = unb_dlogpmf_dp_kernel(r, p_arg, x_arg)[:xs.size]
                 assert np.max(np.abs(der - fd) / np.maximum(1.0, np.abs(fd))) <= 1e-6
 
     @pytest.mark.parametrize("r", R_SCORE_R)
