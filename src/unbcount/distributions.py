@@ -249,18 +249,21 @@ def nb_cdf(params: NbParams, x) -> float:
 
 
 def nb_tail_cutoff(params: NbParams, tail: float = 1e-12) -> int:
-    """Smallest x with negative-binomial survival P(N >= x) < tail."""
-    r, p, q = params.r, params.p, params.q
-    term = math.exp(r * math.log(p))
-    cum = term
-    x = 0
-    while 1.0 - cum >= tail:
-        term *= q * (r + x) / (x + 1.0)
-        cum += term
-        x += 1
-        if x > 100_000_000:
+    """Smallest x with negative-binomial survival P(N >= x) < tail, where
+    P(N >= x) = I_q(x, r) for x >= 1 and 1 at x = 0: doubling, then
+    bisection."""
+    def above(x):
+        return x == 0 or _sps.betainc(x, params.r, params.q) >= tail
+
+    lo, hi = 0, 1
+    while above(hi):
+        lo, hi = hi, 2 * hi
+        if hi > 2 ** 60:
             raise DomainError("tail cutoff search did not terminate")
-    return x + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return hi
 
 
 def geom_pmf(params: GeomParams, x) -> float:
@@ -276,18 +279,21 @@ def geom_pmf(params: GeomParams, x) -> float:
 #         below pmf(0), so it is taken only while pmf(x) >= pmf(0)/_HEAD_LOSS;
 #   tail  sum_{k>=x} t_k: it cannot cancel, and runs past x until a
 #         geometric estimate of the rest is below _TAIL_TOL of the sum.
-# The derivatives come from the same sums.  d log t_k / dp = r/p - k/q and,
-# at fixed p, d log t_k / dr = log p + H_k with H_k = psi(r+k) - psi(r) >= 0,
-# so with m = E_t[k | k >= x]
-#   d log pmf / d logit p = p q (r/p - m/q) = r q - p m,
-#   d log pmf / dr        = log p + E_t[H_k | k >= x].
-# The head form takes them through pmf(0)'s closed forms: sum_k k t_k =
-# 1 - pmf(0), and d log pmf(0) / dr from _dlog_pmf0_dr.
+# The derivatives come from the same sums: d log t_k / d logit p = r q - p k,
+# d log t_k / dr = log p + H_k at fixed p, H_k = psi(r+k) - psi(r) >= 0 and
+# H'_k = dH_k/dr <= 0, so with E, Var, Cov over the weights t_k on k >= x,
+#   d/d logit p = r q - p m (m = E[k]),    d/dr = log p + E[H],
+#   d2/d logit p^2 = -p q (r + m) + p^2 Var(k),
+#   d2/d logit p dr = q - p Cov(k, H),     d2/dr^2 = E[H'] + Var(H),
+# from the sums of t_k times 1, j, j^2, G, j G and G^2 + G' (j = k - c,
+# G = H_k - H_c, G' = H'_k - H'_c, all >= 0) about a centre c: 0 in the
+# head, with the full sums in closed form, and x in the tail, where a
+# variance far below m^2 (q near 0) then keeps its digits.
 
 PMF_FLOOR = 1e-300
 _LOG_FLOOR = math.log(PMF_FLOOR)
 # The head form loses up to log10(_HEAD_LOSS) digits; with 1024 that noise
-# stalled the line searches of some marginal fits.
+# stalled the optimiser of some marginal fits.
 _HEAD_LOSS = 16.0
 _TAIL_TOL = 1e-17
 # The head form takes sum_k k t_k = 1 - pmf(0) from pmf(0)'s closed form,
@@ -305,9 +311,24 @@ def _log_terms(r, lp, lq, k):
             - _sps.gammaln(k + 1.0) - np.log1p(k))
 
 
-def _harmonic(r, k):
-    """H_k = psi(r+k) - psi(r) = sum_{j<k} 1/(r+j), elementwise."""
-    return _sps.digamma(r + k) - _sps.digamma(r)
+def _trigamma(x):
+    """psi'(x) for x > 0, elementwise, within 1e-15 relative: sum_{j<10}
+    1/(x+j)^2 plus the asymptotic series at x + 10.  scipy's zeta(2, x)
+    takes six times as long, and took most of a regression's kernel pass."""
+    x = np.asarray(x, dtype=float)
+    z = x + 10.0
+    w = 1.0 / (z * z)
+    series = 1.0 / 6.0 - w * (1 / 30 - w * (1 / 42 - w * (1 / 30 - w * (
+        5 / 66 - w * (691 / 2730 - w * 7 / 6)))))
+    return sum(1.0 / (x + j) ** 2 for j in range(10)) + (1.0 + (0.5 + series / z) / z) / z
+
+
+def _weights(r, k, c=0.0):
+    """1, j, j^2, G, j G and G^2 + G' at k about the centre c (above)."""
+    j = k - c
+    g = _sps.digamma(r + k) - _sps.digamma(r + c)
+    g2 = np.maximum(g * g + _trigamma(r + k) - _trigamma(r + c), 0.0)
+    return np.array([np.ones_like(j), j, j * j, g, j * g, g2])
 
 
 def _log_pmf0(r, lp, lq):
@@ -320,44 +341,46 @@ def _log_pmf0(r, lp, lq):
 
 
 def _dlog_pmf0_dr(r, lp):
-    """d log pmf(0) / dr = (-v/expm1(-v) - 1)/(r - 1) with v = (r-1) log p;
-    where |v| < 1e-2 its series, log p / 2 at r = 1."""
-    v = (r - 1.0) * lp
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        exact = (-v / np.expm1(-v) - 1.0) / (r - 1.0)
+    """d log pmf(0)/dr = log p (v/(1 - e^-v) - 1)/v and d2 log pmf(0)/dr^2 =
+    log p^2 (1/v^2 - 1/(4 sinh(v/2)^2)), v = (r-1) log p; series below 0.1."""
+    v = np.asarray((r - 1.0) * lp, dtype=float)
     w = v * v
-    series = lp * (0.5 + v * (1.0 / 12.0 - w * (1.0 / 720.0 - w / 30240.0)))
-    return np.where(np.abs(v) < 1e-2, series, exact)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return (np.where(np.abs(v) < 0.1, lp * (0.5 + v * (1 / 12 - w * (
+                    1 / 720 - w * (1 / 30240 - w / 1209600)))),
+                         (-v / np.expm1(-v) - 1.0) / (r - 1.0)),
+                np.where(np.abs(v) < 0.1, lp * lp * (1 / 12 - w * (
+                    1 / 240 - w * (1 / 6048 - w / 172800))),
+                         lp * lp * (1.0 / w - 0.25 / np.sinh(0.5 * v) ** 2)))
 
 
 def _head_rows(r, lp, lq, lpmf0, x, grad):
-    """sum_{k<x} t_k / pmf(0) row by row; with ``grad`` also the same sums
-    of k t_k and H_k t_k."""
+    """sum_{k<x} t_k / pmf(0) row by row; with ``grad`` the sums of t_k
+    times each weight about 0."""
     order = np.argsort(x, kind="stable")
     xs, lp, lq, lpmf0 = x[order], lp[order], lq[order], lpmf0[order]
-    acc = np.zeros((3 if grad else 1, x.size))
+    acc = np.zeros((6 if grad else 1, x.size))
     for k in range(int(xs[-1]) if xs.size else 0):
         s = np.searchsorted(xs, k, side="right")  # rows with x > k
         t = np.exp(_log_terms(r, lp[s:], lq[s:], float(k)) - lpmf0[s:])
         acc[0, s:] += t
         if grad:
-            acc[1:, s:] += np.array([[k], [_harmonic(r, k)]]) * t
+            acc[1:, s:] += _weights(r, float(k))[1:, None] * t
     acc[:, order] = acc.copy()
     return acc
 
 
 def _tail_rows(r, lp, lq, x, grad):
-    """log sum_{k>=x} t_k row by row; with ``grad`` also the logs of the
-    same sums of k t_k and H_k t_k.
+    """log sum_{k>=x} t_k row by row; with ``grad`` the logs of the sums of
+    t_k times each weight about x.
 
     Blocks of terms grow until the rest past the last term K, estimated as
     t_K rho/(1 - rho) with rho = t_{K+1}/t_K < 1, is below _TAIL_TOL of the
-    sum; the estimate is then added.  It is exact for geometric tails, and
-    half the true rest for the k^-2 tails of r << 1, p -> 0 that _TAIL_MAX
-    cuts.  Past K the weight k grows by 1 and H_k by about 1/(r+K) a term,
-    which scales the rest by K + 1/(1 - rho) and H_K + 1/((r+K)(1 - rho)).
+    sum; the estimate, weighted as t_K is, is then added.  It is exact for
+    geometric tails, and half the true rest for the k^-2 tails of r << 1,
+    p -> 0 that _TAIL_MAX cuts.
     """
-    acc = np.full((3 if grad else 1, x.size), -np.inf)
+    acc = np.full((6 if grad else 1, x.size), -np.inf)
     start = x.copy()
     live = np.arange(x.size)
     width = max(32, 1024 // x.size)
@@ -370,44 +393,60 @@ def _tail_rows(r, lp, lq, x, grad):
         last = k[:, -1]
         rho = np.exp(lq[live]) * (r + last) / (last + 2.0)
         falling = rho < 1.0
-        sums = [t.sum(axis=1)]
+        w = _weights(r, k, x[live, None]) if grad else np.ones((1,) + k.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
-            rest = [np.where(falling, lt[:, -1] + np.log(rho / (1.0 - rho)), -np.inf)]
-            if grad:
-                hk = _harmonic(r, k)
-                sums += [(k * t).sum(axis=1), (hk * t).sum(axis=1)]
-                run = 1.0 / np.where(falling, 1.0 - rho, 1.0)
-                rest += [rest[0] + np.log(last + run),
-                         rest[0] + np.log(hk[:, -1] + run / (r + last))]
-            acc[:, live] = np.logaddexp(acc[:, live], top + np.log(sums))
+            acc[:, live] = np.logaddexp(acc[:, live], top + np.log((w * t).sum(axis=2)))
+            rest = np.log(w[:, :, -1]) + np.where(
+                falling, lt[:, -1] + np.log(rho / (1.0 - rho)), -np.inf)
         done = (falling & (rest[0] <= acc[0, live] + math.log(_TAIL_TOL))) | (
             start[live] - x[live] >= _TAIL_MAX)
         end = live[done]
-        acc[:, end] = np.logaddexp(acc[:, end], np.array(rest)[:, done])
+        acc[:, end] = np.logaddexp(acc[:, end], rest[:, done])
         live = live[~done]
         width = min(2 * width, max(32, _BLOCK_MAX // max(live.size, 1)))
     return acc
 
 
+def _rev_acc(inc, seed):
+    """log of the sums seed + sum_{i'>=i} inc_i', from the logs."""
+    return np.logaddexp.accumulate(np.append(inc, seed)[::-1])[::-1]
+
+
+def _shared_tail(r, lt, k, seed, grad):
+    """The logs of the tail sums about each x = k[0] .. k[-1] + 1, from the
+    log terms lt at k and the sums ``seed`` about k[-1] + 1.  With S = sum t,
+    c = 1/(r+x) and y = x+1: S(x) = S(y) + t_x, A_j(x) = A_j(y) + S(y),
+    A_G(x) = A_G(y) + c S(y), A_jj(x) = A_jj(y) + 2 A_j(y) + S(y),
+    A_jG(x) = A_jG(y) + c (A_j(y) + S(y)) + A_G(y), A_GG(x) = A_GG(y) +
+    2 c A_G(y): three levels of reverse log-cumsums of positive terms."""
+    ls = _rev_acc(lt, seed[0])
+    if not grad:
+        return ls[None]
+    lc = -np.log(r + k)
+    lj = _rev_acc(ls[1:], seed[1])
+    lg = _rev_acc(lc + ls[1:], seed[3])
+    ljj = _rev_acc(np.logaddexp(lj[1:] + math.log(2.0), ls[1:]), seed[2])
+    ljg = _rev_acc(np.logaddexp(lc + np.logaddexp(lj[1:], ls[1:]), lg[1:]), seed[4])
+    lgg = _rev_acc(lc + lg[1:] + math.log(2.0), seed[5])
+    return np.array([ls, lj, ljj, lg, ljg, lgg])
+
+
 def _unb_logpmf(r: float, p, x, grad: bool = False, q=None):
-    """Exact log pmf of UNB(r, p) at the counts x; with ``grad`` also its
-    derivatives in logit p and, at fixed p, in r: (log pmf, d/d logit p,
-    d/dr).  The logit-p derivative r q - p m stays finite where the
-    p-derivative r/p - m/q overflows (q < m/1.8e308).  Never -inf for
-    0 < p < 1.  ``q`` is 1 - p where the caller has it to more digits than
-    1 - p gives (the log-link families compute both from the mean, and p
-    rounds to 1 once q < 1.1e-16).
+    """Exact log pmf of UNB(r, p) at the counts x; with ``grad`` also (d/d
+    logit p, d/dr, d2/d logit p^2, d2/d logit p dr, d2/dr^2), r-derivatives
+    at fixed p.  Logit p keeps them finite where r/p - m/q overflows
+    (q < m/1.8e308).  Never -inf for 0 < p < 1.  ``q`` is 1 - p where the
+    caller has it to more digits (the log-link families take both from the
+    mean; p rounds to 1 once q < 1.1e-16).
 
     A p with one value, scalar or an array whose entries are all equal,
-    shares one pass over k = 0..max(x) between all x (marginal fits, pmf
-    tables, per-row pmfs of one fitted law).  Other array p are broadcast
-    against x and summed row by row (regression).  Against
-    mpmath the log pmf is within 2e-12 for r in [0.2, 50], p in
-    [0.01, 0.95], x <= 1000.  At the corners of the fits' box (log r = +-8,
-    logit p = +-35, the regression's p = r/(2 e^700 + r), x <= 10^4) it is
-    within 1e-10 too, except at r = e^-8 with p near 0: the tail decays like
-    k^-2 and is cut after _TAIL_MAX terms, 4.5e-7 off at x = 1 and 4.5e-3
-    at x = 10^4, in under 0.2 s.
+    shares one pass over k = 0..max(x) between all x; other array p are
+    broadcast against x and summed row by row.  Against mpmath the log pmf
+    is within 2e-12 for r in [0.2, 50], p in [0.01, 0.95], x <= 1000, and
+    within 1e-10 at the fits' box corners (log r = +-8, logit p = +-35,
+    the regression's p = r/(2 e^700 + r), x <= 10^4) except at r = e^-8
+    with p near 0: that k^-2 tail is cut after _TAIL_MAX terms, 4.5e-7 off
+    at x = 1 and 4.5e-3 at x = 10^4, in under 0.2 s.
     """
     x = np.asarray(x, dtype=float)
     if np.ndim(p):
@@ -428,7 +467,7 @@ def _unb_logpmf(r: float, p, x, grad: bool = False, q=None):
         lpmf0 = _log_pmf0(r, lp, lq)
         k = np.arange(np.max(x, initial=0.0) + 1.0)
         lt = _log_terms(r, lp, lq, k)
-        weights = np.array([np.ones_like(k), k, _harmonic(r, k)] if grad else [np.ones_like(k)])
+        weights = _weights(r, k) if grad else np.ones((1, k.size))
         t = np.exp(lt[:-1] - lpmf0)
         xi = x.astype(np.intp)
         head = np.append(np.zeros((len(weights), 1)),
@@ -445,38 +484,49 @@ def _unb_logpmf(r: float, p, x, grad: bool = False, q=None):
     tail = (head[0] > 1.0 - 1.0 / _HEAD_LOSS) | (lpmf0 > _LOG_PMF0_MAX)
     h = np.where(tail, 0.0, head[0])
     ls = lpmf0 + np.log1p(-h)
-    if grad:
-        with np.errstate(divide="ignore"):
-            lm = np.log(np.maximum(-np.expm1(lpmf0) - np.exp(lpmf0) * head[1], 0.0))
-        dr = (_dlog_pmf0_dr(r, lp) - h * lp - head[2]) / (1.0 - h)
+    if grad:  # the means about 0 in the head, from the sums over all k,
+        # sum k t = 1 - pmf(0), sum k^2 t = E[N] - 1 + pmf(0), and sum H t,
+        # sum k H t, sum (H^2 + H') t from pmf(0)'s r-derivatives d1, d2
+        d1, d2 = _dlog_pmf0_dr(r, lp)
+        f1 = np.expm1(-lpmf0)  # over pmf(0), as head is
+        with np.errstate(over="ignore"):  # E[N] past 1.8e308 at p near 0
+            f2 = r * np.exp(lq - lp - lpmf0) - f1
+        total = np.array([f1, f2, d1 - lp, -d1 - lp * f1, d2 + (d1 - lp) ** 2])
+        means = (total.reshape(5, -1) - head[1:]) / (1.0 - h)
+        centre = np.zeros_like(ls)
     if np.any(tail):
         if np.ndim(lp) == 0:
             xt = xi[tail]
             lo, hi = int(xt.min()), int(xt.max())
-            rest = _tail_rows(r, np.array([lp]), np.array([lq]), np.array([float(hi)]), grad)
-            with np.errstate(divide="ignore"):
-                lw = np.log(weights[:, lo:hi])
-            sums = [np.logaddexp.accumulate(np.append(lt[lo:hi] + w, s)[::-1])[::-1][xt - lo]
-                    for w, s in zip(lw, rest[:, 0])]
+            seed = _tail_rows(r, np.array([lp]), np.array([lq]), np.array([float(hi)]), grad)
+            sums = _shared_tail(r, lt[lo:hi], k[lo:hi], seed[:, 0], grad)[:, xt - lo]
         else:
             sums = _tail_rows(r, lp[tail], lq[tail], x[tail], grad)
         ls[tail] = sums[0]
-        if grad:
-            lm[tail] = sums[1]
-            dr[tail] = np.broadcast_to(lp, tail.shape)[tail] + np.exp(sums[2] - sums[0])
+        if grad:  # and about x in the tail
+            means[:, tail] = np.exp(sums[1:] - sums[0])
+            centre[tail] = x[tail]
     if not grad:
         return ls.reshape(shape)
-    dlogit = r * q - p * np.exp(lm - ls)
-    return ls.reshape(shape), dlogit.reshape(shape), dr.reshape(shape)
+    e_j, e_jj, e_g, e_jg, e_gg = means
+    m = centre + e_j
+    d_r = lp + _sps.digamma(r + centre) - _sps.digamma(r) + e_g  # H_centre + E[G]
+    d_logit = r * q - p * m
+    with np.errstate(over="ignore", invalid="ignore"):  # nan where E[N] overflows
+        d_ll = -p * q * (r + m) + p * p * (e_jj - e_j * e_j)
+    d_lr = q - p * (e_jg - e_j * e_g)
+    d_rr = _trigamma(r + centre) - _trigamma(r) + e_gg - e_g * e_g
+    return tuple(v.reshape(shape) for v in (ls, d_logit, d_r, d_ll, d_lr, d_rr))
 
 
 def unb_logpmf_kernel(r: float, p, x, q=None, grad: bool = False):
     """Vectorised log pmf, floored at log(PMF_FLOOR) so that every entry
-    stays finite in the fits' line searches; returns (log pmf array,
+    stays finite at the fits' trial points; returns (log pmf array,
     number of floored entries), which callers report, and with ``grad``
-    also the unfloored log pmf's derivatives in logit p and in r at fixed
-    p.  ``q`` as in _unb_logpmf.  perfbench/tracing.py wraps this name and
-    reads the floored count as the second entry, so that stays as it is."""
+    also the unfloored log pmf's first and second derivatives in logit p
+    and in r at fixed p, in _unb_logpmf's order.  ``q`` as in _unb_logpmf.
+    perfbench/tracing.py wraps this name and reads the floored count as
+    the second entry, so that stays as it is."""
     out = _unb_logpmf(r, p, x, grad=grad, q=q)
     lp = out[0] if grad else out
     floored = (np.maximum(lp, _LOG_FLOOR), int(np.count_nonzero(lp < _LOG_FLOOR)))

@@ -5,20 +5,16 @@ Method of moments inverts the closed-form mean and second moment.  Every
 maximum-likelihood fit, marginal or regression, runs on ``_fit``: a
 family (UNB, negative binomial, uniform-Poisson, geometric) with log-link
 mean mu = exp(eta), eta = design @ beta, fitted over (beta, log r) by
-quasi-Newton ascent on the log-likelihood and its analytic gradient, both
-from one kernel pass per evaluation, a tighter retry, and a simplex search
-when neither gets below the gradient gate.  A marginal fit is the
+damped Newton steps on the log-likelihood, its gradient and its Hessian,
+all three from one kernel pass per evaluation.  A marginal fit is the
 intercept-only fit on the distinct counts with their frequencies as
 weights; its law's parameters ((r, p), lam or p) and their standard
-errors follow from (intercept, r) by the delta method.
-Standard errors come from the observed information at the optimum, in
-(beta, r): the symmetrised central difference of the same score the
-optimiser uses, 2p kernel passes for p parameters.
+errors follow from (intercept, r) by the delta method.  Standard errors
+invert the observed information at the optimum, the last pass's Hessian.
 
 Convergence is judged on the gradient of the per-observation mean
-log-likelihood: an absolute 1e-6 gate on the total-sample gradient is
-below double-precision finite-difference noise once n is in the tens of
-thousands, while the mean-scaled gate is parameterisation-stable.
+log-likelihood, a gate that is parameterisation-stable and does not
+shrink with n as the total-sample gradient's rounding grows.
 """
 
 from __future__ import annotations
@@ -76,10 +72,11 @@ class FitResult:
     fits, NbParams / UpParams / GeomParams for the comparators).
     ``std_errors``, ``cov_matrix`` and ``conf_intervals`` are None for the
     method-of-moments fit.  The maximum-likelihood fits' ``diagnostics``
-    hold ``grad_norm``, ``messages`` (one per optimiser stage),
-    ``pmf_floored``, ``eta_clamped`` (both summed over objective
-    evaluations) and ``hessian``, in the engine's (intercept, r)
-    coordinates.
+    hold ``grad_norm``, ``messages`` (one per start), ``evaluations``
+    (kernel passes), ``hessian_shifts`` (steps whose Hessian was not
+    negative definite), ``step_halvings``, ``pmf_floored``,
+    ``eta_clamped`` (both summed over evaluations), ``hessian`` in the
+    engine's (intercept, r) coordinates and its 2-norm ``condition``.
     """
 
     params: object
@@ -226,6 +223,10 @@ _ETA_CLAMP = 700.0
 _LOG_FLOOR = math.log(_dist.PMF_FLOOR)
 _LOGR_BOUNDS = (-8.0, 8.0)
 _GRAD_GATE = 1e-6  # on the gradient of the mean log-likelihood
+# Largest change of a linear predictor or of log r in one Newton step: a
+# step on a shifted Hessian can run far (log r from 2 to -4.6 in one step
+# of a 2000-row fit), where p near 0 makes the UNB tail sums slow.
+_MAX_SPAN = 4.0
 
 
 class _Family:
@@ -234,7 +235,8 @@ class _Family:
     law that fixes it.  ``logpmf(eta, r, y)`` gives the log pmf at the
     counts y floored at log PMF_FLOOR and the number of entries floored;
     ``logpmf_grad(eta, r, y)`` gives those and, in the same pass, the
-    unfloored log pmf's derivatives in eta and in log r (None for a law
+    unfloored log pmf's derivatives d/d eta, d/d log r, d2/d eta^2,
+    d2/d eta d log r and d2/d log r^2 (None for those in log r of a law
     without r).  ``law(theta)`` gives the law at theta = (eta[, r]) with
     the Jacobian of its parameters in theta, and ``eta_of(params)`` the
     inverse, (eta, r)."""
@@ -266,17 +268,23 @@ class _Family:
         return math.log(r * (1.0 - params.p) / (self.kappa * params.p)), r
 
 
+def _eta_logr(r, d_l, d_r, d_ll, d_lr, d_rr):
+    """Derivatives in (logit p, r at fixed p) as derivatives in (eta, log r),
+    with logit p = log(r / kappa) - eta: d/d eta = -d/d logit p and d/d log r
+    = d/d logit p + r d/dr."""
+    return (-d_l, r * d_r + d_l, d_ll, -(d_ll + r * d_lr),
+            d_ll + r * (2.0 * d_lr + d_r + r * d_rr))
+
+
 class _Unb(_Family):
     def logpmf(self, eta, r, y):
         p, q = self.link(eta, r)
         return _dist.unb_logpmf_kernel(r, p, y, q=q)
 
     def logpmf_grad(self, eta, r, y):
-        """logit p = log(r / kappa) - eta: d/d eta = p m - r q, and d/d log r =
-        r d/dr at fixed p - d/d eta."""
         p, q = self.link(eta, r)
-        lp, floored, dlogit, dr = _dist.unb_logpmf_kernel(r, p, y, q=q, grad=True)
-        return lp, floored, -dlogit, r * dr + dlogit
+        lp, floored, *derivs = _dist.unb_logpmf_kernel(r, p, y, q=q, grad=True)
+        return (lp, floored, *_eta_logr(r, *derivs))
 
 
 class _Nb(_Family):
@@ -286,14 +294,17 @@ class _Nb(_Family):
         return np.maximum(lp, _LOG_FLOOR), int(np.count_nonzero(lp < _LOG_FLOOR))
 
     def logpmf_grad(self, eta, r, y):
+        """The UNB sums collapsed to their one term k = y."""
         p, q = self.link(eta, r)
-        g_eta = y * p - r * q
-        g_r = r * (_sps.digamma(r + y) - _sps.digamma(r) + np.log(p)) - g_eta
-        return (*self.logpmf(eta, r, y), g_eta, g_r)
+        derivs = (r * q - y * p, _sps.digamma(r + y) - _sps.digamma(r) + np.log(p),
+                  -p * q * (r + y), q, _dist._trigamma(r + y) - _dist._trigamma(r))
+        return (*self.logpmf(eta, r, y), *_eta_logr(r, *derivs))
 
 
 class _Up(_Family):
-    """pmf(x) = P(N > x) / lam with N ~ Poisson(lam); P(N > x) is floored."""
+    """pmf(x) = P(N > x) / lam with N ~ Poisson(lam); P(N > x) is floored.
+    With a = lam pois(x; lam) / P(N > x), d/d eta = a - 1 and d2/d eta^2 =
+    a (1 + x - lam - a), since d P(N > x) / d lam = pois(x; lam)."""
 
     n_shape = 0
 
@@ -305,9 +316,10 @@ class _Up(_Family):
         lp, surv = _dist._up_logpmf(lam, y)
         kept = np.maximum(surv, _dist.PMF_FLOOR)
         log_pois = y * np.log(lam) - lam - _sps.gammaln(y + 1.0)
+        a = lam * np.exp(log_pois) / kept
         return (np.maximum(lp, _LOG_FLOOR - np.log(lam)),
                 int(np.count_nonzero(surv < _dist.PMF_FLOOR)),
-                lam * np.exp(log_pois) / kept - 1.0, None)
+                a - 1.0, None, a * (1.0 + y - lam - a), None, None)
 
     def law(self, theta):
         lam = 2.0 * math.exp(theta[0])
@@ -332,113 +344,135 @@ def _eta(beta, design):
     return (np.clip(eta, -_ETA_CLAMP, _ETA_CLAMP) if clipped else eta), clipped
 
 
+def _finite(*arrays) -> bool:
+    return all(np.all(np.isfinite(a)) for a in arrays)
+
+
+def _newton(fun, x0, *, span, args=(), bounds=(), **_):
+    """Damped Newton minimisation of fun(x) -> (value, gradient, Hessian) in
+    the box ``bounds``, as a scipy.optimize.minimize method (Nocedal &
+    Wright, Numerical Optimization, ch. 3).  Coordinates on a bound with the
+    gradient pointing out are held; the others step on their block of the
+    Hessian, shifted by lambda I where a Cholesky factorisation fails, lambda
+    doubled from 1e-3 of the largest diagonal entry.  A step whose ``span``
+    exceeds _MAX_SPAN is scaled to it, projected onto the box and halved
+    until the value falls by 1e-4 of the first-order prediction.  Where the
+    unshifted model predicts a fall below 1e-13 of the value, its rounding,
+    the full step is taken if it lowers the free gradient's norm.  It stops
+    at a free-gradient norm below 1e-9, when a step fails, or after 200
+    steps.  ``nfev`` counts every call of ``fun``; the result also holds
+    the Hessian at ``x`` and the numbers of shifted Hessians and of
+    rejected trial points (``step_halvings``)."""
+    lo, hi = (np.array([inf if b is None else b for b in side], dtype=float)
+              for side, inf in zip(zip(*bounds), (-np.inf, np.inf)))
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    f, g, hess = fun(x, *args)
+    nfev, nit, shifts, halvings = 1, 0, 0, 0
+    ok = _finite(f, g, hess)
+    message = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT" if ok else "ABNORMAL: NON-FINITE START"
+    while ok and nit < 200:
+        free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
+        if np.linalg.norm(g[free]) < 1e-9:
+            message = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= GTOL"
+            break
+        nit += 1
+        block, eye = hess[np.ix_(free, free)], np.eye(np.count_nonzero(free))
+        shift = 0.0
+        while True:
+            try:
+                np.linalg.cholesky(block + shift * eye)
+                break
+            except np.linalg.LinAlgError:
+                shift = max(2.0 * shift, 1e-3 * np.max(np.abs(np.diag(block)), initial=1e-300))
+        shifts += shift > 0.0
+        step = np.zeros_like(x)
+        step[free] = -np.linalg.solve(block + shift * eye, g[free])
+        step *= min(1.0, _MAX_SPAN / span(step))
+        d = np.clip(x + step, lo, hi) - x
+        exact = shift == 0.0 and -(g @ d + 0.5 * d @ hess @ d) <= 1e-13 * max(1.0, abs(f))
+        for _ in range(50):
+            trial = np.clip(x + step, lo, hi)
+            ft, gt, ht = fun(trial, *args)
+            nfev += 1
+            ok = _finite(ft, gt, ht) and (
+                np.linalg.norm(gt[free]) < np.linalg.norm(g[free]) if exact
+                else ft <= f + 1e-4 * min(float(g @ (trial - x)), 0.0))
+            if ok or exact:
+                break
+            halvings += 1
+            step *= 0.5
+        if not ok:
+            message = ("CONVERGENCE: NEWTON DECREMENT BELOW ROUNDING" if exact
+                       else "ABNORMAL: NO DECREASE ABOVE ROUNDING")
+            break
+        x, f, g, hess = trial, ft, gt, ht
+    return _opt.OptimizeResult(x=x, fun=f, jac=g, hess=hess, nit=nit, nfev=nfev,
+                               success=message.startswith("CONVERGENCE"),
+                               message=message, hessian_shifts=shifts,
+                               step_halvings=halvings)
+
+
 def _fit(family, design, y, weights, starts):
     """Maximum likelihood of ``family`` with eta = design @ beta over the
     counts y with frequency weights, from each start theta = (beta[, log r]).
 
-    Each start runs L-BFGS-B on the mean log-likelihood and its analytic
-    gradient in (beta, log r), both from one pass of the family's kernel
-    per evaluation; a tighter stage follows when it stops above the
-    gradient gate, and Nelder-Mead on the value alone when that does too.
-    The gate alone judges a stage: with an exact gradient, a line search
-    can end ABNORMAL at a point already below it.  The best optimum is
-    kept.  Returns (theta, cov, log-likelihood, converged, iterations,
-    diagnostics) with theta = (beta[, r]) and cov the inverse observed
-    information in those coordinates, the symmetrised central difference
-    of the same score.  The log-likelihood is the best stage's value at
-    its optimum.
+    Each start runs _newton on the mean log-likelihood, its gradient and
+    its Hessian in (beta, log r), all from one pass of the family's kernel;
+    the best optimum is kept.  Returns (theta, cov, log-likelihood,
+    converged, iterations, diagnostics) with theta = (beta[, r]) and cov the
+    inverse observed information, the last pass's Hessian mapped to r by
+    H_rr = (H_ll - g_l)/r^2, H_beta,r = H_beta,l / r.  ``converged`` is the
+    full gradient's norm below _GRAD_GATE.
     """
     n, k = float(np.sum(weights)), design.shape[1]
     tally = {"pmf_floored": 0, "eta_clamped": 0}
-    messages, iterations = [], 0
 
-    def eta_r(theta):
+    def value_grad_hess(theta):
+        """The negative mean log-likelihood, its gradient and its Hessian."""
         eta, clipped = _eta(theta[:k], design)
         tally["eta_clamped"] += clipped
-        return eta, math.exp(theta[k]) if family.n_shape else family.fixed_r
-
-    def value_grad(theta):
-        """The negative mean log-likelihood and its gradient in theta."""
-        eta, r = eta_r(theta)
-        lp, floored, g_eta, g_logr = family.logpmf_grad(eta, r, y)
+        r = math.exp(theta[k]) if family.n_shape else family.fixed_r
+        lp, floored, g_eta, g_s, h_ee, h_es, h_ss = family.logpmf_grad(eta, r, y)
         tally["pmf_floored"] += floored
-        grad = design.T @ (weights * np.where(np.abs(eta) >= _ETA_CLAMP, 0.0, g_eta))
+        w = np.where(np.abs(eta) >= _ETA_CLAMP, 0.0, weights)  # clamped: flat in beta
+        grad, hess = design.T @ (w * g_eta), design.T @ (design * (w * h_ee)[:, None])
         if family.n_shape:
-            grad = np.append(grad, np.dot(weights, g_logr))
-        return -float(np.dot(weights, lp)) / n, -grad / n
+            cross = design.T @ (w * h_es)
+            grad = np.append(grad, np.dot(weights, g_s))
+            hess = np.block([[hess, cross[:, None]], [cross, np.dot(weights, h_ss)]])
+        return -float(np.dot(weights, lp)) / n, -grad / n, -hess / n
+
+    def span(d):
+        """The largest change of a linear predictor or of log r."""
+        return max(np.max(np.abs(design @ d[:k])), np.max(np.abs(d[k:]), initial=0.0))
 
     # Past +-_ETA_CLAMP every eta of a design of ones is clamped and the
-    # objective is flat, so there that bound is exact; it spares an unbounded
-    # one-coordinate line search its ABNORMAL ends.
+    # objective is flat, so there that bound is exact.
     beta_bounds = ((-_ETA_CLAMP, _ETA_CLAMP) if k == 1 and np.all(design == 1.0)
                    else (None, None))
     bounds = [beta_bounds] * k + [_LOGR_BOUNDS] * family.n_shape
-
-    def stage(x0, method, **options):
-        nonlocal iterations
-        lbfgs = method == "L-BFGS-B"
-        res = _opt.minimize(value_grad if lbfgs else lambda t: value_grad(t)[0], x0,
-                            method=method, options=options, jac=lbfgs,
-                            bounds=bounds if lbfgs else None)
-        iterations += res.nit
-        messages.append(str(res.message))
-        return res
-
-    def fun(res):
-        return res.fun
-
-    def grad_norm(res):
-        return float(np.linalg.norm(res.jac if "jac" in res else value_grad(res.x)[1]))
-
-    def short(res):  # nan-safe
-        return not grad_norm(res) < _GRAD_GATE
-
-    results = []
-    for theta0 in starts:
-        res = stage(theta0, "L-BFGS-B", maxiter=1000, ftol=1e-13, gtol=1e-9)
-        # The ftol test can end a successful stage just above the gradient
-        # gate; the tighter retry then goes on from there.
-        if short(res):
-            res = min(stage(res.x, "L-BFGS-B", maxiter=1000, ftol=1e-14, gtol=1e-10),
-                      res, key=fun)
-            if short(res):
-                res = min(res, stage(res.x, "Nelder-Mead", maxiter=5000, xatol=1e-9,
-                                     fatol=1e-12), key=fun)
-        results.append(res)
-    best = min(results, key=fun)
-    final_norm = grad_norm(best)
-
-    # the tallies count the optimiser's evaluations, not the information's
-    diagnostics = dict(tally, grad_norm=final_norm, messages=messages)
-    theta = best.x.copy()
+    results = [_opt.minimize(value_grad_hess, theta0, method=_newton, bounds=bounds,
+                             options={"span": span}) for theta0 in starts]
+    best = min(results, key=lambda res: res.fun)
+    theta, hess = best.x.copy(), -n * best.hess
     if family.n_shape:
-        theta[k] = math.exp(theta[k])
-    # The score is exact, so the step trades the difference's O(step^2)
-    # truncation against the score's rounding over the step.  On the
-    # NMES-shaped regressions both are about 1e-9 of the standard errors at
-    # 1e-5; 1e-3 left a truncation of 5e-6.
-    steps = 1e-5 * np.maximum(1.0, np.abs(theta))
-    if family.n_shape:
-        steps[k] = min(steps[k], 0.5 * theta[k])
-
-    def score(t):
-        """The log-likelihood gradient in (beta, r): g_r = g_logr / r."""
-        if not family.n_shape:
-            return -n * value_grad(t)[1]
-        g = -n * value_grad(np.append(t[:k], math.log(t[k])))[1]
-        g[k] /= t[k]
-        return g
-
-    hess = np.column_stack([(score(theta + e) - score(theta - e)) / (2.0 * s)
-                            for e, s in zip(np.diag(steps), steps)])
-    hess = 0.5 * (hess + hess.T)
-    diagnostics["hessian"] = hess
+        r = theta[k] = math.exp(theta[k])
+        hess[k, k] += n * best.jac[k]
+        hess[k] /= r
+        hess[:, k] /= r
+    diagnostics = dict(tally, grad_norm=float(np.linalg.norm(best.jac)),
+                       messages=[str(res.message) for res in results],
+                       evaluations=sum(res.nfev for res in results),
+                       hessian_shifts=sum(res.hessian_shifts for res in results),
+                       step_halvings=sum(res.step_halvings for res in results),
+                       hessian=hess, condition=float(np.linalg.cond(hess)))
     try:
         cov = np.linalg.inv(-hess)
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(-hess)
         diagnostics["singular_hessian"] = True
-    return theta, cov, float(-n * best.fun), final_norm < _GRAD_GATE, iterations, diagnostics
+    return (theta, cov, float(-n * best.fun), diagnostics["grad_norm"] < _GRAD_GATE,
+            sum(res.nit for res in results), diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -10,21 +10,13 @@ which rounds to 0 once eta is below about log r - 37.
 
 Each fit is build_design, a rank check, one start (intercept log mean,
 log r from the moment estimate) and the fitting engine of
-``estimation._fit`` with unit weights: joint quasi-Newton ascent over
-(beta, log r) with the analytic gradient
-
-    dl/dbeta_k = sum_i y_ki (p_i m_i - r q_i),
-    dl/dlog r  = sum_i [ r (log p_i + E[H_k | k >= x_i]) - p_i m_i + r q_i ],
-
-m_i = E[k | k >= x_i] and H_k = psi(r+k) - psi(r), both means over the
-terms nb(k)/(k+1) whose sum is the pmf, evaluated in the same kernel pass
-as the likelihood (for the negative binomial, m_i = x_i and the sum
-collapses to its one term).  Standard errors invert the observed
-information in the original (beta, r) coordinates, the central difference
-of that score.
-Linear predictors are clamped to |eta| <= 700 and per-observation
-probabilities floored at 1e-300, both counted in the fit diagnostics, so
-line searches survive excursions far from the optimum.
+``estimation._fit`` with unit weights: Newton's method over (beta, log r)
+on the log-likelihood, its gradient and its Hessian from one kernel pass
+(for UNB, means and variances of k and H_k = psi(r+k) - psi(r) over the
+terms nb(k)/(k+1) whose sum is the pmf).  Standard errors invert the last
+pass's observed information in (beta, r).  Linear predictors are clamped
+to |eta| <= 700 and per-observation probabilities floored at 1e-300,
+both counted in the fit diagnostics.
 """
 
 from __future__ import annotations

@@ -72,7 +72,7 @@ def mp_logpmf_mpf(r, p, x, q=None):
 def fd_hessian(f, theta, steps):
     """Symmetric central-difference Hessian of a scalar function from its
     values alone, 2k^2 + 1 of them: the oracle for the fitting engine's
-    observed information, which differences the score instead."""
+    observed information, its kernel's analytic Hessian."""
     k = len(theta)
     hess = np.empty((k, k))
     f0 = f(theta)

@@ -16,6 +16,7 @@ from unbcount.distributions import (
     NbParams,
     UnbParams,
     UpParams,
+    _trigamma,
     _unb_logpmf,
     geom_pmf,
     nb_cdf,
@@ -398,6 +399,14 @@ class TestComparators:
         x_star = nb_tail_cutoff(params, 1e-12)
         assert 1.0 - nb_cdf(params, x_star - 1) < 1e-12
 
+    def test_tail_cutoff_where_p_to_the_r_underflows(self):
+        # p^r = 0.01^300 underflows, so a sum of the pmf up from it stays 0
+        start = time.perf_counter()
+        assert unb_mgf(UnbParams(300.0, 0.01), 0.0) == pytest.approx(1.0, abs=1e-9)
+        assert time.perf_counter() - start < 0.5
+        x = nb_tail_cutoff(NbParams(300.0, 0.01), 1e-14)
+        assert ssp.betainc(x, 300.0, 0.99) < 1e-14 <= ssp.betainc(x - 1, 300.0, 0.99)
+
 
 class TestNormalization:
     @pytest.mark.parametrize("r,p", GRID)
@@ -432,6 +441,10 @@ class TestMonotoneDecrease:
 
 
 class TestKernels:
+    def test_trigamma_against_scipy_zeta(self):
+        x = np.exp(np.linspace(-9.0, 14.0, 400))
+        assert np.max(np.abs(_trigamma(x) / ssp.zeta(2.0, x) - 1.0)) <= 2e-15
+
     @pytest.mark.parametrize("r", [0.7, 1.0, 2.5, 6.0])
     def test_logpmf_kernel_matches_scalar(self, r, rng):
         ps = rng.uniform(0.05, 0.95, 50)
@@ -458,9 +471,33 @@ class TestKernels:
 R_SCORE_R = (0.05, 0.3, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 3.0, 20.0, 300.0)
 R_SCORE_P = (0.01, 0.5, 0.999)
 R_SCORE_X = np.array([0, 1, 5, 20, 150])
+HESS_R = (math.exp(-8.0), 0.5, 1.0 - 1e-6, 1.0 + 1e-6, 3.0, 50.0)
+HESS_ETA = (-700.0, -40.0, 0.0, 5.0)
 ORACLE_R = (0.2, 0.7, 1.0, 1.5, 3.7, 12.0, 50.0)
 ORACLE_P = (0.01, 0.05, 0.2, 0.5, 0.8, 0.95)
 ORACLE_X = np.array([0, 1, 2, 5, 17, 60, 150, 400, 1000])
+
+
+def mp_logit_r_derivatives(r, eta, x):
+    """First and second derivatives of the mpmath log pmf in (logit p, r)
+    at logit p = log(r/2) - eta, from a nine-point central-difference
+    stencil with relative steps 1e-12 at 50 digits."""
+    with mpmath.workdps(50):
+        r = mpmath.mpf(r)
+        ell = mpmath.log(r / 2) - eta
+        hl, hr = mpmath.mpf("1e-12") * max(1, abs(ell)), mpmath.mpf("1e-12") * r
+
+        def f(i, j):
+            lg = ell + i * hl
+            return mp_logpmf_mpf(r + j * hr, 1 / (1 + mpmath.exp(-lg)), x,
+                                 q=1 / (1 + mpmath.exp(lg)))
+
+        v = {(i, j): f(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)}
+        return [float(d) for d in (
+            (v[1, 0] - v[-1, 0]) / (2 * hl), (v[0, 1] - v[0, -1]) / (2 * hr),
+            (v[1, 0] - 2 * v[0, 0] + v[-1, 0]) / hl ** 2,
+            (v[1, 1] - v[1, -1] - v[-1, 1] + v[-1, -1]) / (4 * hl * hr),
+            (v[0, 1] - 2 * v[0, 0] + v[0, -1]) / hr ** 2)]
 
 
 class TestExactLogPmf:
@@ -530,17 +567,41 @@ class TestExactLogPmf:
             rows = [v[:-1] for v in _unb_logpmf(
                 r, np.append(np.full(R_SCORE_X.size, p), 0.77), np.append(R_SCORE_X, 3),
                 grad=True)]
-            for _, d_logit, d_r in (shared, rows):
+            for _, d_logit, d_r, *_ in (shared, rows):
                 for got, exact in ((d_r, exact_r), (d_logit, exact_logit)):
                     err = np.abs(got - exact) / np.maximum(1.0, np.abs(exact))
                     assert np.max(err) <= 1e-10, (r, p, err)
 
+    @pytest.mark.parametrize("r", HESS_R)
+    def test_second_derivatives_against_mpmath(self, r):
+        # (d/d logit p, d/dr, d2/d logit p^2, d2/d logit p dr, d2/dr^2) at
+        # p = r/(2 e^eta + r), the UNB regression's link, against a
+        # nine-point central-difference stencil of the mpmath log pmf in
+        # (logit p, r), on both passes and through both forms.  At r = e^-8
+        # and eta = 5 (p = 1.1e-6) the tail is cut after 2^20 terms and the
+        # log pmf itself is 1e-4 off, so that corner is left out.
+        xs = np.array([0, 2, 15, 300])
+        for eta in HESS_ETA:
+            if r < 1e-3 and eta > 0.0:
+                continue
+            p, q = r / (2.0 * math.exp(eta) + r), 2.0 * math.exp(eta) / (2.0 * math.exp(eta) + r)
+            exact = np.array([mp_logit_r_derivatives(r, eta, int(x)) for x in xs]).T
+            shared = _unb_logpmf(r, p, xs, grad=True, q=q)[1:]
+            rows = [v[:-1] for v in _unb_logpmf(
+                r, np.append(np.full(xs.size, p), 0.77), np.append(xs, 3), grad=True,
+                q=np.append(np.full(xs.size, q), 0.23))[1:]]
+            for got in (shared, rows):
+                for d, (g, e) in enumerate(zip(got, exact)):
+                    assert np.all(np.abs(g - e) <= np.maximum(1e-9, 1e-7 * np.abs(e))), (
+                        eta, d, g, e)
+
     def test_kernel_gradient_is_the_unfloored_derivatives(self):
         p, xs = np.array([0.3, 0.6]), np.array([2, 4000])
-        lp, floored, d_logit, d_r = unb_logpmf_kernel(2.0, p, xs, grad=True)
-        exact, e_logit, e_r = _unb_logpmf(2.0, p, xs, grad=True)
+        lp, floored, *derivs = unb_logpmf_kernel(2.0, p, xs, grad=True)
+        exact, *e_derivs = _unb_logpmf(2.0, p, xs, grad=True)
         assert floored == 1 and lp[1] == math.log(1e-300) and exact[1] < lp[1]
-        assert np.array_equal(d_logit, e_logit) and np.array_equal(d_r, e_r)
+        assert len(derivs) == 5
+        assert all(np.array_equal(d, e) for d, e in zip(derivs, e_derivs))
 
     # Error in log pmf against mpmath at the box corners: r = e^-8 with p
     # near 0 has a k^-2 tail, cut after 2^20 terms (measured 4.5e-7 at x = 1,

@@ -230,7 +230,7 @@ class TestFitMle:
         data = np.append(unb_sample(UnbParams(1.5, 0.2), 2000, seed=7), 200)
         fit = fit_mle(data)
         assert fit.converged
-        # one successful L-BFGS-B stage per start: no retry, no Nelder-Mead
+        # every start's Newton run ends on the gradient test
         assert all(m.startswith("CONVERGENCE") for m in fit.diagnostics["messages"])
         assert fit.diagnostics["pmf_floored"] == 0
         xs, counts = np.unique(data, return_counts=True)
@@ -299,10 +299,13 @@ class TestComparatorFits:
 
 
 def mp_family_logpmf(model, eta, r, y):
-    """Exact log pmf of the UNB or NB family at eta, with p and q from the
-    mean at enough digits that p = 1 - q is not rounded to 1."""
+    """Exact log pmf of a family at eta, with p and q from the mean at
+    enough digits that p = 1 - q is not rounded to 1."""
     with mpmath.workdps(40 + int(abs(eta) / 2)):
         mu, r = mpmath.exp(mpmath.mpf(eta)), mpmath.mpf(r)
+        if model == "up":  # P(N > y) / lam with N ~ Poisson(lam = 2 mu)
+            return (mpmath.log(mpmath.gammainc(y + 1, 0, 2 * mu, regularized=True))
+                    - mpmath.log(2 * mu))
         kappa = 2 if model == "unb" else 1
         p, q = r / (kappa * mu + r), kappa * mu / (kappa * mu + r)
         if model == "unb":
@@ -372,6 +375,27 @@ class TestOneEngine:
         assert np.isfinite(g_eta[0])
         assert g_eta[0] == pytest.approx(fd, rel=1e-6)
 
+    @pytest.mark.parametrize("model", ["unb", "nb", "up", "geometric"])
+    def test_second_derivatives_in_eta_and_log_r(self, model):
+        # Against a nine-point central-difference stencil of the mpmath log
+        # pmf in (eta, log r); the up and geometric laws have eta alone.
+        family = _FAMILIES[model]
+        y = np.array([0, 1, 4, 30])
+        h = mpmath.mpf("1e-12")
+        for eta in (-40.0, -1.0, 0.5, 3.0):
+            for r in ((0.3, 2.0, 50.0) if family.n_shape else (family.fixed_r or 1.0,)):
+                got = family.logpmf_grad(np.full(y.size, eta), r, y)[4:]
+                for i, x in enumerate(y):
+                    with mpmath.workdps(50):
+                        v = {(a, b): mp_family_logpmf(model, eta + a * h, r * mpmath.exp(b * h),
+                                                      int(x))
+                             for a in (-1, 0, 1) for b in (-1, 0, 1)}
+                        exact = [(v[1, 0] - 2 * v[0, 0] + v[-1, 0]) / h ** 2,
+                                 (v[1, 1] - v[1, -1] - v[-1, 1] + v[-1, -1]) / (4 * h * h),
+                                 (v[0, 1] - 2 * v[0, 0] + v[0, -1]) / h ** 2]
+                    for g, e in zip(got, exact[:1 + 2 * family.n_shape]):
+                        assert g[i] == pytest.approx(float(e), rel=1e-7, abs=1e-9)
+
     @pytest.mark.parametrize("model", ["unb", "nb"])
     def test_log_r_derivative_vs_central_difference(self, model):
         family = _FAMILIES[model]
@@ -387,8 +411,8 @@ class TestOneEngine:
                     assert g_logr[i] == pytest.approx(fd, rel=1e-8, abs=1e-10)
 
     def test_stage_below_gate_is_final_whatever_its_message(self, monkeypatch):
-        # With an exact gradient a line search can end ABNORMAL at a point
-        # already below the gate; that stage ends the ladder.
+        # The gate alone judges a Newton run: one that reports failure at a
+        # point already below the gate ends the fit, converged.
         real_minimize = estimation._opt.minimize
         methods = []
 
@@ -400,13 +424,13 @@ class TestOneEngine:
 
         monkeypatch.setattr(estimation._opt, "minimize", abnormal)
         fit = fit_nb_mle(unb_sample(UnbParams(2.0, 0.45), 2000, 5))
-        assert methods == ["L-BFGS-B"]
+        assert methods == [estimation._newton]
         assert fit.diagnostics["messages"] == ["ABNORMAL: "]
         assert fit.converged and fit.diagnostics["grad_norm"] < 1e-6
 
     def test_nb_marginal_mle_converges(self):
         # One L-BFGS-B stage from a start clipped to logit p in [-8, 8]
-        # stopped this fit unconverged; the engine's ladder finishes it.
+        # stopped this fit unconverged; Newton's method finishes it.
         fit = fit_nb_mle(unb_sample(UnbParams(1.0, 0.6), 200_000, 809))
         assert fit.converged
         assert fit.diagnostics["grad_norm"] < 1e-6
@@ -457,3 +481,32 @@ class TestOneEngine:
         assert fit.log_likelihood == pytest.approx(loglik, rel=1e-9)
         assert astuple(fit.params) == pytest.approx(estimates, rel=1e-6)
         assert fit.std_errors == pytest.approx(std_errors, rel=1e-4)
+
+
+class TestFitTrace:
+    def test_lone_outlier_trace(self):
+        data = np.append(unb_sample(UnbParams(1.5, 0.2), 2000, seed=7), 200)
+        fit = fit_mle(data)
+        diag = fit.diagnostics
+        # one kernel pass at each start, then one per trial point
+        assert diag["evaluations"] == (len(diag["messages"]) + fit.iterations
+                                       + diag["step_halvings"])
+        assert diag["evaluations"] <= 12 and diag["hessian_shifts"] == 0
+        assert diag["condition"] == pytest.approx(np.linalg.cond(diag["hessian"]), rel=1e-12)
+        assert 1.0 < diag["condition"] < 1e3
+
+    def test_fit_on_the_log_r_bound(self):
+        # Poisson counts are less dispersed than any UNB law: r runs to the
+        # box's e^8, where the log r gradient still points out of the box.
+        fit = fit_mle(np.random.default_rng(11).poisson(4.0, 2000))
+        diag = fit.diagnostics
+        assert fit.params.r == pytest.approx(math.exp(8.0), rel=1e-12)
+        assert diag["messages"] == ["CONVERGENCE: NORM OF PROJECTED GRADIENT <= GTOL"]
+        assert not fit.converged and diag["grad_norm"] > 1e-6
+        assert diag["evaluations"] <= 12 and diag["step_halvings"] == 0
+        assert diag["condition"] > 1e9
+
+    @pytest.mark.parametrize("model", list(MARGINAL_FITS))
+    def test_all_zero_input_raises(self, model):
+        with pytest.raises(DegenerateDataError):
+            MARGINAL_FITS[model]([0] * 50)

@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,9 @@ from unbcount.regression import (
 )
 
 from conftest import fd_hessian
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
 
 
 def make_dataset(yv, **covs):
@@ -129,26 +134,28 @@ class TestUnbRegressionFit:
         assert abs(fit.beta[2] + 0.4) <= 0.15
         assert abs(fit.r - 1.5) <= 0.4
 
-    def test_stage_stopped_above_gradient_gate_is_retried(self, monkeypatch):
-        # A loose ftol on the first L-BFGS-B stage makes it report success
-        # well above the gradient gate; the tighter retry must finish the job.
-        real_minimize = estimation._opt.minimize
-        methods = []
-
-        def loose_first_stage(*args, **kwargs):
-            if not methods:
-                kwargs["options"] = dict(kwargs["options"], ftol=1e-5)
-            methods.append(kwargs.get("method"))
-            return real_minimize(*args, **kwargs)
-
-        monkeypatch.setattr(estimation._opt, "minimize", loose_first_stage)
+    def test_newton_shifts_a_hessian_that_is_not_negative_definite(self):
+        # From beta = 0 with log r on its upper bound the log-likelihood's
+        # Hessian has a positive eigenvalue; the shifted steps still reach
+        # the optimum of the default start.
         rng = np.random.default_rng(42)
         data, _ = simulate_reg(
             rng, 2000, np.array([0.3, 0.5]), 1.5,
             lambda rg, n: {"z1": rg.normal(0, 1, n)})
-        fit = fit_unb_regression(data, RegressionSpec("y", ("z1",)))
-        assert methods[:2] == ["L-BFGS-B", "L-BFGS-B"]
-        assert fit.converged
+        spec = RegressionSpec("y", ("z1",))
+        design, y, _ = build_design(data, spec)
+        family, start = _FAMILIES["unb"], np.array([0.0, 0.0, 8.0])
+        *_, h_ee, h_es, h_ss = family.logpmf_grad(design @ start[:2], math.exp(8.0), y)
+        cross = design.T @ h_es
+        hess = np.block([[design.T @ (design * h_ee[:, None]), cross[:, None]],
+                         [cross[None, :], np.sum(h_ss)]])
+        assert np.max(np.linalg.eigvalsh(hess)) > 0.0
+        theta, _, loglik, converged, _, diag = estimation._fit(
+            family, design, y, np.ones(y.size), [start])
+        assert converged and diag["hessian_shifts"] > 0
+        fit = fit_unb_regression(data, spec)
+        assert loglik == pytest.approx(fit.log_likelihood, rel=1e-12)
+        assert theta == pytest.approx(np.append(fit.beta, fit.r), rel=1e-6)
 
     def test_intercept_only_recovery(self):
         # mean exp(0.4), r = 2; the intercept should land near 0.4
@@ -230,6 +237,28 @@ class TestUnbRegressionFit:
 
 REGRESSION_FITS = {"unb": fit_unb_regression, "nb": fit_nb_regression,
                    "up": fit_up_regression}
+
+
+class TestPassBudget:
+    def test_nmes_shaped_fits_within_pass_budget(self, monkeypatch):
+        # Every UNB kernel pass of the fit counts: the start's moment fit,
+        # the optimiser's, and no separate information step.
+        calls = {"n": 0}
+        real = distributions.unb_logpmf_kernel
+
+        def counted(*args, **kwargs):
+            calls["n"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(distributions, "unb_logpmf_kernel", counted)
+        covs, y = gen.nmes_dataset(0)
+        data = make_dataset(y, **{c: covs[:, j] for j, c in enumerate(gen.COVARIATES)})
+        spec = RegressionSpec("y", gen.COVARIATES)
+        for model, budget in (("unb", 30), ("nb", 15), ("up", 15)):
+            fit = REGRESSION_FITS[model](data, spec)
+            assert fit.converged and fit.diagnostics["grad_norm"] <= 1e-8, model
+            assert fit.diagnostics["evaluations"] <= budget, model
+        assert calls["n"] <= 30
 
 
 class TestObservedInformation:
