@@ -156,22 +156,6 @@ def unb_dispersion_index(params: UnbParams) -> float:
     return 1.0 + 4.0 * q / (6.0 * p) + r * q / (6.0 * p)
 
 
-def _one_minus_pow_over(u: float, r: float) -> float:
-    """(1 - u^(1-r)) / (r - 1), continuous through r = 1 where it is log u."""
-    lu = math.log(u)
-    if r == 1.0:
-        return lu
-    return -math.expm1((1.0 - r) * lu) / (r - 1.0)
-
-
-def _mgf_series(params: UnbParams, w: float) -> float:
-    """E[w^X] by direct summation, used near the removable singularity w = 1."""
-    cutoff = nb_tail_cutoff(NbParams(params.r, params.p), tail=1e-14)
-    pmf = unb_pmf_vector(params, cutoff)
-    x = np.arange(cutoff + 1, dtype=float)
-    return float(np.sum(pmf * w ** x))
-
-
 def unb_mgf(params: UnbParams, t: float) -> float:
     """Moment generating function E[e^(tX)] = unb_pgf(e^t), defined for
     t < -log q.  The printed source formula carries a spurious e^(-t) factor
@@ -184,15 +168,16 @@ def unb_mgf(params: UnbParams, t: float) -> float:
 
 def unb_pgf(params: UnbParams, s: float) -> float:
     """Probability generating function E[s^X] for |s| < 1/q, in closed form
-    p^r [g(p) - g(1 - q s)] / (q (s - 1)) with g(u) = (1 - u^(1-r))/(r - 1)."""
+    exprel((1 - r) L) L / z with z = q (1 - s) / p and L = log(1 + z): the
+    mixture's p^r [g(p) - g(1 - q s)] / (q (s - 1)), g(u) = (1 - u^(1-r)) /
+    (r - 1), with 1 - q s = p (1 + z).  It is continuous through s = 1,
+    where L / z = 1, and through r = 1."""
     r, p, q = params.r, params.p, params.q
     if not abs(s) < 1.0 / q:
         raise DomainError(f"pgf requires |s| < 1/q = {1.0 / q}, got {s}")
-    if abs(s - 1.0) < 1e-6:
-        return _mgf_series(params, s)
-    g_p = _one_minus_pow_over(p, r)
-    g_s = _one_minus_pow_over(1.0 - q * s, r)
-    return math.exp(r * math.log(p)) * (g_p - g_s) / (q * (s - 1.0))
+    z = q * (1.0 - s) / p
+    log_z1 = math.log1p(z)
+    return float(_sps.exprel((1.0 - r) * log_z1)) * (log_z1 / z if z else 1.0)
 
 
 def unb_sample(params: UnbParams, n: int, seed: int) -> np.ndarray:

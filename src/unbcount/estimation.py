@@ -4,9 +4,10 @@ and the one fitting engine that the regressions share.
 Method of moments inverts the closed-form mean and second moment.  Every
 maximum-likelihood fit, marginal or regression, runs on ``_fit``: a
 family (UNB, negative binomial, uniform-Poisson, geometric) with log-link
-mean mu = exp(eta), eta = design @ beta, fitted over (beta, log r) by
-damped Newton steps on the log-likelihood, its gradient and its Hessian,
-all three from one kernel pass per evaluation.  A marginal fit is the
+mean mu = exp(eta), eta = design @ beta, fitted over (beta, log r) by one
+damped Newton run from one start on the log-likelihood, its gradient and
+its Hessian, all three from one kernel pass per evaluation; a start where
+they are not finite raises NonConvergenceError.  A marginal fit is the
 intercept-only fit on the distinct counts with their frequencies as
 weights; its law's parameters ((r, p), lam or p) and their standard
 errors follow from (intercept, r) by the delta method.  Standard errors
@@ -33,6 +34,7 @@ from .errors import (
     DataError,
     DegenerateDataError,
     DomainError,
+    NonConvergenceError,
     UnderDispersionError,
 )
 from .specfun import ThetaArgs, digamma, kampe_theta1, series_2f1_raw
@@ -72,7 +74,7 @@ class FitResult:
     fits, NbParams / UpParams / GeomParams for the comparators).
     ``std_errors``, ``cov_matrix`` and ``conf_intervals`` are None for the
     method-of-moments fit.  The maximum-likelihood fits' ``diagnostics``
-    hold ``grad_norm``, ``messages`` (one per start), ``evaluations``
+    hold ``grad_norm``, ``messages`` (the one run's), ``evaluations``
     (kernel passes), ``hessian_shifts`` (steps whose Hessian was not
     negative definite), ``step_halvings``, ``pmf_floored``,
     ``eta_clamped`` (both summed over evaluations), ``hessian`` in the
@@ -125,20 +127,24 @@ def sample_moments(data) -> MomentSummary:
                          dispersion_index=disp, zero_proportion=zero)
 
 
+def _moment_r(m1: float, m2: float) -> float:
+    """Moment estimate r = 4 m1^2 / (3(m2 - m1) - 4 m1^2); its law has mean m1."""
+    denom = 3.0 * (m2 - m1) - 4.0 * m1 ** 2
+    if denom <= 0.0:
+        raise UnderDispersionError(
+            "3(m2 - m1) - 4 m1^2 <= 0: no admissible moment solution "
+            f"(m1={m1:.6g}, m2={m2:.6g})")
+    return 4.0 * m1 ** 2 / denom
+
+
 def fit_mm(data) -> FitResult:
     """Method-of-moments estimates r = 4 m1^2 / (3(m2 - m1) - 4 m1^2),
     p = r / (2 m1 + r)."""
     mom = sample_moments(data)
     if mom.m1 == 0.0:
         raise DegenerateDataError("all observations are zero; moments carry no signal")
-    denom = 3.0 * (mom.m2 - mom.m1) - 4.0 * mom.m1 ** 2
-    if denom <= 0.0:
-        raise UnderDispersionError(
-            "3(m2 - m1) - 4 m1^2 <= 0: no admissible moment solution "
-            f"(m1={mom.m1:.6g}, m2={mom.m2:.6g})")
-    r_hat = 4.0 * mom.m1 ** 2 / denom
-    p_hat = r_hat / (2.0 * mom.m1 + r_hat)
-    params = UnbParams(r_hat, p_hat)
+    r_hat = _moment_r(mom.m1, mom.m2)
+    params = UnbParams(r_hat, r_hat / (2.0 * mom.m1 + r_hat))
     ll = unb_loglik(params, data)
     return FitResult(params=params, log_likelihood=ll, std_errors=None,
                      cov_matrix=None, conf_intervals=None,
@@ -412,17 +418,18 @@ def _newton(fun, x0, *, span, args=(), bounds=(), **_):
                                step_halvings=halvings)
 
 
-def _fit(family, design, y, weights, starts):
+def _fit(family, design, y, weights, theta0):
     """Maximum likelihood of ``family`` with eta = design @ beta over the
-    counts y with frequency weights, from each start theta = (beta[, log r]).
+    counts y with frequency weights, from the start theta0 = (beta[, log r]).
 
-    Each start runs _newton on the mean log-likelihood, its gradient and
-    its Hessian in (beta, log r), all from one pass of the family's kernel;
-    the best optimum is kept.  Returns (theta, cov, log-likelihood,
-    converged, iterations, diagnostics) with theta = (beta[, r]) and cov the
-    inverse observed information, the last pass's Hessian mapped to r by
-    H_rr = (H_ll - g_l)/r^2, H_beta,r = H_beta,l / r.  ``converged`` is the
-    full gradient's norm below _GRAD_GATE.
+    One _newton run on the mean log-likelihood, its gradient and its
+    Hessian in (beta, log r), all from one pass of the family's kernel.
+    Returns (theta, cov, log-likelihood, converged, iterations, diagnostics)
+    with theta = (beta[, r]) and cov the inverse observed information, the
+    last pass's Hessian mapped to r by H_rr = (H_ll - g_l)/r^2, H_beta,r =
+    H_beta,l / r.  ``converged`` is the full gradient's norm below
+    _GRAD_GATE.  A start where the log-likelihood or its Hessian is not
+    finite raises NonConvergenceError.
     """
     n, k = float(np.sum(weights)), design.shape[1]
     tally = {"pmf_floored": 0, "eta_clamped": 0}
@@ -451,28 +458,29 @@ def _fit(family, design, y, weights, starts):
     beta_bounds = ((-_ETA_CLAMP, _ETA_CLAMP) if k == 1 and np.all(design == 1.0)
                    else (None, None))
     bounds = [beta_bounds] * k + [_LOGR_BOUNDS] * family.n_shape
-    results = [_opt.minimize(value_grad_hess, theta0, method=_newton, bounds=bounds,
-                             options={"span": span}) for theta0 in starts]
-    best = min(results, key=lambda res: res.fun)
-    theta, hess = best.x.copy(), -n * best.hess
+    res = _opt.minimize(value_grad_hess, theta0, method=_newton, bounds=bounds,
+                        options={"span": span})
+    if not _finite(res.fun, res.hess):
+        raise NonConvergenceError(
+            f"{family.name} fit: {res.message} at theta = {np.asarray(theta0).tolist()}")
+    theta, hess = res.x.copy(), -n * res.hess
     if family.n_shape:
         r = theta[k] = math.exp(theta[k])
-        hess[k, k] += n * best.jac[k]
+        hess[k, k] += n * res.jac[k]
         hess[k] /= r
         hess[:, k] /= r
-    diagnostics = dict(tally, grad_norm=float(np.linalg.norm(best.jac)),
-                       messages=[str(res.message) for res in results],
-                       evaluations=sum(res.nfev for res in results),
-                       hessian_shifts=sum(res.hessian_shifts for res in results),
-                       step_halvings=sum(res.step_halvings for res in results),
+    diagnostics = dict(tally, grad_norm=float(np.linalg.norm(res.jac)),
+                       messages=[str(res.message)], evaluations=res.nfev,
+                       hessian_shifts=res.hessian_shifts,
+                       step_halvings=res.step_halvings,
                        hessian=hess, condition=float(np.linalg.cond(hess)))
     try:
         cov = np.linalg.inv(-hess)
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(-hess)
         diagnostics["singular_hessian"] = True
-    return (theta, cov, float(-n * best.fun), diagnostics["grad_norm"] < _GRAD_GATE,
-            sum(res.nit for res in results), diagnostics)
+    return (theta, cov, float(-n * res.fun), diagnostics["grad_norm"] < _GRAD_GATE,
+            res.nit, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +500,12 @@ def _marginal_counts(data, level: float):
     return xs, w, m1
 
 
-def _fit_marginal(family, xs, w, starts, level: float) -> FitResult:
+def _fit_marginal(family, xs, w, theta0, level: float) -> FitResult:
     """The intercept-only fit with the frequencies as weights.  The law's
     parameters and their covariance follow from (intercept[, r]) by the
     delta method, exact at the optimum, where the gradient is zero."""
     theta, cov, ll, converged, iterations, diagnostics = _fit(
-        family, np.ones((xs.size, 1)), xs, w, starts)
+        family, np.ones((xs.size, 1)), xs, w, theta0)
     params, jac = family.law(theta)
     cov = jac @ cov @ jac.T
     se = tuple(math.sqrt(max(v, 0.0)) for v in np.diag(cov))
@@ -510,31 +518,33 @@ def _fit_marginal(family, xs, w, starts, level: float) -> FitResult:
 
 
 def fit_mle(data, init: Optional[UnbParams] = None, level: float = 0.95) -> FitResult:
-    """Maximum likelihood over (r, p).
+    """Maximum likelihood over (r, p), one Newton run from one start.
 
-    The initialiser defaults to the moment estimate when admissible; the
-    geometric-submodel start (r = 2, p = 1/(1 + mean)) is always tried as
-    well and the better optimum kept.  Standard errors and confidence
-    intervals come from the inverse observed information at the optimum.
+    The start is ``init`` when given, else the moment estimate, else, for a
+    sample too little dispersed for it, the geometric submodel (r = 2) at
+    the sample mean; both have mean m1.  A start where the log-likelihood
+    is not finite (p = 1e-300, say) raises NonConvergenceError.  Standard
+    errors and confidence intervals come from the inverse observed
+    information at the optimum.
     """
     xs, w, m1 = _marginal_counts(data, level)
-    starts = [] if init is None else [init]
-    if init is None:
+    if init is not None:
+        theta0 = [_FAMILIES["unb"].eta_of(init)[0], math.log(init.r)]
+    else:
         try:
-            starts.append(fit_mm(data).params)
-        except DataError:
-            pass
-    thetas = [np.array([_FAMILIES["unb"].eta_of(s)[0], math.log(s.r)]) for s in starts]
-    thetas.append(np.array([math.log(m1), math.log(2.0)]))
-    return _fit_marginal(_FAMILIES["unb"], xs, w, thetas, level)
+            r0 = _moment_r(m1, float(np.dot(w, xs * xs)) / np.sum(w))
+        except UnderDispersionError:
+            r0 = 2.0
+        theta0 = [math.log(m1), math.log(r0)]
+    return _fit_marginal(_FAMILIES["unb"], xs, w, np.array(theta0), level)
 
 
 def fit_geometric(data, level: float = 0.95) -> FitResult:
     """Geometric MLE p = 1/(1 + mean), with observed-information standard
     error; the mean is the start and the optimum."""
     xs, w, m1 = _marginal_counts(data, level)
-    return _fit_marginal(_FAMILIES["geometric"], xs, w,
-                         [np.array([math.log(m1)])], level)
+    return _fit_marginal(_FAMILIES["geometric"], xs, w, np.array([math.log(m1)]),
+                         level)
 
 
 def lr_test_geometric(data) -> LrTestResult:
@@ -557,12 +567,11 @@ def fit_nb_mle(data, level: float = 0.95) -> FitResult:
     var = float(np.dot(w, (xs - m1) ** 2)) / max(np.sum(w) - 1.0, 1.0)
     r0 = m1 ** 2 / (var - m1) if var > m1 else 2.0
     start = np.array([math.log(m1), math.log(min(max(r0, 1e-2), 1e3))])
-    return _fit_marginal(_FAMILIES["nb"], xs, w, [start], level)
+    return _fit_marginal(_FAMILIES["nb"], xs, w, start, level)
 
 
 def fit_up_mle(data, level: float = 0.95) -> FitResult:
     """Uniform-Poisson MLE for the latent rate, started at twice the sample
     mean (the distribution mean is lam/2)."""
     xs, w, m1 = _marginal_counts(data, level)
-    return _fit_marginal(_FAMILIES["up"], xs, w, [np.array([math.log(m1)])],
-                         level)
+    return _fit_marginal(_FAMILIES["up"], xs, w, np.array([math.log(m1)]), level)

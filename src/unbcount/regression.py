@@ -8,8 +8,9 @@ one, whose mean is lam / 2, so all three models share the same
 conditional-mean scale.  q_i is computed from mu_i, never as 1 - p_i,
 which rounds to 0 once eta is below about log r - 37.
 
-Each fit is build_design, a rank check, one start (intercept log mean,
-log r from the moment estimate) and the fitting engine of
+Each fit is build_design, a rank check, a check that some response is
+non-zero (else no maximum-likelihood estimate exists), one start
+(intercept log mean, log r from the moment estimate) and the engine of
 ``estimation._fit`` with unit weights: Newton's method over (beta, log r)
 on the log-likelihood, its gradient and its Hessian from one kernel pass
 (for UNB, means and variances of k and H_k = psi(r+k) - psi(r) over the
@@ -32,7 +33,8 @@ from scipy import optimize as _opt  # noqa: F401
 from scipy import special as _sps
 
 from .datasets import Dataset
-from .errors import DataError, DegenerateVuongError, DomainError, RankDeficientError
+from .errors import (DataError, DegenerateDataError, DegenerateVuongError, DomainError,
+                     RankDeficientError)
 from .estimation import _FAMILIES, _eta, _fit, fit_mm
 
 __all__ = [
@@ -140,12 +142,15 @@ def unb_reg_loglik(beta, r: float, design: np.ndarray, y) -> float:
 
 
 def _regress(family, dataset, spec: RegressionSpec) -> RegressionFit:
-    """The design, a rank check, one start and the engine, unit weights."""
+    """The design, rank and all-zero checks, one start and the engine."""
     design, y, names = build_design(dataset, spec)
     n, k = design.shape
     if n <= k + 1:
         raise DataError(f"need more rows than parameters: n={n}, columns={k}")
     _check_rank(design)
+    if not np.any(y):
+        raise DegenerateDataError("all responses are zero: the likelihood increases "
+                                  "as the mean goes to 0 and no maximum exists")
     theta0 = np.zeros(k + family.n_shape)
     if spec.intercept:
         theta0[0] = math.log(float(np.mean(y)) + 0.5 / n)
@@ -156,7 +161,7 @@ def _regress(family, dataset, spec: RegressionSpec) -> RegressionFit:
             r0 = 2.0
         theta0[k] = math.log(min(max(r0, 1e-3), 1e3))
     theta, cov, ll, converged, iterations, diagnostics = _fit(
-        family, design, y, np.ones(n), [theta0])
+        family, design, y, np.ones(n), theta0)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         wald = np.where(se > 0, theta / se, np.nan)

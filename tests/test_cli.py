@@ -166,6 +166,16 @@ class TestRegress:
         assert code == 2
         assert "rank" in err
 
+    @pytest.mark.parametrize("command", [["regress"], ["compare", "--models", "unb,nb"]])
+    def test_all_zero_response_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "zero.csv"
+        z = np.random.default_rng(3).normal(0.0, 1.0, 200)
+        path.write_text("y,z\n" + "".join(f"0,{zi}\n" for zi in z), encoding="utf-8")
+        code, out, err = run_cli([*command, "--input", str(path), "--response", "y",
+                                  "--covariates", "z"], capsys)
+        assert code == 2 and out == ""
+        assert "all responses are zero" in err
+
     def test_requires_covariates(self, tmp_path, capsys):
         path = self._make_csv(tmp_path)
         code, _, err = run_cli(["regress", "--input", path, "--response", "y"],

@@ -303,6 +303,50 @@ class TestGeneratingFunctions:
             unb_pgf(params, 2.5)
 
 
+def mp_pgf(r, p, s):
+    """The mixture's p^r [g(p) - g(1 - q s)] / (q (s - 1)), g(u) =
+    (1 - u^(1-r)) / (r - 1), at 60 digits; 1 at s = 1."""
+    with mpmath.workdps(60):
+        r, p, s = mpmath.mpf(r), mpmath.mpf(p), mpmath.mpf(s)
+        if s == 1:
+            return mpmath.mpf(1)
+        q = 1 - p
+
+        def g(u):
+            return mpmath.log(u) if r == 1 else (1 - u ** (1 - r)) / (r - 1)
+
+        return p ** r * (g(p) - g(1 - q * s)) / (q * (s - 1))
+
+
+class TestPgfClosedForm:
+    R = (1e-3, 0.05, 0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0, 3.0, 50.0, 300.0)
+    P = (1e-6, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.9, 0.999)
+
+    def test_matches_mpmath_across_the_domain(self):
+        worst, finite = 0.0, 0
+        for r in self.R:
+            for p in self.P:
+                params = UnbParams(r, p)
+                edge = 0.999 / params.q
+                for s in (-edge, -0.5, 0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, edge):
+                    ref, value = float(mp_pgf(r, p, s)), unb_pgf(params, s)
+                    if math.isinf(ref):  # E[s^X] past the largest double
+                        assert value == math.inf, (r, p, s)
+                        continue
+                    err = abs(value - ref) / ref
+                    worst, finite = max(worst, err), finite + 1
+                    assert err <= 1e-11, (r, p, s, err)
+        assert finite >= 600 and worst > 0.0
+
+    def test_near_one_without_summing_the_pmf(self):
+        # Summing the pmf to its tail cutoff at (50, 1e-6) would take 1.2e8
+        # terms; the closed form holds through s = 1.
+        t0 = time.perf_counter()
+        value = unb_pgf(UnbParams(50.0, 1e-6), 1.0 - 1e-7)
+        assert time.perf_counter() - t0 < 0.1
+        assert value == pytest.approx(float(mp_pgf(50.0, 1e-6, 1.0 - 1e-7)), rel=1e-11)
+
+
 class TestSampling:
     def test_deterministic(self):
         params = UnbParams(3.0, 0.5)

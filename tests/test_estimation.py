@@ -17,6 +17,7 @@ from unbcount.errors import (
     DataError,
     DegenerateDataError,
     DomainError,
+    NonConvergenceError,
     UnderDispersionError,
 )
 from unbcount.estimation import (
@@ -223,6 +224,36 @@ class TestFitMle:
         data = unb_sample(UnbParams(3.0, 0.5), 2000, 31)
         fit = fit_mle(data, init=UnbParams(1.2, 0.3))
         assert fit.converged
+
+    def test_one_start_one_newton_run(self):
+        fit = fit_mle(unb_sample(UnbParams(3.0, 0.5), 2000, 31))
+        diag = fit.diagnostics
+        assert len(diag["messages"]) == 1
+        # one kernel pass at the start, then one per trial point
+        assert diag["evaluations"] == 1 + fit.iterations + diag["step_halvings"]
+
+    def test_non_finite_start_raises(self):
+        # p = 1e-300 puts the intercept at 691, where the log-likelihood
+        # is not finite; no other start stands behind it.
+        with pytest.raises(NonConvergenceError, match="NON-FINITE START"):
+            fit_mle(unb_sample(UnbParams(2.0, 0.5), 500, 3), init=UnbParams(2.0, 1e-300))
+
+    def test_single_start_matches_the_geometric_start(self):
+        # The moment (or geometric) start reaches an optimum at least as
+        # high as a Newton run from the geometric submodel at the mean.
+        rng, fitted = np.random.default_rng(2024), 0
+        for k in range(60):
+            r, p = math.exp(rng.uniform(-3.0, 4.0)), rng.uniform(0.02, 0.95)
+            y = unb_sample(UnbParams(r, p), (50, 2000)[k % 2], 500 + k)
+            if not np.any(y):  # all zero: no estimate to compare
+                continue
+            fit, fitted = fit_mle(y), fitted + 1
+            xs, w = np.unique(y, return_counts=True)
+            start = np.array([math.log(np.mean(y)), math.log(2.0)])
+            _, _, loglik, *_ = _fit(_FAMILIES["unb"], np.ones((xs.size, 1)),
+                                    xs.astype(float), w.astype(float), start)
+            assert fit.log_likelihood >= loglik - 1e-12 * abs(loglik), (r, p, k)
+        assert fitted >= 50
 
     def test_lone_outlier_converges_without_simplex(self):
         # One count of 200 far past the rest of a q = 0.8 sample: its pmf is
@@ -460,7 +491,7 @@ class TestOneEngine:
         if model == "geometric":
             theta, _, loglik, converged, _, _ = _fit(
                 family, np.ones((y.size, 1)), y, np.ones(y.size),
-                [np.array([math.log(np.mean(y))])])
+                np.array([math.log(np.mean(y))]))
         else:
             data = Dataset(column_names=("y",), columns={"y": y.astype(float)},
                            n=y.size)
