@@ -27,15 +27,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-# Unused here since the fits run on estimation's engine; perfbench/tracing.py
-# wraps regression._opt, so it stays importable.
-from scipy import optimize as _opt  # noqa: F401
 from scipy import special as _sps
 
 from .datasets import Dataset
 from .errors import (DataError, DegenerateDataError, DegenerateVuongError, DomainError,
                      RankDeficientError)
-from .estimation import _FAMILIES, _eta, _fit, fit_mm
+# _opt is unused here; perfbench/tracing.py wraps regression._opt.
+from .estimation import _FAMILIES, _eta, _fit, _opt, fit_mm  # noqa: F401
 
 __all__ = [
     "RegressionSpec",

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import unbcount
 from unbcount import cli
 from unbcount.distributions import UnbParams, unb_sample
 
@@ -17,6 +22,21 @@ def run_cli(argv, capsys):
 def write_counts(path, counts):
     path.write_text("\n".join(str(int(c)) for c in counts) + "\n", encoding="utf-8")
     return str(path)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # The fits run on the package's own Newton method, so importing the
+    # package and its CLI loads numpy and scipy.special only.  Test modules
+    # that import scipy.stats load scipy.optimize into this process, so a
+    # fresh interpreter does the import.
+    src = str(Path(unbcount.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, unbcount, unbcount.cli; print('scipy.optimize' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestSimulate:
