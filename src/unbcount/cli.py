@@ -86,10 +86,8 @@ def _raw_count_file(path) -> Optional[np.ndarray]:
         vals = [float(first)] + [float(v) for v in rest]
     except (OSError, ValueError):
         return None
-    arr = np.asarray(vals)
-    if np.any(np.abs(arr - np.rint(arr)) > 1e-9) or np.any(arr < 0):
-        return None
-    return arr.astype(np.int64)
+    ints, bad = ds._rounded_counts(vals)
+    return None if np.any(bad) else ints.astype(np.int64)
 
 
 def _load_counts(config: argparse.Namespace):

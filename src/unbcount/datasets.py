@@ -48,6 +48,16 @@ NMES_ENV_VAR = "UNB_NMES_DIR"
 NMES_FILENAME = "nmes.csv"
 
 
+def _rounded_counts(values):
+    """The values rounded to integers, and the mask of those that are not
+    within 1e-9 of a non-negative integer (non-finite values among them):
+    the one count check of the package."""
+    values = np.asarray(values, dtype=float)
+    ints = np.rint(values)
+    with np.errstate(invalid="ignore"):
+        return ints, ~(np.abs(values - ints) <= 1e-9) | (ints < 0)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable column store; all columns share length n."""
@@ -138,7 +148,7 @@ def load_csv(path, response: str, covariates=(), delimiter: str = ",") -> Datase
         raise DataError(f"{path}: no usable data rows")
     columns = {name: np.asarray(vals, dtype=float) for name, vals in zip(selected, raw)}
     resp = columns[response]
-    bad = np.nonzero((np.abs(resp - np.rint(resp)) > 1e-9) | (resp < 0))[0]
+    bad = np.nonzero(_rounded_counts(resp)[1])[0]
     if bad.size:
         raise DataError(
             f"{path}: row {lines[bad[0]]}: response {response!r} value "
@@ -160,9 +170,8 @@ def write_csv(dataset: Dataset, path, delimiter: str = ","):
 def response_counts(dataset: Dataset, name: str) -> np.ndarray:
     if name not in dataset.columns:
         raise DataError(f"column {name!r} not found in dataset")
-    col = dataset.columns[name]
-    ints = np.rint(col)
-    if np.any(np.abs(col - ints) > 1e-9) or np.any(ints < 0):
+    ints, bad = _rounded_counts(dataset.columns[name])
+    if np.any(bad):
         raise DataError(f"column {name!r} is not a non-negative integer column")
     return ints.astype(np.int64)
 

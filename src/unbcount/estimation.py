@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import math
 import types
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 from scipy import special as _sps
 
 from . import distributions as _dist
+from .datasets import _rounded_counts
 from .distributions import GeomParams, NbParams, UnbParams, UpParams
 from .errors import (
     DataError,
@@ -109,8 +110,8 @@ def _as_counts(data) -> np.ndarray:
         raise DataError("data must be non-empty")
     if not np.all(np.isfinite(arr)):
         raise DataError("data contains non-finite values")
-    rounded = np.rint(arr)
-    if np.any(np.abs(arr - rounded) > 1e-9) or np.any(rounded < 0):
+    rounded, bad = _rounded_counts(arr)
+    if np.any(bad):
         raise DataError("data must consist of non-negative integers")
     return rounded.astype(np.int64)
 
@@ -159,15 +160,10 @@ def _compress(data):
     return xs.astype(float), w.astype(float), x.size
 
 
-def _loglik_rp(r: float, p: float, xs, w) -> float:
-    lp, _ = _dist.unb_logpmf_kernel(r, p, xs)
-    return float(np.dot(w, lp))
-
-
 def unb_loglik(params: UnbParams, data) -> float:
     """Sum of log pmf values over the sample."""
     xs, w, _ = _compress(data)
-    return _loglik_rp(params.r, params.p, xs, w)
+    return float(np.dot(w, _dist.unb_logpmf_kernel(params.r, params.p, xs)[0]))
 
 
 def unb_score_p(params: UnbParams, data) -> float:
@@ -180,6 +176,8 @@ def unb_score_p(params: UnbParams, data) -> float:
 
 
 def _score_r_theta(params: UnbParams, data) -> float:
+    """The r-score as n log p + sum psi(r+x_i) - n psi(r) + the theta
+    correction term, from the double series: the oracle of unb_score_r."""
     xs, w, n = _compress(data)
     r, p = params.r, params.p
     q = 1.0 - p
@@ -193,23 +191,11 @@ def _score_r_theta(params: UnbParams, data) -> float:
     return total
 
 
-def unb_score_r(params: UnbParams, data, mode: str = "finite_difference") -> float:
-    """Derivative of the log-likelihood in r.
-
-    ``finite_difference`` (default) central-differences the log-likelihood;
-    ``theta_series`` evaluates the double-series form
-    n log p + sum psi(r+x_i) - n psi(r) + the theta correction term, and is
-    kept as a validation oracle for the finite-difference route.
-    """
-    if mode == "theta_series":
-        return _score_r_theta(params, data)
-    if mode != "finite_difference":
-        raise DomainError(f"unknown score mode {mode!r}")
+def unb_score_r(params: UnbParams, data) -> float:
+    """Exact derivative of the log-likelihood in r at fixed p, from the
+    log-pmf kernel's pass (the r-derivative every fit uses)."""
     xs, w, _ = _compress(data)
-    r, p = params.r, params.p
-    h = 1e-6 * max(1.0, r)
-    h = min(h, 0.5 * r)
-    return (_loglik_rp(r + h, p, xs, w) - _loglik_rp(r - h, p, xs, w)) / (2.0 * h)
+    return float(np.dot(w, _dist.unb_logpmf_kernel(params.r, params.p, xs, grad=True)[3]))
 
 
 # ---------------------------------------------------------------------------
@@ -499,17 +485,31 @@ def _marginal_counts(data, level: float):
     return xs, w, m1
 
 
+def _interval(name: str, est: float, se: float, z: float) -> tuple:
+    """The Wald interval of a law's parameter taken where its range is the
+    real line, so that it stays inside the parameter space: logit p, log r,
+    log lam, with standard errors se / (p q), se / r and se / lam."""
+    with np.errstate(over="ignore"):
+        if name == "p":
+            h = z * se / (est * (1.0 - est))
+            return tuple(float(_sps.expit(_sps.logit(est) + d)) for d in (-h, h))
+        h = z * se / est
+        return tuple(float(est * np.exp(d)) for d in (-h, h))
+
+
 def _fit_marginal(family, xs, w, theta0, level: float) -> FitResult:
     """The intercept-only fit with the frequencies as weights.  The law's
     parameters and their covariance follow from (intercept[, r]) by the
-    delta method, exact at the optimum, where the gradient is zero."""
+    delta method, exact at the optimum, where the gradient is zero; the
+    confidence intervals are those of _interval."""
     theta, cov, ll, converged, iterations, diagnostics = _fit(
         family, np.ones((xs.size, 1)), xs, w, theta0)
     params, jac = family.law(theta)
     cov = jac @ cov @ jac.T
     se = tuple(math.sqrt(max(v, 0.0)) for v in np.diag(cov))
     z = float(_sps.ndtri(0.5 * (1.0 + level)))
-    cis = tuple((e - z * s, e + z * s) for e, s in zip(astuple(params), se))
+    cis = tuple(_interval(f.name, e, s, z)
+                for f, e, s in zip(fields(params), astuple(params), se))
     return FitResult(params=params, log_likelihood=ll, std_errors=se,
                      cov_matrix=cov, conf_intervals=cis,
                      aic=-2.0 * ll + 2.0 * len(se), converged=converged,

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 from scipy import special as _sps
 
-from .datasets import Dataset
+from .datasets import Dataset, _rounded_counts
 from .errors import (DataError, DegenerateDataError, DegenerateVuongError, DomainError,
                      RankDeficientError)
 # _opt is unused here; perfbench/tracing.py wraps regression._opt.
@@ -100,9 +100,8 @@ def build_design(dataset: Dataset, spec: RegressionSpec):
     for name in (spec.response, *spec.covariates):
         if name not in dataset.columns:
             raise DataError(f"column {name!r} not found in dataset")
-    y_raw = dataset.columns[spec.response]
-    y_int = np.rint(y_raw)
-    if np.any(np.abs(y_raw - y_int) > 1e-9) or np.any(y_int < 0):
+    y_int, bad = _rounded_counts(dataset.columns[spec.response])
+    if np.any(bad):
         raise DataError(f"response {spec.response!r} must be non-negative integers")
     cols = [dataset.columns[c] for c in spec.covariates]
     names = list(spec.covariates)

@@ -1,33 +1,33 @@
 """Series evaluation of the special functions behind the UNB model.
 
+No pmf, cdf or fit calls this module: it is the package's public series
+API and the tests' oracle for the closed forms (the 2F1 and 1F1 routes to
+the pmf, the Lerch sum at r = 1, the theta-series r-score).
+
 All hypergeometric-type quantities are summed term by term with the term
 magnitude tracked in log space (sign carried separately), so Pochhammer
-products never overflow on their own.  A truncation policy is shared by
-every series: stop once the current term is below ``rel_tol`` times the
-partial sum for two consecutive terms (a single small term can be a
-Pochhammer factor passing through a near-zero), or below ``abs_tol``
-outright.  Hitting ``max_terms`` first raises :class:`NonConvergenceError`.
+products never overflow on their own.  One truncation policy serves every
+series: stop once the current term is below 1e-14 times the partial sum
+for two consecutive terms (a single small term can be a Pochhammer factor
+passing through a near-zero), or below 1e-300 outright.  Hitting 100 000
+terms first, or theta1's 4096th anti-diagonal, raises
+:class:`NonConvergenceError`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from scipy import special as _sps
 
 from .errors import DomainError, NonConvergenceError
 
 __all__ = [
-    "SeriesControl",
     "SeriesEval",
     "ThetaArgs",
-    "DEFAULT_CONTROL",
-    "log_gamma",
     "digamma",
-    "trigamma",
-    "log_pochhammer",
     "gauss_2f1",
     "gauss_2f1_eval",
     "confluent_1f1",
@@ -36,28 +36,12 @@ __all__ = [
     "lerch_phi_eval",
     "kampe_theta1",
     "kampe_theta1_eval",
-    "gauss_2f1_db",
 ]
 
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for infinite series summation."""
-
-    rel_tol: float = 1e-14
-    abs_tol: float = 1e-300
-    max_terms: int = 100_000
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0):
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if not (self.abs_tol > 0.0):
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_CONTROL = SeriesControl()
+_REL_TOL = 1e-14
+_ABS_TOL = 1e-300
+_MAX_TERMS = 100_000
+_THETA_CAP = 4096  # anti-diagonals of theta1
 
 
 class SeriesEval(NamedTuple):
@@ -101,13 +85,6 @@ class ThetaArgs:
             )
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for positive real ``x``."""
-    if not x > 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def digamma(x: float) -> float:
     """Logarithmic derivative of the gamma function for positive real ``x``."""
     if not x > 0.0:
@@ -115,38 +92,7 @@ def digamma(x: float) -> float:
     return float(_sps.digamma(x))
 
 
-def trigamma(x: float) -> float:
-    """Second logarithmic derivative of the gamma function, ``x > 0``."""
-    if not x > 0.0:
-        raise DomainError(f"trigamma requires x > 0, got {x}")
-    return float(_sps.polygamma(1, x))
-
-
-def log_pochhammer(q: float, n: int) -> tuple[float, int]:
-    """Rising factorial q(q+1)...(q+n-1) as (log magnitude, sign).
-
-    Sign is 0 when the product vanishes (q hits a non-positive integer
-    within the first n steps).
-    """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return 0.0, 1
-    if q > 0.0:
-        return math.lgamma(q + n) - math.lgamma(q), 1
-    log_mag = 0.0
-    sign = 1
-    for k in range(n):
-        f = q + k
-        if f == 0.0:
-            return -math.inf, 0
-        if f < 0.0:
-            sign = -sign
-        log_mag += math.log(abs(f))
-    return log_mag, sign
-
-
-def _sum_ratio_series(ratio, ctrl: SeriesControl) -> SeriesEval:
+def _sum_ratio_series(ratio) -> SeriesEval:
     """Sum 1 + t1 + t2 + ... where t_{n+1} = t_n * ratio(n), t_0 = 1.
 
     ``ratio(n)`` gives the multiplier taking term n to term n+1.  Terms are
@@ -157,7 +103,7 @@ def _sum_ratio_series(ratio, ctrl: SeriesControl) -> SeriesEval:
     log_term = 0.0
     sign = 1
     small_streak = 0
-    for n in range(ctrl.max_terms):
+    for n in range(_MAX_TERMS):
         r = ratio(n)
         if r == 0.0:
             return SeriesEval(total, n + 1)  # series terminates exactly
@@ -167,36 +113,32 @@ def _sum_ratio_series(ratio, ctrl: SeriesControl) -> SeriesEval:
         term = sign * math.exp(log_term)
         total += term
         mag = abs(term)
-        if mag < ctrl.abs_tol:
+        if mag < _ABS_TOL:
             return SeriesEval(total, n + 2)
-        if mag < ctrl.rel_tol * abs(total):
+        if mag < _REL_TOL * abs(total):
             small_streak += 1
             if small_streak >= 2:
                 return SeriesEval(total, n + 2)
         else:
             small_streak = 0
     raise NonConvergenceError(
-        f"series failed to meet rel_tol={ctrl.rel_tol} within {ctrl.max_terms} terms"
+        f"series failed to meet rel_tol={_REL_TOL} within {_MAX_TERMS} terms"
     )
 
 
-def series_2f1_raw(a: float, b: float, c: float, z: float,
-                   ctrl: Optional[SeriesControl] = None) -> SeriesEval:
+def series_2f1_raw(a: float, b: float, c: float, z: float) -> SeriesEval:
     """Direct defining series of the Gauss hypergeometric function.
 
     No argument transformation is applied; exposed for internal reuse and
     for dual-route testing against the transformed path.
     """
-    ctrl = ctrl or DEFAULT_CONTROL
     if _is_nonpositive_int(c):
         raise DomainError(f"c must not be a non-positive integer, got {c}")
     if abs(z) >= 1.0:
         raise DomainError(f"series requires |z| < 1, got z={z}")
     if z == 0.0:
         return SeriesEval(1.0, 1)
-    return _sum_ratio_series(
-        lambda n: (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z, ctrl
-    )
+    return _sum_ratio_series(lambda n: (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z)
 
 
 def _euler_profitable(a: float, b: float, c: float) -> bool:
@@ -206,55 +148,45 @@ def _euler_profitable(a: float, b: float, c: float) -> bool:
     return (a + b > c) and (c - a > 0.0) and (c - b > 0.0)
 
 
-def series_2f1_euler(a: float, b: float, c: float, z: float,
-                     ctrl: Optional[SeriesControl] = None) -> SeriesEval:
+def series_2f1_euler(a: float, b: float, c: float, z: float) -> SeriesEval:
     """Euler-transformed evaluation (1-z)^(c-a-b) * 2F1(c-a, c-b; c; z)."""
-    ctrl = ctrl or DEFAULT_CONTROL
-    inner = series_2f1_raw(c - a, c - b, c, z, ctrl)
+    inner = series_2f1_raw(c - a, c - b, c, z)
     prefactor = math.exp((c - a - b) * math.log1p(-z))
     return SeriesEval(prefactor * inner.value, inner.terms)
 
 
-def gauss_2f1_eval(a: float, b: float, c: float, z: float,
-                   ctrl: Optional[SeriesControl] = None) -> SeriesEval:
+def gauss_2f1_eval(a: float, b: float, c: float, z: float) -> SeriesEval:
     """Gauss hypergeometric 2F1(a, b; c; z) for |z| < 1, with term count.
 
     For z > 0.75 the Euler transformation is used whenever its series
     converges faster than the direct one (see :func:`series_2f1_euler`).
     """
-    ctrl = ctrl or DEFAULT_CONTROL
     if abs(z) >= 1.0:
         raise DomainError(f"gauss_2f1 requires |z| < 1, got z={z}")
     if z > 0.75 and _euler_profitable(a, b, c):
-        return series_2f1_euler(a, b, c, z, ctrl)
-    return series_2f1_raw(a, b, c, z, ctrl)
+        return series_2f1_euler(a, b, c, z)
+    return series_2f1_raw(a, b, c, z)
 
 
-def gauss_2f1(a: float, b: float, c: float, z: float,
-              ctrl: Optional[SeriesControl] = None) -> float:
-    return gauss_2f1_eval(a, b, c, z, ctrl).value
+def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
+    return gauss_2f1_eval(a, b, c, z).value
 
 
-def confluent_1f1_eval(a: float, c: float, z: float,
-                       ctrl: Optional[SeriesControl] = None) -> SeriesEval:
+def confluent_1f1_eval(a: float, c: float, z: float) -> SeriesEval:
     """Kummer confluent hypergeometric 1F1(a; c; z), with term count."""
-    ctrl = ctrl or DEFAULT_CONTROL
     if _is_nonpositive_int(c):
         raise DomainError(f"c must not be a non-positive integer, got {c}")
     if z == 0.0:
         return SeriesEval(1.0, 1)
-    return _sum_ratio_series(lambda n: (a + n) / ((c + n) * (1.0 + n)) * z, ctrl)
+    return _sum_ratio_series(lambda n: (a + n) / ((c + n) * (1.0 + n)) * z)
 
 
-def confluent_1f1(a: float, c: float, z: float,
-                  ctrl: Optional[SeriesControl] = None) -> float:
-    return confluent_1f1_eval(a, c, z, ctrl).value
+def confluent_1f1(a: float, c: float, z: float) -> float:
+    return confluent_1f1_eval(a, c, z).value
 
 
-def lerch_phi_eval(z: float, a: float,
-                   ctrl: Optional[SeriesControl] = None) -> SeriesEval:
+def lerch_phi_eval(z: float, a: float) -> SeriesEval:
     """Hurwitz-Lerch sum over k of z^k / (k + a), i.e. the s = 1 case."""
-    ctrl = ctrl or DEFAULT_CONTROL
     if abs(z) >= 1.0:
         raise DomainError(f"lerch_phi requires |z| < 1, got z={z}")
     if not a > 0.0:
@@ -262,16 +194,15 @@ def lerch_phi_eval(z: float, a: float,
     if z == 0.0:
         return SeriesEval(1.0 / a, 1)
     first = 1.0 / a
-    inner = _sum_ratio_series(lambda k: z * (k + a) / (k + 1.0 + a), ctrl)
+    inner = _sum_ratio_series(lambda k: z * (k + a) / (k + 1.0 + a))
     return SeriesEval(first * inner.value, inner.terms)
 
 
-def lerch_phi(z: float, a: float, ctrl: Optional[SeriesControl] = None) -> float:
-    return lerch_phi_eval(z, a, ctrl).value
+def lerch_phi(z: float, a: float) -> float:
+    return lerch_phi_eval(z, a).value
 
 
-def kampe_theta1_eval(args: ThetaArgs,
-                      ctrl: Optional[SeriesControl] = None) -> SeriesEval:
+def kampe_theta1_eval(args: ThetaArgs) -> SeriesEval:
     """Double hypergeometric series
 
         sum over m1, m2 >= 0 of
@@ -279,98 +210,42 @@ def kampe_theta1_eval(args: ThetaArgs,
             * (b2)_{m1+m2} (b3)_{m1+m2} / ((d1)_{m1+m2} (d2)_{m1+m2})
             * x1^m1 / m1! * x2^m2 / m2!
 
-    summed by anti-diagonals m1 + m2 = s over the triangle s <= cap.  The
-    sum stops once two consecutive anti-diagonals each contribute less than
-    ``rel_tol`` of the running total; terms along anti-diagonals decay
-    geometrically for |x| < 1, so the tail is controlled by the last
-    diagonal.  The diagonal cap is 4096.
+    summed by anti-diagonals m1 + m2 = s over the triangle s <= 4096.  The
+    term is the product A(m1) B(m2) C(m1 + m2) of the factors in m1 alone,
+    m2 alone and s, each kept as a table of log magnitudes and signs grown
+    by its term ratio.  The sum stops once two consecutive anti-diagonals
+    each contribute less than 1e-14 of the running total; terms along
+    anti-diagonals decay geometrically for |x| < 1, so the tail is
+    controlled by the last diagonal.
     """
-    ctrl = ctrl or DEFAULT_CONTROL
-    cap = min(4096, ctrl.max_terms)
     g = args
-
-    # Per-index log-Pochhammer tables, grown one entry per diagonal.
-    # fac[m] = log m!
-    la1, sa1 = [0.0], [1]   # (a1)_m1
-    lb1, sb1 = [0.0], [1]   # (b1)_m1
-    lc1, sc1 = [0.0], [1]   # (c1)_m1
-    la2, sa2 = [0.0], [1]   # (a2)_m2
-    lb2, sb2 = [0.0], [1]   # (b2)_s
-    lb3, sb3 = [0.0], [1]   # (b3)_s
-    ld1, sd1 = [0.0], [1]   # (d1)_s
-    ld2, sd2 = [0.0], [1]   # (d2)_s
-    fac = [0.0]
-    lx1 = [0.0]             # m1 * log|x1|, with sign
-    lx2 = [0.0]
-    sx1 = [1]
-    sx2 = [1]
-    log_ax1 = math.log(abs(g.x1)) if g.x1 != 0.0 else -math.inf
-    log_ax2 = math.log(abs(g.x2)) if g.x2 != 0.0 else -math.inf
-
-    def grow(logs, signs, base, k):
-        f = base + k
-        if f == 0.0:
-            logs.append(-math.inf)
-            signs.append(0)
-        else:
-            logs.append(logs[-1] + math.log(abs(f)))
-            signs.append(signs[-1] * (1 if f > 0.0 else -1))
-
+    ratios = (lambda m: (g.a1 + m) * (g.b1 + m) / (g.c1 + m) * g.x1 / (m + 1.0),
+              lambda m: (g.a2 + m) * g.x2 / (m + 1.0),
+              lambda s: (g.b2 + s) * (g.b3 + s) / ((g.d1 + s) * (g.d2 + s)))
+    tables = tuple(([0.0], [1]) for _ in ratios)  # (log |A|, sign A), B, C
+    (la, sa), (lb, sb), (lc, sc) = tables
     total = 0.0
     small_streak = 0
-    for s in range(cap + 1):
+    for s in range(_THETA_CAP + 1):
         if s > 0:
-            k = s - 1
-            grow(la1, sa1, g.a1, k)
-            grow(lb1, sb1, g.b1, k)
-            grow(lc1, sc1, g.c1, k)
-            grow(la2, sa2, g.a2, k)
-            grow(lb2, sb2, g.b2, k)
-            grow(lb3, sb3, g.b3, k)
-            grow(ld1, sd1, g.d1, k)
-            grow(ld2, sd2, g.d2, k)
-            fac.append(fac[-1] + math.log(s))
-            lx1.append(lx1[-1] + log_ax1)
-            lx2.append(lx2[-1] + log_ax2)
-            sx1.append(sx1[-1] * (1 if g.x1 >= 0.0 else -1))
-            sx2.append(sx2[-1] * (1 if g.x2 >= 0.0 else -1))
-
-        mid = lb2[s] + lb3[s] - ld1[s] - ld2[s]
-        smid = sb2[s] * sb3[s] * sd1[s] * sd2[s]
-        diag = 0.0
-        for m1 in range(s + 1):
-            m2 = s - m1
-            sgn = (sa1[m1] * sb1[m1] * sc1[m1] * sa2[m2]
-                   * smid * sx1[m1] * sx2[m2])
-            if sgn == 0:
-                continue
-            lt = (la1[m1] + lb1[m1] - lc1[m1] + la2[m2] + mid
-                  + lx1[m1] + lx2[m2] - fac[m1] - fac[m2])
-            diag += sgn * math.exp(lt)
+            for ratio, (logs, signs) in zip(ratios, tables):
+                f = ratio(s - 1)  # a zero factor zeroes every later term
+                logs.append(logs[-1] + math.log(abs(f)) if f else logs[-1])
+                signs.append(signs[-1] * (1 if f > 0.0 else -1) if f else 0)
+        diag = sc[s] * sum(sa[m1] * sb[s - m1] * math.exp(la[m1] + lb[s - m1] + lc[s])
+                           for m1 in range(s + 1) if sa[m1] * sb[s - m1])
         total += diag
         if s >= 1:
-            if abs(diag) < ctrl.rel_tol * max(abs(total), ctrl.abs_tol):
+            if abs(diag) < _REL_TOL * max(abs(total), _ABS_TOL):
                 small_streak += 1
                 if small_streak >= 2:
                     return SeriesEval(total, (s + 1) * (s + 2) // 2)
             else:
                 small_streak = 0
     raise NonConvergenceError(
-        f"theta1 double series tail above rel_tol={ctrl.rel_tol} at diagonal cap {cap}"
+        f"theta1 double series tail above rel_tol={_REL_TOL} at diagonal cap {_THETA_CAP}"
     )
 
 
-def kampe_theta1(args: ThetaArgs, ctrl: Optional[SeriesControl] = None) -> float:
-    return kampe_theta1_eval(args, ctrl).value
-
-
-def gauss_2f1_db(a: float, b: float, c: float, z: float,
-                 ctrl: Optional[SeriesControl] = None) -> float:
-    """Derivative of 2F1(a, b; c; z) with respect to b.
-
-    Assembled as (z*a/c) * theta1 with the parameter pattern
-    (1, 1 | b, b+1, a+1 ; b+1 | 2, c+1) at arguments (z, z).
-    """
-    args = ThetaArgs(a1=1.0, a2=1.0, b1=b, b2=b + 1.0, b3=a + 1.0,
-                     c1=b + 1.0, d1=2.0, d2=c + 1.0, x1=z, x2=z)
-    return (z * a / c) * kampe_theta1(args, ctrl)
+def kampe_theta1(args: ThetaArgs) -> float:
+    return kampe_theta1_eval(args).value

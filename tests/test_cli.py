@@ -90,6 +90,12 @@ class TestFit:
         assert 1.8 <= rec["estimates"]["r"] <= 2.2
         assert rec["converged"]
 
+    def test_bare_counts_round_to_the_nearest_integer(self, tmp_path):
+        # the package's one count check: within 1e-9 of 3 reads as 3
+        path = tmp_path / "c.txt"
+        path.write_text("1\n2.9999999999\n0\n", encoding="utf-8")
+        assert cli._raw_count_file(path).tolist() == [1, 3, 0]
+
     def test_empty_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")

@@ -3,6 +3,7 @@ import pytest
 
 from unbcount.datasets import (
     Dataset,
+    _rounded_counts,
     covariate_summary,
     frequency_table,
     load_csv,
@@ -16,6 +17,13 @@ from unbcount.errors import DataError
 def write_file(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def test_count_check_rounds_within_1e_9_and_flags_the_rest():
+    values = [0.0, 2.9999999999, -1e-12, 3.5, -1.0, np.nan, np.inf]
+    ints, bad = _rounded_counts(values)
+    assert bad.tolist() == [False, False, False, True, True, True, True]
+    assert ints[:3].tolist() == [0.0, 3.0, 0.0]
 
 
 class TestLoadCsv:

@@ -16,7 +16,6 @@ from unbcount.distributions import UnbParams, unb_sample
 from unbcount.errors import (
     DataError,
     DegenerateDataError,
-    DomainError,
     NonConvergenceError,
     UnderDispersionError,
 )
@@ -149,26 +148,27 @@ class TestScores:
         assert unb_score_p(params, data) == pytest.approx(expected, abs=1e-8)
 
     def test_r_score_modes_agree(self):
+        # the kernel's exact r-score against the theta series and against
+        # central differences of the log-likelihood
         params = UnbParams(3.0, 0.5)
         data = [0, 1, 2, 5]
-        fd = unb_score_r(params, data, mode="finite_difference")
-        th = unb_score_r(params, data, mode="theta_series")
-        assert abs(fd - th) <= 1e-5
+        h = 1e-6 * 3.0
+        fd = (unb_loglik(UnbParams(3.0 + h, 0.5), data)
+              - unb_loglik(UnbParams(3.0 - h, 0.5), data)) / (2.0 * h)
+        score = unb_score_r(params, data)
+        assert abs(score - estimation._score_r_theta(params, data)) <= 1e-5
+        assert abs(score - fd) <= 1e-5
 
     def test_r_score_closed_form_at_zero(self):
         # d/dr log p(0) at (r=2, p=0.5) is log 2 - 1
         val = unb_score_r(UnbParams(2.0, 0.5), [0])
-        assert val == pytest.approx(LN2 - 1.0, abs=1e-7)
+        assert val == pytest.approx(LN2 - 1.0, abs=1e-12)
 
     def test_scores_vanish_at_mle(self):
         data = unb_sample(UnbParams(3.0, 0.5), 5000, 21)
         fit = fit_mle(data)
         assert abs(unb_score_p(fit.params, data)) < 1e-4 * data.size
         assert abs(unb_score_r(fit.params, data)) < 1e-4 * data.size
-
-    def test_unknown_mode(self):
-        with pytest.raises(DomainError):
-            unb_score_r(UnbParams(2.0, 0.5), [0, 1], mode="nope")
 
 
 class TestFitMle:
@@ -204,14 +204,27 @@ class TestFitMle:
             fit_mle([0] * 50)
 
     def test_ci_construction(self):
+        from scipy.special import logit
         from scipy.stats import norm
         data = unb_sample(UnbParams(3.0, 0.5), 3000, 23)
         fit = fit_mle(data, level=0.9)
         z = norm.ppf(0.95)
-        for (lo, hi), se, est in zip(fit.conf_intervals, fit.std_errors,
-                                     (fit.params.r, fit.params.p)):
+        # r on the log scale, p on the logit scale, with se / r and se / (p q)
+        (r_lo, r_hi), (p_lo, p_hi) = fit.conf_intervals
+        (se_r, se_p), (r, p) = fit.std_errors, (fit.params.r, fit.params.p)
+        for lo, hi, est, se in ((math.log(r_lo), math.log(r_hi), math.log(r), se_r / r),
+                                (logit(p_lo), logit(p_hi), logit(p), se_p / (p * (1.0 - p)))):
             assert (hi - lo) / 2.0 == pytest.approx(z * se, rel=1e-12)
             assert (hi + lo) / 2.0 == pytest.approx(est, rel=1e-12)
+
+    def test_ci_inside_parameter_space_on_the_log_r_bound(self):
+        # r = e^8 with a standard error of 2.3e5: a Wald interval on r
+        # itself runs to -4.5e5
+        fit = fit_mle([0] * 39 + [1] * 9 + [2] * 2)
+        (r_lo, r_hi), (p_lo, p_hi) = fit.conf_intervals
+        assert fit.std_errors[0] > fit.params.r
+        assert 0.0 < r_lo < fit.params.r < r_hi
+        assert 0.0 < p_lo < fit.params.p <= p_hi <= 1.0
 
     def test_hessian_negative_semidefinite(self):
         data = unb_sample(UnbParams(3.0, 0.5), 3000, 29)
