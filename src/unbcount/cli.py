@@ -29,6 +29,9 @@ EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_CONVERGENCE = 3
 
+# Draws formatted per write by `simulate`.
+_WRITE_BLOCK = 1 << 14
+
 # Fitters by model name, looked up on their module at each call.
 FIT_MODELS = {"unb": "fit_mle", "nb": "fit_nb_mle", "up": "fit_up_mle",
               "geometric": "fit_geometric"}
@@ -77,17 +80,31 @@ def _emit(config: argparse.Namespace, payload: dict, text_lines: list):
 def _raw_count_file(path) -> Optional[np.ndarray]:
     """A headerless single column of counts (as written by `simulate`)."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             first = fh.readline().strip()
             if not first:
                 return None
             float(first)
-            rest = [line.strip() for line in fh if line.strip()]
-        vals = [float(first)] + [float(v) for v in rest]
+            fh.seek(0)
+            vals = _count_column(fh)
     except (OSError, ValueError):
         return None
     ints, bad = ds._rounded_counts(vals)
     return None if np.any(bad) else ints.astype(np.int64)
+
+
+def _count_column(fh) -> np.ndarray:
+    """The numbers of a text file, one a line, blank lines skipped.  numpy's
+    reader takes the file; where it declines, a loop over the lines reads
+    it as ``float`` does (``1_000`` among others) or raises ValueError."""
+    try:
+        vals = np.loadtxt(fh, comments=None, ndmin=2)
+        if vals.shape[1] == 1:
+            return vals[:, 0]
+    except ValueError:
+        pass
+    fh.seek(0)
+    return np.array([float(v) for v in map(str.strip, fh) if v])
 
 
 def _load_counts(config: argparse.Namespace):
@@ -273,7 +290,11 @@ def cmd_simulate(config: argparse.Namespace) -> int:
     draws = dist.unb_sample(params, config.n, config.seed)
     try:
         with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(str(int(v)) for v in draws) + "\n")
+            # A block at a time: the text of every draw at once would be
+            # the run's largest allocation.
+            for i in range(0, draws.size, _WRITE_BLOCK):
+                block = draws[i:i + _WRITE_BLOCK].tolist()
+                fh.write("\n".join(map(str, block)) + "\n")
         sidecar = {
             "schema_version": SCHEMA_VERSION,
             "command": "simulate",

@@ -13,9 +13,11 @@ environment variable does not point at a prepared copy.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -108,45 +110,49 @@ def load_csv(path, response: str, covariates=(), delimiter: str = ",") -> Datase
     non-negative integers, and rows with missing values in any selected
     column are dropped, each recorded as a (row, column) diagnostic on the
     returned dataset.  Diagnostics and errors number a row by its line in
-    the file, the header being line 1.
+    the file, the header being line 1.  The file is UTF-8 text, with or
+    without a byte-order mark.
+
+    A regular file is read by numpy's reader (:func:`_numpy_rows`); a file
+    it declines, such as one with quoted cells, blank lines or ragged rows,
+    by a row parser (:func:`_csv_rows`) that gives the same results and
+    messages.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty, expected a header row") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            raise DataError(f"{path}: duplicate column names in header")
-        selected = list(dict.fromkeys([response, *covariates]))
-        for name in selected:
-            if name not in header:
-                raise DataError(f"{path}: column {name!r} not found "
-                                f"(available: {', '.join(header)})")
-        idx = [header.index(name) for name in selected]
-        raw = [[] for _ in selected]
-        lines, dropped = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) == 0 or all(cell.strip() == "" for cell in row):
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}")
-            values = [_parse_cell(row[i], name, line_no) for i, name in zip(idx, selected)]
-            missing = [name for name, v in zip(selected, values) if math.isnan(v)]
-            if missing:
-                dropped.append((line_no, missing[0]))
-                continue
-            lines.append(line_no)
-            for col, v in zip(raw, values):
-                col.append(v)
-    if not raw[0]:
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: file is empty, expected a header row") from None
+            header = [h.strip() for h in header]
+            if len(set(header)) != len(header):
+                raise DataError(f"{path}: duplicate column names in header")
+            selected = list(dict.fromkeys([response, *covariates]))
+            for name in selected:
+                if name not in header:
+                    raise DataError(f"{path}: column {name!r} not found "
+                                    f"(available: {', '.join(header)})")
+            idx = [header.index(name) for name in selected]
+            values = _numpy_rows(path, delimiter, len(header), idx)
+            if values is None:
+                values, lines = _csv_rows(path, reader, selected, idx, len(header))
+            else:
+                lines = np.arange(2, values.shape[0] + 2)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    missing = np.isnan(values)
+    drop = missing.any(axis=1)
+    dropped = tuple(zip(lines[drop].tolist(),
+                        [selected[j] for j in missing[drop].argmax(axis=1)]))
+    keep = ~drop
+    lines = lines[keep]
+    if not lines.size:
         raise DataError(f"{path}: no usable data rows")
-    columns = {name: np.asarray(vals, dtype=float) for name, vals in zip(selected, raw)}
+    columns = {name: values[keep, j] for j, name in enumerate(selected)}
     resp = columns[response]
     bad = np.nonzero(_rounded_counts(resp)[1])[0]
     if bad.size:
@@ -154,7 +160,78 @@ def load_csv(path, response: str, covariates=(), delimiter: str = ",") -> Datase
             f"{path}: row {lines[bad[0]]}: response {response!r} value "
             f"{float(resp[bad[0]])} is not a non-negative integer")
     return Dataset(column_names=tuple(selected), columns=columns,
-                   n=resp.size, dropped_rows=tuple(dropped))
+                   n=resp.size, dropped_rows=dropped)
+
+
+def _csv_rows(path, reader, selected, idx, width):
+    """The selected cells of the rows left in ``reader``, NaN where missing,
+    and the file line of each row.  Blank rows, and rows whose cells are all
+    blank, are skipped."""
+    raw = [[] for _ in selected]
+    lines = []
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) == 0 or all(cell.strip() == "" for cell in row):
+            continue
+        if len(row) != width:
+            raise DataError(
+                f"{path}: line {line_no}: expected {width} fields, got {len(row)}")
+        for col, i, name in zip(raw, idx, selected):
+            col.append(_parse_cell(row[i], name, line_no))
+        lines.append(line_no)
+    values = np.array(raw, dtype=float).T
+    return values, np.array(lines, dtype=int)
+
+
+# Delimiters that numpy's reader splits a row at where csv's does.
+_NUMPY_DELIMITERS = frozenset(",;|:\t ")
+
+
+def _numpy_rows(path, delimiter, width, idx):
+    """The selected cells of every data row of the file by numpy's reader,
+    NaN where missing, row i being line i + 2 of the file; None for a file
+    the reader cannot take exactly as :func:`_csv_rows` does.
+
+    Whole ``NA`` and ``NULL`` fields are spelled ``nan`` on the file's bytes
+    first; numpy reads ``nan`` itself.  Declined: a delimiter outside
+    ``_NUMPY_DELIMITERS``, quoted cells (csv reads them, numpy does not),
+    blank lines (numpy skips them, which shifts the line numbers), rows of
+    the wrong width (numpy reads ``usecols`` of a ragged row), more than
+    256 columns, and any selected cell it cannot read: among them an empty
+    cell, ``NA`` in another case or padded, which the row parser reads as
+    missing, and a carriage return inside a line.
+    """
+    if delimiter not in _NUMPY_DELIMITERS:
+        return None
+    body = path.read_bytes()
+    if b'"' in body or b"\n\n" in body or b"\n\r\n" in body:
+        return None
+    d = delimiter.encode()
+    arr = np.frombuffer(body, np.uint8)
+    starts = np.flatnonzero(arr[:-1] == 10) + 1  # data lines; the header is line 1
+    # Each line's delimiters, counted in one byte: with the total, that
+    # pins every count when width <= 256, without a wider copy of the body.
+    # A wider file never matches the one-byte counts.
+    if (not starts.size
+            or body.count(d) != (starts.size + 1) * (width - 1)
+            or np.any(np.add.reduceat(arr == d[0], starts, dtype=np.uint8)
+                      != width - 1)):
+        return None
+    del arr
+    # A pattern that begins with a lookbehind costs twenty times as much as
+    # one that begins with its literal, so the field's start is checked here
+    # (a match at the file's start is in the header, which numpy skips).
+    def whole_field(m):
+        s, i = m.string, m.start()
+        return b"nan" if s[i - 1] in d + b"\n" else m.group()
+
+    body = re.sub(b"N(?:A|ULL)(?=[" + re.escape(d) + b"\r\n]|\\Z)",
+                  whole_field, body)
+    try:
+        return np.loadtxt(io.BytesIO(body), delimiter=delimiter, usecols=idx,
+                          comments=None, quotechar=None, skiprows=1, ndmin=2,
+                          encoding="utf-8")
+    except ValueError:  # a cell it cannot read, or not UTF-8
+        return None
 
 
 def write_csv(dataset: Dataset, path, delimiter: str = ","):
