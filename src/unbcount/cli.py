@@ -1,7 +1,7 @@
 """Batch command line: fit, regress, compare, simulate, summarize.
 
-Every run is reproducible byte for byte: the seed defaults to 0, text
-tables print 6 significant digits, and JSON output carries full double
+Every run is reproducible byte for byte: `simulate`'s seed defaults to 0,
+text tables print 6 significant digits, and JSON output carries full double
 precision with sorted keys.  Exit codes: 0 success, 2 input or data
 error, 3 convergence failure (diagnostics are still printed).
 """
@@ -40,11 +40,7 @@ REG_MODELS = {"unb": "fit_unb_regression", "nb": "fit_nb_regression",
 
 
 def _num(x) -> str:
-    if x is None:
-        return "-"
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return f"{x:.6g}"
+    return "-" if x is None else f"{x:.6g}"
 
 
 def _jsonable(obj):
@@ -64,8 +60,8 @@ def _jsonable(obj):
 
 
 def _emit(config: argparse.Namespace, payload: dict, text_lines: list):
-    body = {"schema_version": SCHEMA_VERSION, "command": config.subcommand}
-    body.update(payload)
+    body = {"schema_version": SCHEMA_VERSION, "command": config.subcommand,
+            **payload}
     if config.fmt == "json":
         out = json.dumps(_jsonable(body), sort_keys=True, indent=2)
     else:
@@ -81,10 +77,7 @@ def _raw_count_file(path) -> Optional[np.ndarray]:
     """A headerless single column of counts (as written by `simulate`)."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            first = fh.readline().strip()
-            if not first:
-                return None
-            float(first)
+            float(fh.readline())
             fh.seek(0)
             vals = _count_column(fh)
     except (OSError, ValueError):
@@ -126,62 +119,79 @@ def _load_counts(config: argparse.Namespace):
     return data, ds.response_counts(data, config.response)
 
 
-def _fitter(module, names: dict, model: str):
-    if model not in names:
-        raise DataError(f"unknown model {model!r}; choose from {', '.join(names)}")
-    return getattr(module, names[model])
+def _fit_models(config: argparse.Namespace, *, pmfs: bool = False, **options):
+    """Fits of each of --models to --input, in order: the regression fitters
+    when --covariates are given, the marginal fitters, with ``options``,
+    otherwise.  Every fitter is resolved before the first fit.  Returns the
+    data, the fits and, with ``pmfs``, each fit's per-observation pmf."""
+    if not config.models:
+        raise DataError("--models names no model")
+    regression = bool(config.covariates)
+    module, names = (reg, REG_MODELS) if regression else (est, FIT_MODELS)
+    for model in config.models:
+        if model not in names:
+            raise DataError(f"unknown model {model!r}; choose from {', '.join(names)}")
+    fitters = [getattr(module, names[m]) for m in config.models]
+    data, counts = _load_counts(config)
+    if regression:
+        spec = reg.RegressionSpec(response=config.response,
+                                  covariates=config.covariates)
+        fits = [fitter(data, spec) for fitter in fitters]
+    else:
+        fits = [fitter(counts, **options) for fitter in fitters]
+    if not pmfs:
+        return data, fits, None
+    if regression:
+        return data, fits, [reg.per_observation_pmf(fit, data, spec) for fit in fits]
+    per_obs = []
+    for model, fit in zip(config.models, fits):
+        family = est._FAMILIES[model]
+        eta, r = family.eta_of(fit.params)
+        per_obs.append(np.exp(family.logpmf(eta, r, counts)[0]))
+    return data, fits, per_obs
+
+
+def _exit_code(fits) -> int:
+    return EXIT_OK if all(fit.converged for fit in fits) else EXIT_CONVERGENCE
+
+
+def _mark(converged) -> str:
+    return "" if converged else "  [NOT CONVERGED]"
 
 
 def cmd_fit(config: argparse.Namespace) -> int:
-    _, counts = _load_counts(config)
-    fitters = [_fitter(est, FIT_MODELS, m) for m in config.models]
+    data, fits, _ = _fit_models(config, level=config.level)
     results = []
-    lines = [f"fit: response={config.response} n={counts.size}", ""]
-    all_converged = True
-    for model, fitter in zip(config.models, fitters):
-        fit = fitter(counts, level=config.level)
-        all_converged &= fit.converged
+    lines = [f"fit: response={config.response} n={data.n}", ""]
+    for model, fit in zip(config.models, fits):
         pd = asdict(fit.params)
-        rec = {
+        results.append({
             "model": model,
             "estimates": pd,
-            "std_errors": list(fit.std_errors) if fit.std_errors else None,
-            "conf_intervals": [list(ci) for ci in fit.conf_intervals]
-            if fit.conf_intervals else None,
+            "std_errors": list(fit.std_errors),
+            "conf_intervals": [list(ci) for ci in fit.conf_intervals],
             "log_likelihood": fit.log_likelihood,
             "aic": fit.aic,
             "converged": fit.converged,
             "method": fit.method,
-        }
-        results.append(rec)
-        lines.append(f"model {model} ({fit.method})"
-                     + ("" if fit.converged else "  [NOT CONVERGED]"))
-        names = list(pd)
-        for i, name in enumerate(names):
-            se = fit.std_errors[i] if fit.std_errors else None
-            ci = fit.conf_intervals[i] if fit.conf_intervals else None
-            line = f"  {name:<10} {_num(pd[name]):>12}"
-            if se is not None:
-                line += f"  se={_num(se):>10}"
-            if ci is not None:
-                line += f"  ci=[{_num(ci[0])}, {_num(ci[1])}]"
-            lines.append(line)
-        lines.append(f"  loglik     {_num(fit.log_likelihood):>12}")
-        lines.append(f"  aic        {_num(fit.aic):>12}")
-        lines.append("")
+        })
+        lines.append(f"model {model} ({fit.method})" + _mark(fit.converged))
+        for (name, value), se, ci in zip(pd.items(), fit.std_errors,
+                                         fit.conf_intervals):
+            lines.append(f"  {name:<10} {_num(value):>12}  se={_num(se):>10}"
+                         f"  ci=[{_num(ci[0])}, {_num(ci[1])}]")
+        lines += [f"  loglik     {_num(fit.log_likelihood):>12}",
+                  f"  aic        {_num(fit.aic):>12}", ""]
     _emit(config, {"level": config.level, "results": results}, lines)
-    return EXIT_OK if all_converged else EXIT_CONVERGENCE
+    return _exit_code(fits)
 
 
 def _regression_record(fit: reg.RegressionFit) -> dict:
-    coef_names = list(fit.coef_names)
-    if fit.r is not None:
-        coef_names = coef_names + ["r"]
-    estimates = list(fit.beta) + ([fit.r] if fit.r is not None else [])
+    has_r = fit.r is not None
     return {
         "model": fit.model,
-        "coefficients": coef_names,
-        "estimates": estimates,
+        "coefficients": list(fit.coef_names) + ["r"] * has_r,
+        "estimates": list(fit.beta) + [fit.r] * has_r,
         "std_errors": list(fit.std_errors),
         "wald_t": list(fit.wald_t),
         "p_values": list(fit.p_values),
@@ -191,94 +201,62 @@ def _regression_record(fit: reg.RegressionFit) -> dict:
     }
 
 
-def _regression_lines(fit: reg.RegressionFit) -> list:
-    lines = [f"model {fit.model}"
-             + ("" if fit.converged else "  [NOT CONVERGED]"),
+def _regression_lines(rec: dict) -> list:
+    lines = [f"model {rec['model']}" + _mark(rec["converged"]),
              f"  {'coefficient':<12} {'estimate':>12} {'se':>12} "
              f"{'wald_t':>10} {'p_value':>10}"]
-    rec = _regression_record(fit)
     for i, name in enumerate(rec["coefficients"]):
         lines.append(f"  {name:<12} {_num(rec['estimates'][i]):>12} "
                      f"{_num(rec['std_errors'][i]):>12} "
                      f"{_num(rec['wald_t'][i]):>10} {_num(rec['p_values'][i]):>10}")
-    lines.append(f"  loglik {_num(fit.log_likelihood)}   aic {_num(fit.aic)}")
-    lines.append("")
-    return lines
+    return lines + [f"  loglik {_num(rec['log_likelihood'])}   "
+                    f"aic {_num(rec['aic'])}", ""]
 
 
 def cmd_regress(config: argparse.Namespace) -> int:
     if not config.covariates:
         raise DataError("--covariates is required for regress")
-    data, _ = _load_counts(config)
-    spec = reg.RegressionSpec(response=config.response,
-                              covariates=config.covariates)
-    results = []
+    data, fits, _ = _fit_models(config)
+    results = [_regression_record(fit) for fit in fits]
     lines = [f"regress: response={config.response} "
              f"covariates={','.join(config.covariates)} n={data.n}", ""]
-    all_converged = True
-    for model in config.models:
-        fit = _fitter(reg, REG_MODELS, model)(data, spec)
-        all_converged &= fit.converged
-        results.append(_regression_record(fit))
-        lines.extend(_regression_lines(fit))
-    _emit(config, {"level": config.level, "results": results}, lines)
-    return EXIT_OK if all_converged else EXIT_CONVERGENCE
+    for rec in results:
+        lines.extend(_regression_lines(rec))
+    _emit(config, {"results": results}, lines)
+    return _exit_code(fits)
 
 
 def cmd_compare(config: argparse.Namespace) -> int:
     if not (2 <= len(config.models) <= 3):
         raise DataError("compare needs two or three models; the first is the reference")
-    data, counts = _load_counts(config)
-    use_regression = bool(config.covariates)
-    pmfs = {}
-    aic_rows = []
-    all_converged = True
-    for model in config.models:
-        if use_regression:
-            spec = reg.RegressionSpec(response=config.response,
-                                      covariates=config.covariates)
-            fit = _fitter(reg, REG_MODELS, model)(data, spec)
-            pmfs[model] = reg.per_observation_pmf(fit, data, spec)
-        else:
-            fit = _fitter(est, FIT_MODELS, model)(counts, level=config.level)
-            family = est._FAMILIES[model]
-            eta, r = family.eta_of(fit.params)
-            pmfs[model] = np.exp(family.logpmf(eta, r, counts)[0])
-        ll, aic, conv = fit.log_likelihood, fit.aic, fit.converged
-        all_converged &= conv
-        aic_rows.append({"model": model, "log_likelihood": ll, "aic": aic,
-                         "converged": conv})
-
+    _, fits, pmfs = _fit_models(config, pmfs=True)
+    aic_rows, vuong_rows = [], []
+    lines = [f"compare: response={config.response} "
+             f"({'regression' if config.covariates else 'marginal'} fits)", "",
+             f"  {'model':<10} {'loglik':>14} {'aic':>14}"]
+    for model, fit in zip(config.models, fits):
+        aic_rows.append({"model": model, "log_likelihood": fit.log_likelihood,
+                         "aic": fit.aic, "converged": fit.converged})
+        lines.append(f"  {model:<10} {_num(fit.log_likelihood):>14} "
+                     f"{_num(fit.aic):>14}" + _mark(fit.converged))
+    lines.append("")
     reference = config.models[0]
-    vuong_rows = []
-    for other in config.models[1:]:
+    for other, pmf in zip(config.models[1:], pmfs[1:]):
         entry = {"reference": reference, "against": other}
+        line = f"  vuong {reference} vs {other}: "
         try:
-            v = reg.vuong_test(pmfs[reference], pmfs[other])
-            entry.update({"z": v.z, "omega": v.omega, "p_value": v.p_value,
-                          "n": v.n, "degenerate": False})
+            v = reg.vuong_test(pmfs[0], pmf)
         except DegenerateVuongError as exc:
             entry.update({"degenerate": True, "note": str(exc)})
-        vuong_rows.append(entry)
-
-    lines = [f"compare: response={config.response} "
-             f"({'regression' if use_regression else 'marginal'} fits)", "",
-             f"  {'model':<10} {'loglik':>14} {'aic':>14}"]
-    for row in aic_rows:
-        lines.append(f"  {row['model']:<10} {_num(row['log_likelihood']):>14} "
-                     f"{_num(row['aic']):>14}"
-                     + ("" if row["converged"] else "  [NOT CONVERGED]"))
-    lines.append("")
-    for entry in vuong_rows:
-        if entry.get("degenerate"):
-            lines.append(f"  vuong {entry['reference']} vs {entry['against']}: "
-                         f"degenerate ({entry['note']})")
+            line += f"degenerate ({exc})"
         else:
-            lines.append(f"  vuong {entry['reference']} vs {entry['against']}: "
-                         f"z={_num(entry['z'])} p={_num(entry['p_value'])}")
-    _emit(config, {"level": config.level, "fits": aic_rows, "vuong": vuong_rows},
-          lines)
-    return EXIT_OK if all_converged else EXIT_CONVERGENCE
+            entry.update({"z": v.z, "omega": v.omega, "p_value": v.p_value,
+                          "n": v.n, "degenerate": False})
+            line += f"z={_num(v.z)} p={_num(v.p_value)}"
+        vuong_rows.append(entry)
+        lines.append(line)
+    _emit(config, {"fits": aic_rows, "vuong": vuong_rows}, lines)
+    return _exit_code(fits)
 
 
 def cmd_simulate(config: argparse.Namespace) -> int:
@@ -329,8 +307,7 @@ def cmd_summarize(config: argparse.Namespace) -> int:
         lines.append(f"  {g.group_label:<14} {g.n:>6} {g.max:>4} {g.min:>4} "
                      f"{_num(g.mean):>10} {_num(g.variance):>10} "
                      f"{_num(g.dispersion_index):>8} {_num(g.zero_proportion):>8}")
-    lines.append("")
-    lines.append(f"  {'value':>6} {'count':>8} {'rel_freq':>10}")
+    lines += ["", f"  {'value':>6} {'count':>8} {'rel_freq':>10}"]
     for value, count, rel in freq:
         lines.append(f"  {value:>6} {count:>8} {_num(rel):>10}")
     _emit(config, {"groups": recs,
@@ -345,7 +322,12 @@ def _names(text: str) -> tuple:
 
 
 def _delimiter(text: str) -> str:
-    return "\t" if text == "\\t" or text.lower() == "tab" else text
+    """One character other than a line break; ``tab`` and ``\\t`` name the tab."""
+    text = "\t" if text == "\\t" or text.lower() == "tab" else text
+    if len(text) != 1 or text in "\r\n":
+        raise argparse.ArgumentTypeError(
+            f"must be one character other than a line break, got {text!r}")
+    return text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -353,11 +335,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="unbcount",
         description="Count-model toolkit: uniform-negative-binomial fitting, "
                     "regression, and model comparison on CSV data.")
-    # fit, regress and compare read group_by; summarize reads covariates
+    # _load_counts reads both; fit and summarize have no --covariates, and
+    # only summarize has --group-by
     parser.set_defaults(covariates=(), group_by=None)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, *, covariates=True, models=None):
+    def add_input(p, run, *, models=None, covariates=False, level=False):
+        """The flags of a subcommand that reads --input and prints a report."""
+        p.set_defaults(run=run)
         p.add_argument("--input", help="input CSV path")
         p.add_argument("--response", help="response column name")
         if covariates:
@@ -366,53 +351,43 @@ def _build_parser() -> argparse.ArgumentParser:
         if models:
             p.add_argument("--models", type=_names, default=models,
                            help="comma-separated model list")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--level", type=float, default=0.95,
-                       help="confidence level (default 0.95)")
+        if level:
+            p.add_argument("--level", type=float, default=0.95,
+                           help="confidence level (default 0.95)")
         p.add_argument("--format", dest="fmt", choices=("text", "json"),
                        default="text")
         p.add_argument("--output", help="write output to this path instead of stdout")
         p.add_argument("--delimiter", type=_delimiter, default=",",
                        help="field delimiter (e.g. ',', ';', tab or \\t)")
 
-    add_common(sub.add_parser("fit", help="fit marginal count models"),
-               models="unb")
-    add_common(sub.add_parser("regress", help="fit log-link count regressions"),
-               models="unb")
-    add_common(sub.add_parser("compare",
-                              help="AIC table plus Vuong tests, first model "
-                                   "is the reference"),
-               models="unb,nb")
+    add_input(sub.add_parser("fit", help="fit marginal count models"),
+              cmd_fit, models="unb", level=True)
+    add_input(sub.add_parser("regress", help="fit log-link count regressions"),
+              cmd_regress, models="unb", covariates=True)
+    add_input(sub.add_parser("compare",
+                             help="AIC table plus Vuong tests, first model "
+                                  "is the reference"),
+              cmd_compare, models="unb,nb", covariates=True)
     sim = sub.add_parser("simulate", help="draw a synthetic sample")
+    sim.set_defaults(run=cmd_simulate)
     sim.add_argument("--r", type=float)
     sim.add_argument("--p", type=float)
     sim.add_argument("--n", type=int)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--output", required=False)
-    sim.add_argument("--format", dest="fmt", choices=("text", "json"),
-                     default="text")
     summ = sub.add_parser("summarize", help="descriptive summaries and "
                                             "relative-frequency table")
-    add_common(summ, covariates=False)
+    add_input(summ, cmd_summarize)
     summ.add_argument("--group-by", dest="group_by",
                       help="binary 0/1 column to split the summaries by")
     return parser
-
-
-_DISPATCH = {
-    "fit": cmd_fit,
-    "regress": cmd_regress,
-    "compare": cmd_compare,
-    "simulate": cmd_simulate,
-    "summarize": cmd_summarize,
-}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.subcommand](args)
+        return args.run(args)
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE

@@ -12,6 +12,7 @@ environment variable does not point at a prepared copy.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -102,6 +103,17 @@ def _parse_cell(token: str, column: str, line_no: int) -> float:
         ) from None
 
 
+@contextlib.contextmanager
+def _utf8_text(path):
+    """``path`` open for the csv module as UTF-8 text, with or without a
+    byte-order mark; bytes that are not UTF-8 raise DataError naming it."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_csv(path, response: str, covariates=(), delimiter: str = ",") -> Dataset:
     """Load a delimited text file with a header row.
 
@@ -121,29 +133,26 @@ def load_csv(path, response: str, covariates=(), delimiter: str = ",") -> Datase
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh, delimiter=delimiter)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: file is empty, expected a header row") from None
-            header = [h.strip() for h in header]
-            if len(set(header)) != len(header):
-                raise DataError(f"{path}: duplicate column names in header")
-            selected = list(dict.fromkeys([response, *covariates]))
-            for name in selected:
-                if name not in header:
-                    raise DataError(f"{path}: column {name!r} not found "
-                                    f"(available: {', '.join(header)})")
-            idx = [header.index(name) for name in selected]
-            values = _numpy_rows(path, delimiter, len(header), idx)
-            if values is None:
-                values, lines = _csv_rows(path, reader, selected, idx, len(header))
-            else:
-                lines = np.arange(2, values.shape[0] + 2)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    with _utf8_text(path) as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: file is empty, expected a header row") from None
+        header = [h.strip() for h in header]
+        if len(set(header)) != len(header):
+            raise DataError(f"{path}: duplicate column names in header")
+        selected = list(dict.fromkeys([response, *covariates]))
+        for name in selected:
+            if name not in header:
+                raise DataError(f"{path}: column {name!r} not found "
+                                f"(available: {', '.join(header)})")
+        idx = [header.index(name) for name in selected]
+        values = _numpy_rows(path, delimiter, len(header), idx)
+        if values is None:
+            values, lines = _csv_rows(path, reader, selected, idx, len(header))
+        else:
+            lines = np.arange(2, values.shape[0] + 2)
     missing = np.isnan(values)
     drop = missing.any(axis=1)
     dropped = tuple(zip(lines[drop].tolist(),
@@ -346,7 +355,8 @@ def load_nmes(path) -> Dataset:
     Accepts either the canonical columns (HOSP plus the ten covariates) or
     any export whose raw names appear in the shipped mapping file; factor
     columns from R exports (health status, gender, yes/no indicators) are
-    recoded to 0/1.
+    recoded to 0/1.  The file is UTF-8 text, with or without a byte-order
+    mark.
     """
     path = Path(path)
     if path.is_dir():
@@ -354,7 +364,7 @@ def load_nmes(path) -> Dataset:
     if not path.exists():
         raise DataError(f"no such file: {path}")
     mapping = _load_mapping()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         reader = csv.reader(fh)
         header = [h.strip().strip('"') for h in next(reader)]
         rows = [row for row in reader if any(cell.strip() for cell in row)]

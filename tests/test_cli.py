@@ -39,6 +39,27 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def text_and_json(argv, capsys):
+    """The text output of ``argv`` and its JSON output, parsed; both exit 0."""
+    code, text_out, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, json_out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    return text_out, json.loads(json_out)
+
+
+def assert_compare_agrees(text_out, body):
+    words = " ".join(text_out.split())
+    for row in body["fits"]:
+        assert (f"{row['model']} {row['log_likelihood']:.6g} {row['aic']:.6g}"
+                in words)
+    assert len(body["vuong"]) == 2
+    for row in body["vuong"]:
+        assert not row["degenerate"]
+        assert (f"vuong {row['reference']} vs {row['against']}: "
+                f"z={row['z']:.6g} p={row['p_value']:.6g}") in text_out
+
+
 class TestSimulate:
     def test_reproducible_bytes(self, tmp_path, capsys):
         out1 = tmp_path / "a.txt"
@@ -208,6 +229,29 @@ class TestRegress:
                                capsys)
         assert code == 2
 
+    def test_text_and_json_agree(self, tmp_path, capsys):
+        path = self._make_csv(tmp_path)
+        argv = ["regress", "--input", path, "--response", "y", "--covariates", "z",
+                "--models", "unb,nb,up"]
+        text_out, body = text_and_json(argv, capsys)
+        for rec in body["results"]:
+            assert f"model {rec['model']}\n" in text_out
+            for i, name in enumerate(rec["coefficients"]):
+                row = [rec[k][i] for k in ("estimates", "std_errors", "wald_t",
+                                           "p_values")]
+                assert " ".join([name] + [f"{v:.6g}" for v in row]) in \
+                    " ".join(text_out.split())
+            assert (f"loglik {rec['log_likelihood']:.6g}   aic {rec['aic']:.6g}"
+                    in text_out)
+
+    def test_compare_text_and_json_agree(self, tmp_path, capsys):
+        path = self._make_csv(tmp_path)
+        argv = ["compare", "--input", path, "--response", "y", "--covariates", "z",
+                "--models", "unb,nb,up"]
+        text_out, body = text_and_json(argv, capsys)
+        assert "(regression fits)" in text_out
+        assert_compare_agrees(text_out, body)
+
 
 class TestCompare:
     def test_self_comparison_degenerate(self, tmp_path, capsys):
@@ -266,6 +310,14 @@ class TestCompare:
             assert row["z"] == pytest.approx(np.dot(w, m) / (omega * math.sqrt(n)),
                                              rel=1e-9)
 
+    def test_text_and_json_agree(self, tmp_path, capsys):
+        counts = unb_sample(UnbParams(3.0, 0.5), 3000, 47)
+        path = write_counts(tmp_path / "c.txt", counts)
+        argv = ["compare", "--input", path, "--models", "unb,nb,up"]
+        text_out, body = text_and_json(argv, capsys)
+        assert "(marginal fits)" in text_out
+        assert_compare_agrees(text_out, body)
+
 
 class TestSummarize:
     def test_tiny_file(self, tmp_path, capsys):
@@ -313,3 +365,69 @@ class TestSummarize:
         code, _, _ = run_cli(["fit", "--input", str(path), "--response", "y",
                               "--models", "geometric"], capsys)
         assert code == 0
+
+
+class TestFlags:
+    """Each subcommand declares only the flags it reads."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("fit", ["--seed", "1"]),
+        ("regress", ["--seed", "1"]),
+        ("compare", ["--seed", "1"]),
+        ("summarize", ["--seed", "1"]),
+        ("summarize", ["--level", "0.9"]),
+        ("regress", ["--level", "0.9"]),
+        ("compare", ["--level", "0.9"]),
+        ("simulate", ["--format", "json"]),
+        ("fit", ["--covariates", "x"]),
+    ])
+    def test_removed_flag_exit_2(self, tmp_path, capsys, command, flag):
+        if command == "simulate":
+            argv = ["simulate", "--r", "2", "--p", "0.5", "--n", "5",
+                    "--output", str(tmp_path / "s.txt")]
+        else:
+            argv = [command, "--input", write_counts(tmp_path / "c.txt", [0, 1, 2])]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "s.txt").exists()
+
+    def test_level_in_fit_output_only(self, tmp_path, capsys):
+        counts = unb_sample(UnbParams(3.0, 0.5), 500, 53)
+        path = write_counts(tmp_path / "c.txt", counts)
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text("y,x\n" + "".join(f"{c},{i % 7 / 7}\n"
+                                                for i, c in enumerate(counts)),
+                            encoding="utf-8")
+        runs = {
+            "fit": ["fit", "--input", path],
+            "compare": ["compare", "--input", path],
+            "regress": ["regress", "--input", str(csv_path), "--response", "y",
+                        "--covariates", "x"],
+            "compare_regression": ["compare", "--input", str(csv_path),
+                                   "--response", "y", "--covariates", "x"],
+        }
+        for name, argv in runs.items():
+            code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+            assert code == 0
+            assert ("level" in json.loads(out)) == (name == "fit"), name
+
+    @pytest.mark.parametrize("command", [["fit"], ["regress", "--covariates", "x"]])
+    def test_empty_model_list_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "t.csv"
+        path.write_text("y,x\n0,1\n1,2\n2,0\n", encoding="utf-8")
+        code, out, err = run_cli([*command, "--input", str(path), "--response", "y",
+                                  "--models", ","], capsys)
+        assert code == 2 and out == ""
+        assert "no model" in err
+
+    @pytest.mark.parametrize("delimiter", [";;", "", "\n"])
+    def test_delimiter_not_one_character_exit_2(self, tmp_path, capsys, delimiter):
+        path = tmp_path / "s.csv"
+        path.write_text("y\n0\n1\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["summarize", "--input", str(path), "--response", "y",
+                      "--delimiter", delimiter])
+        assert exc.value.code == 2
+        assert "one character" in capsys.readouterr().err

@@ -226,6 +226,23 @@ class TestNmesLoader:
         with pytest.raises(DataError, match="no such file"):
             load_nmes(tmp_path / "absent.csv")
 
+    _CANONICAL = ("HOSP,EXCELHLTH,POORHLTH,NUMCHRON,AGE,MALE,MARRIED,FAMINC,"
+                  "EMPLOYED,PRIVINS,MEDICAID\n1,0,0,2,6.9,1,1,2.5,0,1,0\n"
+                  "0,1,0,0,7.4,0,0,1.0,1,0,1\n")
+
+    def test_byte_order_mark(self, tmp_path):
+        f = tmp_path / "bom.csv"
+        f.write_bytes(b"\xef\xbb\xbf" + self._CANONICAL.encode())
+        data = load_nmes(f)
+        assert data.n == 2
+        assert list(data.columns["HOSP"]) == [1.0, 0.0]
+
+    def test_not_utf8_is_a_data_error(self, tmp_path):
+        f = tmp_path / "latin1.csv"
+        f.write_bytes(self._CANONICAL.replace("6.9", "6.9\xe9").encode("latin-1"))
+        with pytest.raises(DataError, match=r"latin1\.csv: not UTF-8 text \("):
+            load_nmes(f)
+
 
 class TestNmesConditional:
     def test_row_count(self, nmes_dataset):
