@@ -366,8 +366,18 @@ def load_nmes(path) -> Dataset:
     mapping = _load_mapping()
     with _utf8_text(path) as fh:
         reader = csv.reader(fh)
-        header = [h.strip().strip('"') for h in next(reader)]
-        rows = [row for row in reader if any(cell.strip() for cell in row)]
+        try:
+            header = [h.strip().strip('"') for h in next(reader)]
+        except StopIteration:
+            raise DataError(f"{path}: file is empty, expected a header row") from None
+        rows = []
+        for line_no, row in enumerate(reader, start=2):
+            if not any(cell.strip() for cell in row):
+                continue
+            if len(row) < len(header):
+                raise DataError(f"{path}: line {line_no}: expected {len(header)} "
+                                f"fields, got {len(row)}")
+            rows.append(row)
     raw = {name: [row[i] for row in rows] for i, name in enumerate(header)}
 
     columns = {}

@@ -212,10 +212,14 @@ _ETA_CLAMP = 700.0
 _LOG_FLOOR = math.log(_dist.PMF_FLOOR)
 _LOGR_BOUND = 8.0  # log r in [-8, 8]
 _GRAD_GATE = 1e-6  # on the gradient of the mean log-likelihood
-# Largest change of a linear predictor or of log r in one Newton step: a
-# step on a shifted Hessian can run far (log r from 2 to -4.6 in one step
-# of a 2000-row fit), where p near 0 makes the UNB tail sums slow.
+# The trust radius each Newton run starts at and falls back to: the largest
+# change of a linear predictor or of log r in one step.  A step on a shifted
+# Hessian can run far (log r from 2 to -4.6 in one step of a 2000-row fit),
+# where p near 0 makes the UNB tail sums slow.  The radius grows to at most
+# _MAX_RADIUS: without that ceiling a marginal fit started at intercept -691
+# jumped to +329, where p is near 0, and took 200 times as long as with it.
 _MAX_SPAN = 4.0
+_MAX_RADIUS = 16.0
 
 
 class _Family:
@@ -283,10 +287,20 @@ class _Nb(_Family):
         return np.maximum(lp, _LOG_FLOOR), int(np.count_nonzero(lp < _LOG_FLOOR))
 
     def logpmf_grad(self, eta, r, y):
-        """The UNB sums collapsed to their one term k = y."""
+        """The UNB sums collapsed to their one term k = y, with H = psi(r+y) -
+        psi(r) and H' = psi'(r+y) - psi'(r) from the kernel's table over
+        k <= max(y), or row by row where max(y) >= len(y) and the table
+        would take more work than the rows."""
         p, q = self.link(eta, r)
-        derivs = (r * q - y * p, _sps.digamma(r + y) - _sps.digamma(r) + np.log(p),
-                  -p * q * (r + y), q, _dist._trigamma(r + y) - _dist._trigamma(r))
+        k = np.asarray(y, dtype=np.intp)
+        top = int(np.max(k, initial=0))
+        if top < k.size:
+            table = _dist._KTable(r, True).upto(top + 1)
+            h, h1 = table.psi[k] - table.psi[0], table.tri[k] - table.tri[0]
+        else:
+            h = _sps.digamma(r + y) - _sps.digamma(r)
+            h1 = _dist._trigamma(r + y) - _dist._trigamma(r)
+        derivs = (r * q - y * p, h + np.log(p), -p * q * (r + y), q, h1)
         return (*self.logpmf(eta, r, y), *_eta_logr(r, *derivs))
 
 
@@ -343,20 +357,25 @@ def _newton(fun, x0, *, lo, hi, span):
     Coordinates on a bound with the gradient pointing out are held; the
     others step on their block of the Hessian, shifted by lambda I where a
     Cholesky factorisation fails, lambda doubled from 1e-3 of the largest
-    diagonal entry.  A step whose ``span`` exceeds _MAX_SPAN is scaled to
-    it, projected onto the box and halved until the value falls by 1e-4 of
-    the first-order prediction or the free gradient's norm meets the stop
-    test (at r = e^8 the value's rounding can fail the first at the
-    optimum).  Where the unshifted model predicts a fall below 1e-13 of the
-    value, its rounding, the full step is taken if it lowers the free
-    gradient's norm.  It stops at a free-gradient norm below 1e-9, when a
-    step fails, or after 200 steps.  The result holds x with its value fun,
-    gradient jac and Hessian hess, the steps nit, the calls of fun nfev,
-    message, success (message starts CONVERGENCE), hessian_shifts (steps
-    on a shifted Hessian) and step_halvings (rejected trial points)."""
+    diagonal entry.  A step whose ``span`` exceeds the trust radius is
+    scaled to it, projected onto the box and halved until the value falls
+    by 1e-4 of the first-order prediction or the free gradient's norm meets
+    the stop test (at r = e^8 the value's rounding can fail the first at
+    the optimum).  Where the unshifted model predicts a fall below 1e-13 of
+    the value, its rounding, the full step is taken if it lowers the free
+    gradient's norm.  The radius starts at _MAX_SPAN, doubles (up to
+    _MAX_RADIUS) after a scaled step taken at full length, and returns to
+    _MAX_SPAN after a halved one, so that a start far out on a flat stretch
+    takes tens of steps, not hundreds.  It stops at a free-gradient norm
+    below 1e-9, when a step fails, or after 200 steps.  The result holds x
+    with its value fun, gradient jac and Hessian hess, the steps nit, the
+    calls of fun nfev, message, success (message starts CONVERGENCE),
+    hessian_shifts (steps on a shifted Hessian) and step_halvings (rejected
+    trial points)."""
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     f, g, hess = fun(x)
     nfev, nit, shifts, halvings = 1, 0, 0, 0
+    radius = _MAX_SPAN
     ok = _finite(f, g, hess)
     message = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT" if ok else "ABNORMAL: NON-FINITE START"
     while ok and nit < 200:
@@ -376,10 +395,11 @@ def _newton(fun, x0, *, lo, hi, span):
         shifts += shift > 0.0
         step = np.zeros_like(x)
         step[free] = -np.linalg.solve(block + shift * eye, g[free])
-        step *= min(1.0, _MAX_SPAN / span(step))
+        reach = span(step)
+        step *= min(1.0, radius / reach)
         d = np.clip(x + step, lo, hi) - x
         exact = shift == 0.0 and -(g @ d + 0.5 * d @ hess @ d) <= 1e-13 * max(1.0, abs(f))
-        for _ in range(50):
+        for halved in range(50):
             trial = np.clip(x + step, lo, hi)
             ft, gt, ht = fun(trial)
             nfev += 1
@@ -395,6 +415,8 @@ def _newton(fun, x0, *, lo, hi, span):
                        else "ABNORMAL: NO DECREASE ABOVE ROUNDING")
             break
         x, f, g, hess = trial, ft, gt, ht
+        if halved or reach > radius:
+            radius = _MAX_SPAN if halved else min(2.0 * radius, _MAX_RADIUS)
     return types.SimpleNamespace(x=x, fun=f, jac=g, hess=hess, nit=nit, nfev=nfev,
                                  success=message.startswith("CONVERGENCE"),
                                  message=message, hessian_shifts=shifts,

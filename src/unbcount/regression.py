@@ -115,10 +115,10 @@ def build_design(dataset: Dataset, spec: RegressionSpec):
 def _check_rank(x: np.ndarray):
     if x.shape[1] == 0:
         raise DataError("design matrix has no columns")
-    if np.linalg.matrix_rank(x) < x.shape[1]:
+    rank = np.linalg.matrix_rank(x)
+    if rank < x.shape[1]:
         raise RankDeficientError(
-            f"design matrix is rank deficient ({x.shape[1]} columns, "
-            f"rank {np.linalg.matrix_rank(x)})")
+            f"design matrix is rank deficient ({x.shape[1]} columns, rank {rank})")
 
 
 def unb_reg_loglik(beta, r: float, design: np.ndarray, y) -> float:

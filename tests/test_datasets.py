@@ -243,6 +243,16 @@ class TestNmesLoader:
         with pytest.raises(DataError, match=r"latin1\.csv: not UTF-8 text \("):
             load_nmes(f)
 
+    def test_empty_file_is_a_data_error(self, tmp_path):
+        f = write_file(tmp_path / "empty.csv", "")
+        with pytest.raises(DataError, match=r"empty\.csv: file is empty, expected a header row"):
+            load_nmes(f)
+
+    def test_short_row_names_its_line(self, tmp_path):
+        f = write_file(tmp_path / "short.csv", self._CANONICAL + "\n1,0,0\n")
+        with pytest.raises(DataError, match=r"short\.csv: line 5: expected 11 fields, got 3"):
+            load_nmes(f)
+
 
 class TestNmesConditional:
     def test_row_count(self, nmes_dataset):

@@ -251,6 +251,16 @@ class TestFitMle:
         with pytest.raises(NonConvergenceError, match="NON-FINITE START"):
             fit_mle(unb_sample(UnbParams(2.0, 0.5), 500, 3), init=UnbParams(2.0, 1e-300))
 
+    def test_far_start_grows_the_trust_radius(self):
+        # r = 1e-300 puts the intercept at -691 and log r on its bound -8,
+        # where a step capped at a change of 4 crawled: 178 steps and 180
+        # kernel passes.  The radius doubles to 16 after capped steps taken
+        # whole: 53 passes.
+        y = unb_sample(UnbParams(2.0, 0.5), 500, 3)
+        far = fit_mle(y, init=UnbParams(1e-300, 0.5))
+        assert far.converged and far.diagnostics["evaluations"] <= 60
+        assert far.log_likelihood == pytest.approx(fit_mle(y).log_likelihood, rel=1e-12)
+
     def test_single_start_matches_the_geometric_start(self):
         # The moment (or geometric) start reaches an optimum at least as
         # high as a Newton run from the geometric submodel at the mean.
