@@ -276,10 +276,10 @@ def geom_pmf(params: GeomParams, x) -> float:
 # variance far below m^2 (q near 0) then keeps its digits.
 # Of log t_k = r log p + k log q + log C(r+k-1, k) - log(k+1), and of the
 # weights, only r log p and k log q depend on the row; the rest, with
-# psi(r+k) and psi'(r+k), depends on k and on r, which a pass shares.  The
-# per-row pass reads it from one table over k (_KTable), built to max(x)
-# and grown as tail blocks run past its end, so that the special functions
-# are taken once per k, not once per (row, k).
+# psi(r+k) and psi'(r+k), depends on k and on r, which a pass shares.  A
+# pass reads it from one table over k (_KTable), built to max(x) and grown
+# as tail blocks run past its end, so that the per-row pass takes the
+# special functions once per k, not once per (row, k).
 
 PMF_FLOOR = 1e-300
 _LOG_FLOOR = math.log(PMF_FLOOR)
@@ -306,21 +306,30 @@ def _log_factors(r, k):
 
 class _KTable:
     """The factors of t_k and of its weights that depend on k and r alone,
-    for one r over k = k0, k0 + 1, ...: ``lg`` = log t_k - r log p - k log q
-    and, with ``grad``, ``psi`` = psi(r+k) and ``tri`` = psi'(r+k).  Entry i
-    is k = k0 + i; ``upto(n)`` appends the k < n it does not yet hold."""
+    for one r over k = 0, 1, ...: ``lg`` = log t_k - r log p - k log q and,
+    with ``grad``, ``psi`` = psi(r+k) and ``tri`` = psi'(r+k), entry k at
+    index k; ``upto(n)`` appends the k < n it does not yet hold, computed
+    _BLOCK_MAX at a time, so that the table takes about three doubles a k
+    (24 MB for the 10^6 entries a regression with a count of 10^6 needs)."""
 
-    def __init__(self, r, grad, k0=0):
-        self.r, self.grad, self.k0 = r, grad, k0
+    def __init__(self, r, grad):
+        self.r, self.grad = r, grad
         self.lg = self.psi = self.tri = np.empty(0)
 
     def upto(self, n):
-        if n > self.k0 + self.lg.size:
-            k = np.arange(self.k0 + self.lg.size, n, dtype=float)
-            self.lg = np.concatenate((self.lg, _log_factors(self.r, k)))
+        size = self.lg.size
+        if n > size:
+            def grow(a):
+                return np.concatenate((a, np.empty(n - size)))
+            self.lg = grow(self.lg)
             if self.grad:
-                self.psi = np.concatenate((self.psi, _sps.digamma(self.r + k)))
-                self.tri = np.concatenate((self.tri, _trigamma(self.r + k)))
+                self.psi, self.tri = grow(self.psi), grow(self.tri)
+            for a in range(size, n, _BLOCK_MAX):
+                k = np.arange(a, min(a + _BLOCK_MAX, n), dtype=float)
+                self.lg[a:a + k.size] = _log_factors(self.r, k)
+                if self.grad:
+                    self.psi[a:a + k.size] = _sps.digamma(self.r + k)
+                    self.tri[a:a + k.size] = _trigamma(self.r + k)
         return self
 
     def weights(self, i, c):
@@ -377,30 +386,31 @@ def _dlog_pmf0_dr(r, lp):
 
 
 def _head_rows(r, lp, lq, lpmf0, x, table, grad):
-    """sum_{k<x} t_k / pmf(0) row by row, from the _KTable ``table`` of r
-    from k = 0; with ``grad`` the sums of t_k times each weight about 0."""
+    """sum_{k<x} t_k / pmf(0) row by row, from the _KTable ``table`` of r;
+    with ``grad`` the sums of t_k times each weight about 0.  The k run in
+    blocks of _BLOCK_MAX, whose weights are formed at once."""
     rows = np.flatnonzero(x)  # the rows with terms, in order of x
     rows = rows[np.argsort(x[rows])]
     xs, rlp, lq, lpmf0 = x[rows], r * lp[rows], lq[rows], lpmf0[rows]
     n_k = int(xs[-1]) if xs.size else 0
     sums = np.zeros((6 if grad else 1, rows.size))
-    if grad:
-        w = table.weights(np.arange(n_k), 0)[1:]
-    for k, s in enumerate(np.searchsorted(xs, np.arange(n_k), side="right")):
-        t = np.exp(rlp[s:] + k * lq[s:] + table.lg[k] - lpmf0[s:])  # rows with x > k
-        sums[0, s:] += t
-        if grad:
-            sums[1:, s:] += w[:, k, None] * t
+    for k0 in range(0, n_k, _BLOCK_MAX):
+        ks = np.arange(k0, min(k0 + _BLOCK_MAX, n_k))
+        w = table.weights(ks, 0)[1:] if grad else None
+        for j, s in enumerate(np.searchsorted(xs, ks, side="right")):  # rows with x > k
+            t = np.exp(rlp[s:] + (k0 + j) * lq[s:] + table.lg[k0 + j] - lpmf0[s:])
+            sums[0, s:] += t
+            if grad:
+                sums[1:, s:] += w[:, j, None] * t
     acc = np.zeros((len(sums), x.size))
     acc[:, rows] = sums
     return acc
 
 
-def _tail_rows(r, lp, lq, x, grad, table=None):
+def _tail_rows(r, lp, lq, x, grad, table):
     """log sum_{k>=x} t_k row by row; with ``grad`` the logs of the sums of
-    t_k times each weight about x.  The k-factors come from ``table``, a
-    _KTable of r from k <= min(x) (by default a new one from min(x)), which
-    grows as the blocks run past its end.
+    t_k times each weight about x.  The k-factors come from the _KTable
+    ``table`` of r, which grows as the blocks run past its end.
 
     Blocks of terms grow until the rest past the last term K, estimated as
     t_K rho/(1 - rho) with rho = t_{K+1}/t_K < 1, is below _TAIL_TOL of the
@@ -408,25 +418,23 @@ def _tail_rows(r, lp, lq, x, grad, table=None):
     geometric tails, and half the true rest for the k^-2 tails of r << 1,
     p -> 0 that _TAIL_MAX cuts.
     """
-    table = _KTable(r, grad, int(x.min())) if table is None else table
     acc = np.full((6 if grad else 1, x.size), -np.inf)
-    centre = x.astype(np.intp) - table.k0  # table entries
+    centre = x.astype(np.intp)
     start = centre.copy()
     live = np.arange(x.size)
     width = max(32, 1024 // x.size)
     while live.size:
-        i = start[live, None] + np.arange(width)
+        k = start[live, None] + np.arange(width)
         start[live] += width
-        table.upto(table.k0 + int(i[:, -1].max()) + 1)
-        k = i + table.k0
-        lt = r * lp[live, None] + k * lq[live, None] + table.lg[i]
+        table.upto(int(k[:, -1].max()) + 1)
+        lt = r * lp[live, None] + k * lq[live, None] + table.lg[k]
         top = lt.max(axis=1)
         t = np.exp(lt - top[:, None])
         last = k[:, -1]
         rho = np.exp(lq[live]) * (r + last) / (last + 2.0)
         falling = rho < 1.0
         if grad:
-            w = table.weights(i, centre[live, None])
+            w = table.weights(k, centre[live, None])
             sums, w_last = np.einsum("wik,ik->wi", w, t), w[:, :, -1]
         else:
             sums, w_last = t.sum(axis=1)[None], np.ones((1, live.size))
@@ -477,9 +485,9 @@ def _unb_logpmf(r: float, p, x, grad: bool = False, q=None):
 
     A p with one value, scalar or an array whose entries are all equal,
     shares one pass over k = 0..max(x) between all x; other array p are
-    broadcast against x and summed row by row, every row reading the
-    k-factors of its terms and weights, and the centre terms psi(r+c) and
-    psi'(r+c), from one _KTable of r (above).  Against mpmath the log pmf
+    broadcast against x and summed row by row.  Either way the k-factors of
+    the terms and weights, and the centre terms psi(r+c) and psi'(r+c),
+    come from one _KTable of r (above).  Against mpmath the log pmf
     is within 2e-12 for r in [0.2, 50], p in [0.01, 0.95], x <= 1000, and
     within 1e-10 at the fits' box corners (log r = +-8, logit p = +-35,
     the regression's p = r/(2 e^700 + r), x <= 10^4) except at r = e^-8
@@ -503,11 +511,11 @@ def _unb_logpmf(r: float, p, x, grad: bool = False, q=None):
         x = x.ravel()
         lp, lq = math.log1p(-q) if q < p else math.log(p), math.log(q)
         lpmf0 = _log_pmf0(r, lp, lq)
-        k = np.arange(np.max(x, initial=0.0) + 1.0)
-        lt = r * lp + k * lq + _log_factors(r, k)
+        table = _KTable(r, grad).upto(int(np.max(x, initial=0.0)) + 1)
+        k = np.arange(table.lg.size, dtype=float)
+        lt = r * lp + k * lq + table.lg
         if grad:
-            psi, tri = _sps.digamma(r + k), _trigamma(r + k)
-            weights = _weights(k, psi, psi[0], tri, tri[0])
+            weights = _weights(k, table.psi, table.psi[0], table.tri, table.tri[0])
         else:
             weights = np.ones((1, k.size))
         t = np.exp(lt[:-1] - lpmf0)
@@ -523,7 +531,6 @@ def _unb_logpmf(r: float, p, x, grad: bool = False, q=None):
         lq = np.log(q)
         lpmf0 = _log_pmf0(r, lp, lq)
         table = _KTable(r, grad).upto(int(np.max(x, initial=0.0)) + 1)
-        psi, tri = table.psi, table.tri  # over k <= max(x): every centre, 0 or x
         head = _head_rows(r, lp, lq, lpmf0, x, table, grad)
     tail = (head[0] > 1.0 - 1.0 / _HEAD_LOSS) | (lpmf0 > _LOG_PMF0_MAX)
     h = np.where(tail, 0.0, head[0])
@@ -542,7 +549,8 @@ def _unb_logpmf(r: float, p, x, grad: bool = False, q=None):
         if np.ndim(lp) == 0:
             xt = xi[tail]
             lo, hi = int(xt.min()), int(xt.max())
-            seed = _tail_rows(r, np.array([lp]), np.array([lq]), np.array([float(hi)]), grad)
+            seed = _tail_rows(r, np.array([lp]), np.array([lq]), np.array([float(hi)]), grad,
+                              table)
             sums = _shared_tail(r, lt[lo:hi], k[lo:hi], seed[:, 0], grad)[:, xt - lo]
         else:
             sums = _tail_rows(r, lp[tail], lq[tail], x[tail], grad, table)
@@ -554,13 +562,13 @@ def _unb_logpmf(r: float, p, x, grad: bool = False, q=None):
         return ls.reshape(shape)
     e_j, e_jj, e_g, e_jg, e_gg = means
     m = centre + e_j
-    c = centre.astype(np.intp)
-    d_r = lp + psi[c] - psi[0] + e_g  # H_centre + E[G]
+    c = centre.astype(np.intp)  # table entries <= max(x): 0 or x
+    d_r = lp + table.psi[c] - table.psi[0] + e_g  # H_centre + E[G]
     d_logit = r * q - p * m
     with np.errstate(over="ignore", invalid="ignore"):  # nan where E[N] overflows
         d_ll = -p * q * (r + m) + p * p * (e_jj - e_j * e_j)
     d_lr = q - p * (e_jg - e_j * e_g)
-    d_rr = tri[c] - tri[0] + e_gg - e_g * e_g
+    d_rr = table.tri[c] - table.tri[0] + e_gg - e_g * e_g
     return tuple(v.reshape(shape) for v in (ls, d_logit, d_r, d_ll, d_lr, d_rr))
 
 

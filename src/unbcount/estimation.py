@@ -287,20 +287,10 @@ class _Nb(_Family):
         return np.maximum(lp, _LOG_FLOOR), int(np.count_nonzero(lp < _LOG_FLOOR))
 
     def logpmf_grad(self, eta, r, y):
-        """The UNB sums collapsed to their one term k = y, with H = psi(r+y) -
-        psi(r) and H' = psi'(r+y) - psi'(r) from the kernel's table over
-        k <= max(y), or row by row where max(y) >= len(y) and the table
-        would take more work than the rows."""
+        """The UNB sums collapsed to their one term k = y."""
         p, q = self.link(eta, r)
-        k = np.asarray(y, dtype=np.intp)
-        top = int(np.max(k, initial=0))
-        if top < k.size:
-            table = _dist._KTable(r, True).upto(top + 1)
-            h, h1 = table.psi[k] - table.psi[0], table.tri[k] - table.tri[0]
-        else:
-            h = _sps.digamma(r + y) - _sps.digamma(r)
-            h1 = _dist._trigamma(r + y) - _dist._trigamma(r)
-        derivs = (r * q - y * p, h + np.log(p), -p * q * (r + y), q, h1)
+        derivs = (r * q - y * p, _sps.digamma(r + y) - _sps.digamma(r) + np.log(p),
+                  -p * q * (r + y), q, _dist._trigamma(r + y) - _dist._trigamma(r))
         return (*self.logpmf(eta, r, y), *_eta_logr(r, *derivs))
 
 
