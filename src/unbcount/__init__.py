@@ -53,6 +53,5 @@ from .regression import (
     vuong_test,
 )
 from .datasets import Dataset, GroupSummary, covariate_summary, load_csv, summarize
-from .specfun import ThetaArgs, confluent_1f1, digamma, gauss_2f1, kampe_theta1, lerch_phi
 
 __version__ = "0.1.0"

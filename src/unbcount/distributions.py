@@ -50,7 +50,6 @@ __all__ = [
     "nb_pmf",
     "nb_logpmf",
     "nb_cdf",
-    "nb_tail_cutoff",
     "geom_pmf",
 ]
 
@@ -233,24 +232,6 @@ def nb_cdf(params: NbParams, x) -> float:
     return float(_sps.betainc(params.r, _check_count(x) + 1.0, params.p))
 
 
-def nb_tail_cutoff(params: NbParams, tail: float = 1e-12) -> int:
-    """Smallest x with negative-binomial survival P(N >= x) < tail, where
-    P(N >= x) = I_q(x, r) for x >= 1 and 1 at x = 0: doubling, then
-    bisection."""
-    def above(x):
-        return x == 0 or _sps.betainc(x, params.r, params.q) >= tail
-
-    lo, hi = 0, 1
-    while above(hi):
-        lo, hi = hi, 2 * hi
-        if hi > 2 ** 60:
-            raise DomainError("tail cutoff search did not terminate")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if above(mid) else (lo, mid)
-    return hi
-
-
 def geom_pmf(params: GeomParams, x) -> float:
     x = _check_count(x)
     return params.p * (1.0 - params.p) ** x
@@ -262,6 +243,9 @@ def geom_pmf(params: GeomParams, x) -> float:
 # takes one of two forms, chosen in _unb_logpmf:
 #   head  pmf(0) - sum_{k<x} t_k: x terms, but it cancels as pmf(x) falls
 #         below pmf(0), so it is taken only while pmf(x) >= pmf(0)/_HEAD_LOSS;
+#         the per-row pass stops a row's head sum once it passes
+#         1 - 1/_HEAD_LOSS of pmf(0), so a large x far in the tail costs a
+#         few head terms, not x;
 #   tail  sum_{k>=x} t_k: it cannot cancel, and runs past x until a
 #         geometric estimate of the rest is below _TAIL_TOL of the sum.
 # The derivatives come from the same sums: d log t_k / d logit p = r q - p k,
@@ -278,8 +262,10 @@ def geom_pmf(params: GeomParams, x) -> float:
 # weights, only r log p and k log q depend on the row; the rest, with
 # psi(r+k) and psi'(r+k), depends on k and on r, which a pass shares.  A
 # pass reads it from one table over k (_KTable), built to max(x) and grown
-# as tail blocks run past its end, so that the per-row pass takes the
-# special functions once per k, not once per (row, k).
+# in place as tail blocks run past its end, so that the per-row pass takes
+# the special functions once per k, not once per (row, k).  Each row's head
+# adds its terms in order of k, as the scalar-p pass's cumulative sum does,
+# so both passes give the same head sums.
 
 PMF_FLOOR = 1e-300
 _LOG_FLOOR = math.log(PMF_FLOOR)
@@ -309,21 +295,21 @@ class _KTable:
     for one r over k = 0, 1, ...: ``lg`` = log t_k - r log p - k log q and,
     with ``grad``, ``psi`` = psi(r+k) and ``tri`` = psi'(r+k), entry k at
     index k; ``upto(n)`` appends the k < n it does not yet hold, computed
-    _BLOCK_MAX at a time, so that the table takes about three doubles a k
-    (24 MB for the 10^6 entries a regression with a count of 10^6 needs)."""
+    _BLOCK_MAX at a time into the columns grown in place, so that the table
+    takes about three doubles a k (24 MB for the 10^6 entries a regression
+    with a count of 10^6 needs) and a grow copies none of them."""
 
     def __init__(self, r, grad):
         self.r, self.grad = r, grad
-        self.lg = self.psi = self.tri = np.empty(0)
+        self.lg, self.psi, self.tri = np.empty(0), np.empty(0), np.empty(0)
 
     def upto(self, n):
         size = self.lg.size
         if n > size:
-            def grow(a):
-                return np.concatenate((a, np.empty(n - size)))
-            self.lg = grow(self.lg)
-            if self.grad:
-                self.psi, self.tri = grow(self.psi), grow(self.tri)
+            # realloc in place, without a copy of the columns: every reader
+            # indexes them afresh, so no view of one outlives a grow
+            for a in (self.lg, self.psi, self.tri) if self.grad else (self.lg,):
+                a.resize(n, refcheck=False)
             for a in range(size, n, _BLOCK_MAX):
                 k = np.arange(a, min(a + _BLOCK_MAX, n), dtype=float)
                 self.lg[a:a + k.size] = _log_factors(self.r, k)
@@ -333,9 +319,16 @@ class _KTable:
         return self
 
     def weights(self, i, c):
-        """_weights at the entries i about the entry c."""
-        return _weights((i - c).astype(float), self.psi[i], self.psi[c],
-                        self.tri[i], self.tri[c])
+        """1, j, j^2, G, j G and G^2 + G' (above) at the entries i about the
+        entry c, j = i - c, stacked on a new first axis."""
+        j = (i - c).astype(float)
+        w = np.empty((6,) + j.shape)
+        w[0], w[1] = 1.0, j
+        np.multiply(j, j, out=w[2])
+        g = np.subtract(self.psi[i], self.psi[c], out=w[3])
+        np.multiply(j, g, out=w[4])
+        np.maximum(g * g + self.tri[i] - self.tri[c], 0.0, out=w[5])
+        return w
 
 
 def _trigamma(x):
@@ -348,18 +341,6 @@ def _trigamma(x):
     series = 1.0 / 6.0 - w * (1 / 30 - w * (1 / 42 - w * (1 / 30 - w * (
         5 / 66 - w * (691 / 2730 - w * 7 / 6)))))
     return sum(1.0 / (x + j) ** 2 for j in range(10)) + (1.0 + (0.5 + series / z) / z) / z
-
-
-def _weights(j, psi, psi_c, tri, tri_c):
-    """1, j, j^2, G, j G and G^2 + G' (above) from j = k - c and psi, psi'
-    at r + k and at r + c, stacked on a new first axis."""
-    w = np.empty((6,) + np.shape(j))
-    w[0], w[1] = 1.0, j
-    np.multiply(j, j, out=w[2])
-    g = np.subtract(psi, psi_c, out=w[3])
-    np.multiply(j, g, out=w[4])
-    np.maximum(g * g + tri - tri_c, 0.0, out=w[5])
-    return w
 
 
 def _log_pmf0(r, lp, lq):
@@ -387,23 +368,24 @@ def _dlog_pmf0_dr(r, lp):
 
 def _head_rows(r, lp, lq, lpmf0, x, table, grad):
     """sum_{k<x} t_k / pmf(0) row by row, from the _KTable ``table`` of r;
-    with ``grad`` the sums of t_k times each weight about 0.  The k run in
-    blocks of _BLOCK_MAX, whose weights are formed at once."""
-    rows = np.flatnonzero(x)  # the rows with terms, in order of x
-    rows = rows[np.argsort(x[rows])]
-    xs, rlp, lq, lpmf0 = x[rows], r * lp[rows], lq[rows], lpmf0[rows]
-    n_k = int(xs[-1]) if xs.size else 0
-    sums = np.zeros((6 if grad else 1, rows.size))
-    for k0 in range(0, n_k, _BLOCK_MAX):
-        ks = np.arange(k0, min(k0 + _BLOCK_MAX, n_k))
-        w = table.weights(ks, 0)[1:] if grad else None
-        for j, s in enumerate(np.searchsorted(xs, ks, side="right")):  # rows with x > k
-            t = np.exp(rlp[s:] + (k0 + j) * lq[s:] + table.lg[k0 + j] - lpmf0[s:])
-            sums[0, s:] += t
-            if grad:
-                sums[1:, s:] += w[:, j, None] * t
-    acc = np.zeros((len(sums), x.size))
-    acc[:, rows] = sums
+    with ``grad`` the sums of t_k times each weight about 0.  One loop over
+    k adds the term k of each live row, the weights formed once per
+    _BLOCK_MAX block of k.  A row leaves at k = x, or once its sum passes
+    1 - 1/_HEAD_LOSS: the terms are positive, so it then takes the tail
+    form and the rest of its head is never read."""
+    acc = np.zeros((6 if grad else 1, x.size))
+    rlp = r * lp
+    live = np.flatnonzero(x)
+    k = 0
+    while live.size:
+        if grad and k % _BLOCK_MAX == 0:
+            w = table.weights(np.arange(k, min(k + _BLOCK_MAX, int(x[live].max()))), 0)[1:]
+        t = np.exp(rlp[live] + k * lq[live] + table.lg[k] - lpmf0[live])
+        acc[0, live] += t
+        if grad:
+            acc[1:, live] += w[:, k % _BLOCK_MAX, None] * t
+        k += 1
+        live = live[(x[live] > k) & (acc[0, live] <= 1.0 - 1.0 / _HEAD_LOSS)]
     return acc
 
 
@@ -515,7 +497,7 @@ def _unb_logpmf(r: float, p, x, grad: bool = False, q=None):
         k = np.arange(table.lg.size, dtype=float)
         lt = r * lp + k * lq + table.lg
         if grad:
-            weights = _weights(k, table.psi, table.psi[0], table.tri, table.tri[0])
+            weights = table.weights(np.arange(k.size), 0)
         else:
             weights = np.ones((1, k.size))
         t = np.exp(lt[:-1] - lpmf0)

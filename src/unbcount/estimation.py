@@ -39,7 +39,9 @@ from .errors import (
     NonConvergenceError,
     UnderDispersionError,
 )
-from .specfun import ThetaArgs, digamma, kampe_theta1, series_2f1_raw
+# These are unused here, but perfbench/tracing.py wraps the specfun names by
+# their attribute on this module, so they stay importable.
+from .specfun import digamma, kampe_theta1, series_2f1_raw  # noqa: F401
 
 __all__ = [
     "MomentSummary",
@@ -173,22 +175,6 @@ def unb_score_p(params: UnbParams, data) -> float:
     - sum ((r+x_i)/(2+x_i)) 2F1(2, r+x_i+1; 3+x_i; q) / 2F1(1, r+x_i; 2+x_i; q))."""
     xs, w, _ = _compress(data)
     return float(np.dot(w, _dist.unb_dlogpmf_dp_kernel(params.r, params.p, xs)))
-
-
-def _score_r_theta(params: UnbParams, data) -> float:
-    """The r-score as n log p + sum psi(r+x_i) - n psi(r) + the theta
-    correction term, from the double series: the oracle of unb_score_r."""
-    xs, w, n = _compress(data)
-    r, p = params.r, params.p
-    q = 1.0 - p
-    total = n * math.log(p) - n * digamma(r)
-    for x, wt in zip(xs, w):
-        f1 = series_2f1_raw(1.0, r + x, 2.0 + x, q).value
-        theta = kampe_theta1(ThetaArgs(
-            a1=1.0, a2=1.0, b1=r + x, b2=r + x + 1.0, b3=2.0,
-            c1=r + x + 1.0, d1=2.0, d2=x + 3.0, x1=q, x2=q))
-        total += wt * (digamma(r + x) + (q / (2.0 + x)) * theta / f1)
-    return total
 
 
 def unb_score_r(params: UnbParams, data) -> float:

@@ -124,15 +124,22 @@ def _check_rank(x: np.ndarray):
 def unb_reg_loglik(beta, r: float, design: np.ndarray, y) -> float:
     """Log-likelihood of the UNB regression at (beta, r).
 
-    Linear predictors beyond +-700 are clamped (an explicit diagnostic is
-    available through the fitting routines).
+    The response must be non-negative integers (within 1e-9), r positive
+    and finite, and beta one entry per design column.  Linear predictors
+    beyond +-700 are clamped (an explicit diagnostic is available through
+    the fitting routines).
     """
     beta = np.asarray(beta, dtype=float)
-    y = np.asarray(y)
+    y, bad = _rounded_counts(y)
+    if np.any(bad):
+        raise DataError("response must be non-negative integers")
     if design.shape[0] != y.size:
         raise DataError("design rows do not match response length")
-    if not r > 0.0:
-        raise DomainError(f"r must be positive, got {r}")
+    if beta.shape != (design.shape[1],):
+        raise DataError(f"beta has shape {beta.shape}, not one entry per design "
+                        f"column ({design.shape[1]})")
+    if not (r > 0.0 and math.isfinite(r)):
+        raise DomainError(f"r must be a positive finite real, got {r}")
     eta, _ = _eta(beta, design)
     lp, _ = _FAMILIES["unb"].logpmf(eta, r, y)
     return float(np.sum(lp))

@@ -3,9 +3,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import special as ssp
 
 from unbcount.datasets import NMES_ENV_VAR, load_nmes, nmes_path_from_env
-from unbcount.specfun import confluent_1f1, gauss_2f1
+from unbcount.specfun import (ThetaArgs, confluent_1f1, digamma, gauss_2f1, kampe_theta1,
+                              series_2f1_raw)
 
 # The (r, p) grid used by the distribution-level property tests.
 GRID_R = (0.5, 1.0, 2.0, 5.0, 20.0)
@@ -47,6 +49,41 @@ def hyp_up_pmf(params, x: int) -> float:
     lam = params.lam
     log_base = x * math.log(lam) - lam - math.lgamma(x + 2.0)
     return math.exp(log_base) * confluent_1f1(1.0, x + 2.0, lam)
+
+
+def nb_tail_cutoff(params, tail: float = 1e-12) -> int:
+    """Smallest x with negative-binomial survival P(N >= x) < tail, where
+    P(N >= x) = I_q(x, r) for x >= 1 and 1 at x = 0: doubling, then
+    bisection.  The tests sum pmfs up to it."""
+    def above(x):
+        return x == 0 or ssp.betainc(x, params.r, params.q) >= tail
+
+    lo, hi = 0, 1
+    while above(hi):
+        lo, hi = hi, 2 * hi
+        assert hi <= 2 ** 60, "tail cutoff search did not terminate"
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return hi
+
+
+def score_r_theta(params, data) -> float:
+    """The r-score of a UNB sample as n log p + sum psi(r+x_i) - n psi(r)
+    + the theta correction term, from the theta1 double series (specfun): a
+    route apart from the log-pmf kernel's sums, the oracle of unb_score_r."""
+    xs, w = np.unique(np.asarray(data), return_counts=True)
+    r, p = params.r, params.p
+    q = 1.0 - p
+    n = int(w.sum())
+    total = n * math.log(p) - n * digamma(r)
+    for x, wt in zip(xs.astype(float), w):
+        f1 = series_2f1_raw(1.0, r + x, 2.0 + x, q).value
+        theta = kampe_theta1(ThetaArgs(
+            a1=1.0, a2=1.0, b1=r + x, b2=r + x + 1.0, b3=2.0,
+            c1=r + x + 1.0, d1=2.0, d2=x + 3.0, x1=q, x2=q))
+        total += wt * (digamma(r + x) + (q / (2.0 + x)) * theta / f1)
+    return total
 
 
 def mp_logpmf(r, p, x, q=None):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from conftest import GRID, NMES_SKIP_NOTICE, hyp_pmf
+from conftest import GRID, NMES_SKIP_NOTICE, hyp_pmf, nb_tail_cutoff, score_r_theta
 from unbcount.datasets import (
     NMES_COVARIATES,
     NMES_RESPONSE,
@@ -23,7 +23,6 @@ from unbcount.distributions import (
     UnbParams,
     UpParams,
     geom_pmf,
-    nb_tail_cutoff,
     unb_cdf,
     unb_dispersion_index,
     unb_dlogpmf_dp_kernel,
@@ -36,7 +35,6 @@ from unbcount.distributions import (
 )
 from unbcount.errors import DegenerateVuongError
 from unbcount.estimation import (
-    _score_r_theta,
     fit_mle,
     fit_nb_mle,
     fit_up_mle,
@@ -201,7 +199,7 @@ def test_criterion_08_scores_and_hessian():
         fd_r = (unb_loglik(UnbParams(r + h_r, p), data)
                 - unb_loglik(UnbParams(r - h_r, p), data)) / (2.0 * h_r)
         score_r = unb_score_r(params, data)
-        e_r = max(abs(score_r - _score_r_theta(params, data)),
+        e_r = max(abs(score_r - score_r_theta(params, data)),
                   abs(score_r - fd_r)) / max(1.0, abs(fd_r))
         worst = max(worst, e_p, e_r)
         ok &= e_p <= 1e-5 and e_r <= 1e-5

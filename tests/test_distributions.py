@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy import special as ssp
 from scipy import stats as sps
 
-from conftest import GRID, hyp_cdf, hyp_pmf, hyp_up_pmf, mp_logpmf, mp_logpmf_mpf
+from conftest import (GRID, hyp_cdf, hyp_pmf, hyp_up_pmf, mp_logpmf, mp_logpmf_mpf,
+                      nb_tail_cutoff)
 from unbcount import distributions as _dist
 from unbcount.distributions import (
     GeomParams,
@@ -22,7 +23,6 @@ from unbcount.distributions import (
     geom_pmf,
     nb_cdf,
     nb_pmf,
-    nb_tail_cutoff,
     unb_cdf,
     unb_dispersion_index,
     unb_dlogpmf_dp_kernel,
@@ -538,6 +538,20 @@ class TestKernels:
             one = _unb_logpmf(r, 1.0 - qi, np.array([xi]), grad=True, q=qi)
             for d, (got, want) in enumerate(zip(rows, one)):
                 assert abs(got[i] - want[0]) <= 1e-12 * abs(want[0]), (i, d)
+
+    def test_per_row_head_ends_where_the_tail_takes_over(self):
+        # A count of 10^6 among 999 small ones: its head sum passes
+        # 1 - 1/_HEAD_LOSS within a few dozen terms, where the row takes the
+        # tail form, so the per-row pass does not run 10^6 head terms.
+        rng = np.random.default_rng(14)
+        x = np.append(rng.integers(0, 20, 999), 10 ** 6)
+        p = rng.uniform(0.3, 0.7, x.size)
+        start = time.process_time()
+        rows = _unb_logpmf(1.5, p, x, grad=True)
+        assert time.process_time() - start < 2.0
+        one = _unb_logpmf(1.5, p[-1], x[-1:], grad=True)
+        for d, (got, want) in enumerate(zip(rows, one)):
+            assert abs(got[-1] - want[0]) <= 1e-12 * abs(want[0]), d
 
 
 R_SCORE_R = (0.05, 0.3, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 3.0, 20.0, 300.0)

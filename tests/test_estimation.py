@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mp_logpmf, mp_logpmf_mpf
+from conftest import mp_logpmf, mp_logpmf_mpf, score_r_theta
 from unbcount import distributions as dist
 from unbcount import estimation
 from unbcount.datasets import Dataset
@@ -156,7 +156,7 @@ class TestScores:
         fd = (unb_loglik(UnbParams(3.0 + h, 0.5), data)
               - unb_loglik(UnbParams(3.0 - h, 0.5), data)) / (2.0 * h)
         score = unb_score_r(params, data)
-        assert abs(score - estimation._score_r_theta(params, data)) <= 1e-5
+        assert abs(score - score_r_theta(params, data)) <= 1e-5
         assert abs(score - fd) <= 1e-5
 
     def test_r_score_closed_form_at_zero(self):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from unbcount.datasets import Dataset
 from unbcount.distributions import UnbParams, unb_dlogpmf_dp_kernel, unb_pmf, unb_sample
 from unbcount.errors import (DataError, DegenerateDataError, DegenerateVuongError,
-                             RankDeficientError)
+                             DomainError, RankDeficientError)
 from unbcount import distributions, estimation
 from unbcount.estimation import _FAMILIES, fit_mle, unb_loglik
 from unbcount.regression import (
@@ -96,6 +96,20 @@ class TestRegLoglik:
     def test_shape_mismatch(self):
         with pytest.raises(DataError):
             unb_reg_loglik(np.array([0.0]), 2.0, np.ones((3, 1)), np.array([0, 1]))
+
+    @pytest.mark.parametrize("y", [[0, 1, 2, 0, -1], [0, 1, 2, 0, 1.5]])
+    def test_response_must_be_counts(self, y):
+        with pytest.raises(DataError, match="non-negative integers"):
+            unb_reg_loglik([0.1, 0.2], 2.0, np.ones((5, 2)), np.array(y))
+
+    @pytest.mark.parametrize("r", [math.inf, math.nan, 0.0, -1.0])
+    def test_r_must_be_positive_and_finite(self, r):
+        with pytest.raises(DomainError, match="r must be a positive finite real"):
+            unb_reg_loglik([0.1, 0.2], r, np.ones((5, 2)), np.array([0, 1, 2, 0, 1]))
+
+    def test_beta_needs_one_entry_per_design_column(self):
+        with pytest.raises(DataError, match="one entry per design column"):
+            unb_reg_loglik([0.1], 2.0, np.ones((5, 2)), np.array([0, 1, 2, 0, 1]))
 
 
 class TestGradient:
