@@ -542,19 +542,82 @@ class TestKernels:
     def test_per_row_head_ends_where_the_tail_takes_over(self):
         # A count of 10^6 among 999 small ones: its head sum passes
         # 1 - 1/_HEAD_LOSS within a few dozen terms, where the row takes the
-        # tail form, so the per-row pass does not run 10^6 head terms.
+        # tail form, so the per-row pass does not run 10^6 head terms.  The
+        # scalar-p pass at that count alone forms its weighted head sums
+        # only up to the same point, not six rows of 10^6 (192 MB).
         rng = np.random.default_rng(14)
         x = np.append(rng.integers(0, 20, 999), 10 ** 6)
         p = rng.uniform(0.3, 0.7, x.size)
         start = time.process_time()
         rows = _unb_logpmf(1.5, p, x, grad=True)
         assert time.process_time() - start < 2.0
+        tracemalloc.start()
+        start = time.process_time()
         one = _unb_logpmf(1.5, p[-1], x[-1:], grad=True)
+        elapsed = time.process_time() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 100e6, (elapsed, peak)
         for d, (got, want) in enumerate(zip(rows, one)):
             assert abs(got[-1] - want[0]) <= 1e-12 * abs(want[0]), d
 
 
-R_SCORE_R = (0.05, 0.3, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 3.0, 20.0, 300.0)
+class TestScalarBlocks:
+    """unb_logpmf reads x from a cached shared-p pass over the 64 counts of
+    its block."""
+
+    def test_cold_and_warm_give_the_same_float(self):
+        params, info = UnbParams(2.5, 0.3), _dist._logpmf_block.cache_info
+        for x in (0, 5, 63, 64, 100, 700, 3000):
+            _dist._logpmf_block.cache_clear()
+            cold = unb_logpmf(params, x)
+            for other in (x + 64, x + 1000, 200):
+                unb_logpmf(params, other)
+                unb_logpmf(UnbParams(2.5, 0.31), other)
+            hits = info().hits
+            assert unb_logpmf(params, x) == cold and info().hits == hits + 1, x
+
+    @pytest.mark.parametrize("r", [0.5, 3.0, 25.0])
+    def test_against_mpmath(self, r):
+        _dist._logpmf_block.cache_clear()
+        for p in (0.05, 0.5, 0.95):
+            for x in (0, 1, 63, 64, 127, 128, 10 ** 4):
+                got = unb_logpmf(UnbParams(r, p), x)
+                assert abs(got - mp_logpmf(r, p, x)) <= 1e-10, (p, x)
+
+    @pytest.mark.parametrize("r,p", [(0.4, 0.02), (3.0, 0.5), (25.0, 0.9)])
+    def test_block_is_the_shared_pass(self, r, p):
+        params = UnbParams(r, p)
+        vector = unb_pmf_vector(params, 255)
+        for block in range(4):
+            xs = np.arange(64 * block, 64 * block + 64)
+            got = np.array([unb_logpmf(params, x) for x in xs])
+            assert np.array_equal(got, _unb_logpmf(r, p, xs)), block
+            pmf = np.array([unb_pmf(params, x) for x in xs])
+            assert np.max(np.abs(pmf / vector[xs] - 1.0)) <= 1e-13, block
+
+    @pytest.mark.parametrize("r,p", [(0.5, 0.05), (3.0, 0.1), (25.0, 0.05)])
+    def test_cdf_at_a_block_end(self, r, p):
+        # cdf(x) reads pmf(x + 1), which lies in the next block here
+        params = UnbParams(r, p)
+        for x in (63, 127):
+            _dist._logpmf_block.cache_clear()
+            assert abs(unb_cdf(params, x) - hyp_cdf(params, x)) <= 1e-12, x
+            assert _dist._logpmf_block.cache_info().misses == 1
+
+    def test_cache_is_bounded_and_read_only(self):
+        maxsize = _dist._logpmf_block.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 64
+        for p in np.linspace(0.1, 0.9, maxsize + 8):
+            unb_logpmf(UnbParams(2.0, p), 70)
+        assert _dist._logpmf_block.cache_info().currsize == maxsize
+        block = _dist._logpmf_block(2.0, 0.5, 1)
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0] = 0.0
+
+
+R_SCORE_R =(0.05, 0.3, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 3.0, 20.0, 300.0)
 R_SCORE_P = (0.01, 0.5, 0.999)
 R_SCORE_X = np.array([0, 1, 5, 20, 150])
 HESS_R = (math.exp(-8.0), 0.5, 1.0 - 1e-6, 1.0 + 1e-6, 3.0, 50.0)
