@@ -262,15 +262,19 @@ def response_counts(dataset: Dataset, name: str) -> np.ndarray:
     return ints.astype(np.int64)
 
 
-def _one_summary(label: str, x: np.ndarray) -> GroupSummary:
-    n = x.size
+def _moments(x: np.ndarray) -> tuple:
+    """Mean, ddof-1 variance (0 for n = 1), dispersion index and zero share."""
     mean = float(np.mean(x))
-    var = float(np.var(x, ddof=1)) if n > 1 else 0.0
+    var = float(np.var(x, ddof=1)) if x.size > 1 else 0.0
     disp = var / mean if mean > 0 else None
-    return GroupSummary(group_label=label, n=n, max=int(np.max(x)),
+    return mean, var, disp, float(np.mean(x == 0))
+
+
+def _one_summary(label: str, x: np.ndarray) -> GroupSummary:
+    mean, var, disp, zero = _moments(x)
+    return GroupSummary(group_label=label, n=x.size, max=int(np.max(x)),
                         min=int(np.min(x)), mean=mean, variance=var,
-                        dispersion_index=disp,
-                        zero_proportion=float(np.mean(x == 0)))
+                        dispersion_index=disp, zero_proportion=zero)
 
 
 def summarize(dataset: Dataset, response: str,

@@ -56,8 +56,8 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class UnbParams:
-    """Shape r > 0 of the latent negative binomial and success probability p."""
+class _RpParams:
+    """The (r, p) of a law built on the negative binomial: r > 0, p in (0, 1)."""
 
     r: float
     p: float
@@ -74,19 +74,13 @@ class UnbParams:
 
 
 @dataclass(frozen=True)
-class NbParams:
-    r: float
-    p: float
+class UnbParams(_RpParams):
+    """Shape r > 0 of the latent negative binomial and success probability p."""
 
-    def __post_init__(self):
-        if not (self.r > 0.0 and math.isfinite(self.r)):
-            raise DomainError(f"r must be a positive finite real, got {self.r}")
-        if not (0.0 < self.p < 1.0):
-            raise DomainError(f"p must lie in (0, 1), got {self.p}")
 
-    @property
-    def q(self) -> float:
-        return 1.0 - self.p
+@dataclass(frozen=True)
+class NbParams(_RpParams):
+    """Shape r > 0 and success probability p of the negative binomial."""
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,15 @@ Method of moments inverts the closed-form mean and second moment.  Every
 maximum-likelihood fit, marginal or regression, runs on ``_fit``: a
 family (UNB, negative binomial, uniform-Poisson, geometric) with log-link
 mean mu = exp(eta), eta = design @ beta, fitted over (beta, log r) by one
-run of ``_newton``, the package's own damped Newton method, from one start
-on the log-likelihood, its gradient and its Hessian, all three from one
-kernel pass per evaluation; a start where they are not finite raises
-NonConvergenceError.  A marginal fit is the intercept-only fit on the
-distinct counts with their frequencies as weights; its law's parameters
-((r, p), lam or p) and their standard errors follow from (intercept, r)
-by the delta method.  Standard errors invert the observed information at
-the optimum, the last pass's Hessian.
+run of ``_newton``, the package's own damped Newton method, from the
+family's ``start`` (log mean count, log of its moment r; all-zero counts
+raise DegenerateDataError) on the log-likelihood, its gradient and its
+Hessian, all three from one kernel pass per evaluation; a start where
+they are not finite raises NonConvergenceError.  A marginal fit is the
+intercept-only fit on the distinct counts with their frequencies as
+weights; its law's parameters ((r, p), lam or p) and their standard
+errors follow from (intercept, r) by the delta method.  Standard errors
+invert the observed information at the optimum, the last pass's Hessian.
 
 Convergence is judged on the gradient of the per-observation mean
 log-likelihood, a gate that is parameterisation-stable and does not
@@ -30,8 +31,8 @@ import numpy as np
 from scipy import special as _sps
 
 from . import distributions as _dist
-from .datasets import _rounded_counts
-from .distributions import GeomParams, NbParams, UnbParams, UpParams
+from .datasets import _moments, _rounded_counts
+from .distributions import _LOG_FLOOR, GeomParams, NbParams, UnbParams, UpParams
 from .errors import (
     DataError,
     DegenerateDataError,
@@ -121,14 +122,10 @@ def _as_counts(data) -> np.ndarray:
 def sample_moments(data) -> MomentSummary:
     """First two raw sample moments plus the usual descriptive extras."""
     x = _as_counts(data)
-    n = x.size
-    m1 = float(np.mean(x))
-    m2 = float(np.mean(x.astype(float) ** 2))
-    var = float(np.var(x, ddof=1)) if n > 1 else 0.0
-    disp = var / m1 if m1 > 0 else None
-    zero = float(np.mean(x == 0))
-    return MomentSummary(n=n, m1=m1, m2=m2, sample_variance=var,
-                         dispersion_index=disp, zero_proportion=zero)
+    m1, var, disp, zero = _moments(x)
+    return MomentSummary(n=x.size, m1=m1, m2=float(np.mean(x.astype(float) ** 2)),
+                         sample_variance=var, dispersion_index=disp,
+                         zero_proportion=zero)
 
 
 def _moment_r(m1: float, m2: float) -> float:
@@ -159,12 +156,12 @@ def fit_mm(data) -> FitResult:
 def _compress(data):
     x = _as_counts(data)
     xs, w = np.unique(x, return_counts=True)
-    return xs.astype(float), w.astype(float), x.size
+    return xs.astype(float), w.astype(float)
 
 
 def unb_loglik(params: UnbParams, data) -> float:
     """Sum of log pmf values over the sample."""
-    xs, w, _ = _compress(data)
+    xs, w = _compress(data)
     return float(np.dot(w, _dist.unb_logpmf_kernel(params.r, params.p, xs)[0]))
 
 
@@ -173,14 +170,14 @@ def unb_score_p(params: UnbParams, data) -> float:
     m_i = E_t[k | k >= x_i] from the log-pmf kernel's sums (equal to
     -sum x_i/q + n r/p
     - sum ((r+x_i)/(2+x_i)) 2F1(2, r+x_i+1; 3+x_i; q) / 2F1(1, r+x_i; 2+x_i; q))."""
-    xs, w, _ = _compress(data)
+    xs, w = _compress(data)
     return float(np.dot(w, _dist.unb_dlogpmf_dp_kernel(params.r, params.p, xs)))
 
 
 def unb_score_r(params: UnbParams, data) -> float:
     """Exact derivative of the log-likelihood in r at fixed p, from the
     log-pmf kernel's pass (the r-derivative every fit uses)."""
-    xs, w, _ = _compress(data)
+    xs, w = _compress(data)
     return float(np.dot(w, _dist.unb_logpmf_kernel(params.r, params.p, xs, grad=True)[3]))
 
 
@@ -195,7 +192,6 @@ def unb_score_r(params: UnbParams, data) -> float:
 # perfbench/tracing.py wraps them.
 
 _ETA_CLAMP = 700.0
-_LOG_FLOOR = math.log(_dist.PMF_FLOOR)
 _LOGR_BOUND = 8.0  # log r in [-8, 8]
 _GRAD_GATE = 1e-6  # on the gradient of the mean log-likelihood
 # The trust radius each Newton run starts at and falls back to: the largest
@@ -218,7 +214,7 @@ class _Family:
     d2/d eta d log r and d2/d log r^2 (None for those in log r of a law
     without r).  ``law(theta)`` gives the law at theta = (eta[, r]) with
     the Jacobian of its parameters in theta, and ``eta_of(params)`` the
-    inverse, (eta, r)."""
+    inverse, (eta, r).  ``start(y, w)`` gives every fit's start."""
 
     def __init__(self, name: str, params_type, kappa: float = 1.0, fixed_r=None):
         self.name, self.params_type = name, params_type
@@ -246,6 +242,18 @@ class _Family:
         r = params.r if self.n_shape else self.fixed_r
         return math.log(r * (1.0 - params.p) / (self.kappa * params.p)), r
 
+    def start(self, y, w):
+        """(log m1[, log moment_r]) of the counts y with frequency weights w,
+        m1 their mean; all-zero counts raise DegenerateDataError."""
+        n = np.sum(w)
+        m1 = float(np.dot(w, y)) / n
+        if m1 == 0.0:
+            raise DegenerateDataError("all responses are zero: the likelihood increases "
+                                      "as the mean goes to 0 and no maximum exists")
+        if not self.n_shape:
+            return np.array([math.log(m1)])
+        return np.array([math.log(m1), math.log(self.moment_r(y, w, n, m1))])
+
 
 def _eta_logr(r, d_l, d_r, d_ll, d_lr, d_rr):
     """Derivatives in (logit p, r at fixed p) as derivatives in (eta, log r),
@@ -256,6 +264,13 @@ def _eta_logr(r, d_l, d_r, d_ll, d_lr, d_rr):
 
 
 class _Unb(_Family):
+    def moment_r(self, y, w, n, m1):
+        """_moment_r, or 2 (the geometric submodel) for too little dispersion."""
+        try:
+            return _moment_r(m1, float(np.dot(w, y * y)) / n)
+        except UnderDispersionError:
+            return 2.0
+
     def logpmf(self, eta, r, y):
         p, q = self.link(eta, r)
         return _dist.unb_logpmf_kernel(r, p, y, q=q)
@@ -267,6 +282,11 @@ class _Unb(_Family):
 
 
 class _Nb(_Family):
+    def moment_r(self, y, w, n, m1):
+        """m1^2 / (var - m1) clipped to [1e-2, 1e3], or 2 where var <= m1."""
+        var = float(np.dot(w, (y - m1) ** 2)) / max(n - 1.0, 1.0)
+        return min(max(m1 ** 2 / (var - m1), 1e-2), 1e3) if var > m1 else 2.0
+
     def logpmf(self, eta, r, y):
         p, q = self.link(eta, r)
         lp = _dist._nb_logpmf(r, p, y, q)
@@ -470,19 +490,6 @@ def _fit(family, design, y, weights, theta0):
 # Marginal fits: intercept-only fits on the distinct counts
 
 
-def _marginal_counts(data, level: float):
-    """Distinct counts, their frequencies and the sample mean."""
-    if not (0.0 < level < 1.0):
-        raise DomainError(f"level must lie in (0, 1), got {level}")
-    xs, w, n = _compress(data)
-    m1 = float(np.dot(w, xs)) / n
-    if m1 == 0.0:
-        raise DegenerateDataError(
-            "all observations are zero: the likelihood increases as the mean "
-            "goes to 0 and no interior maximum exists")
-    return xs, w, m1
-
-
 def _interval(name: str, est: float, se: float, z: float) -> tuple:
     """The Wald interval of a law's parameter taken where its range is the
     real line, so that it stays inside the parameter space: logit p, log r,
@@ -495,11 +502,17 @@ def _interval(name: str, est: float, se: float, z: float) -> tuple:
         return tuple(float(est * np.exp(d)) for d in (-h, h))
 
 
-def _fit_marginal(family, xs, w, theta0, level: float) -> FitResult:
-    """The intercept-only fit with the frequencies as weights.  The law's
-    parameters and their covariance follow from (intercept[, r]) by the
-    delta method, exact at the optimum, where the gradient is zero; the
-    confidence intervals are those of _interval."""
+def _fit_marginal(family, data, level: float, init=None) -> FitResult:
+    """The intercept-only fit on the distinct counts, weighted by their
+    frequencies, from ``init`` if given, else from family.start.  The law's
+    parameters and covariance follow from (intercept[, r]) by the delta
+    method, exact at the zero-gradient optimum; intervals as in _interval."""
+    if not (0.0 < level < 1.0):
+        raise DomainError(f"level must lie in (0, 1), got {level}")
+    xs, w = _compress(data)
+    theta0 = family.start(xs, w)
+    if init is not None:
+        theta0 = np.array([family.eta_of(init)[0], math.log(init.r)])
     theta, cov, ll, converged, iterations, diagnostics = _fit(
         family, np.ones((xs.size, 1)), xs, w, theta0)
     params, jac = family.law(theta)
@@ -515,33 +528,19 @@ def _fit_marginal(family, xs, w, theta0, level: float) -> FitResult:
 
 
 def fit_mle(data, init: Optional[UnbParams] = None, level: float = 0.95) -> FitResult:
-    """Maximum likelihood over (r, p), one Newton run from one start.
-
-    The start is ``init`` when given, else the moment estimate, else, for a
-    sample too little dispersed for it, the geometric submodel (r = 2) at
-    the sample mean; both have mean m1.  A start where the log-likelihood
-    is not finite (p = 1e-300, say) raises NonConvergenceError.  Standard
-    errors and confidence intervals come from the inverse observed
-    information at the optimum.
-    """
-    xs, w, m1 = _marginal_counts(data, level)
-    if init is not None:
-        theta0 = [_FAMILIES["unb"].eta_of(init)[0], math.log(init.r)]
-    else:
-        try:
-            r0 = _moment_r(m1, float(np.dot(w, xs * xs)) / np.sum(w))
-        except UnderDispersionError:
-            r0 = 2.0
-        theta0 = [math.log(m1), math.log(r0)]
-    return _fit_marginal(_FAMILIES["unb"], xs, w, np.array(theta0), level)
+    """Maximum likelihood over (r, p), one Newton run from ``init`` when
+    given, else from the family's start: the sample mean with the moment
+    estimate of r, or with the geometric submodel's r = 2 for a sample too
+    little dispersed for it.  A start where the log-likelihood is not
+    finite (p = 1e-300, say) raises NonConvergenceError.  Standard errors
+    and confidence intervals come from the inverse observed information."""
+    return _fit_marginal(_FAMILIES["unb"], data, level, init)
 
 
 def fit_geometric(data, level: float = 0.95) -> FitResult:
     """Geometric MLE p = 1/(1 + mean), with observed-information standard
-    error; the mean is the start and the optimum."""
-    xs, w, m1 = _marginal_counts(data, level)
-    return _fit_marginal(_FAMILIES["geometric"], xs, w, np.array([math.log(m1)]),
-                         level)
+    error; the family's start, the sample mean, is the optimum."""
+    return _fit_marginal(_FAMILIES["geometric"], data, level)
 
 
 def lr_test_geometric(data) -> LrTestResult:
@@ -558,17 +557,13 @@ def lr_test_geometric(data) -> LrTestResult:
 
 
 def fit_nb_mle(data, level: float = 0.95) -> FitResult:
-    """Negative binomial MLE over (r, p), started at the sample mean and the
-    moment estimate r = m1^2 / (var - m1) (r = 2 when var <= m1)."""
-    xs, w, m1 = _marginal_counts(data, level)
-    var = float(np.dot(w, (xs - m1) ** 2)) / max(np.sum(w) - 1.0, 1.0)
-    r0 = m1 ** 2 / (var - m1) if var > m1 else 2.0
-    start = np.array([math.log(m1), math.log(min(max(r0, 1e-2), 1e3))])
-    return _fit_marginal(_FAMILIES["nb"], xs, w, start, level)
+    """Negative binomial MLE over (r, p), from the family's start: the sample
+    mean and the moment estimate r = m1^2 / (var - m1) clipped to
+    [1e-2, 1e3] (r = 2 when var <= m1)."""
+    return _fit_marginal(_FAMILIES["nb"], data, level)
 
 
 def fit_up_mle(data, level: float = 0.95) -> FitResult:
-    """Uniform-Poisson MLE for the latent rate, started at twice the sample
-    mean (the distribution mean is lam/2)."""
-    xs, w, m1 = _marginal_counts(data, level)
-    return _fit_marginal(_FAMILIES["up"], xs, w, np.array([math.log(m1)]), level)
+    """Uniform-Poisson MLE for the latent rate, from the family's start:
+    twice the sample mean (the distribution mean is lam/2)."""
+    return _fit_marginal(_FAMILIES["up"], data, level)

@@ -8,16 +8,16 @@ one, whose mean is lam / 2, so all three models share the same
 conditional-mean scale.  q_i is computed from mu_i, never as 1 - p_i,
 which rounds to 0 once eta is below about log r - 37.
 
-Each fit is build_design, a rank check, a check that some response is
-non-zero (else no maximum-likelihood estimate exists), one start
-(intercept log mean, log r from the moment estimate) and the engine of
-``estimation._fit`` with unit weights: Newton's method over (beta, log r)
-on the log-likelihood, its gradient and its Hessian from one kernel pass
-(for UNB, means and variances of k and H_k = psi(r+k) - psi(r) over the
-terms nb(k)/(k+1) whose sum is the pmf).  Standard errors invert the last
-pass's observed information in (beta, r).  Linear predictors are clamped
-to |eta| <= 700 and per-observation probabilities floored at 1e-300,
-both counted in the fit diagnostics.
+Each fit is build_design, a rank check, the family's start (intercept
+log mean, log r the family's moment estimate; all-zero responses, which
+have no maximum-likelihood estimate, raise DegenerateDataError there) and
+the engine of ``estimation._fit`` with unit weights: Newton's method over
+(beta, log r) on the log-likelihood, its gradient and its Hessian from one
+kernel pass (for UNB, means and variances of k and H_k = psi(r+k) - psi(r)
+over the terms nb(k)/(k+1) whose sum is the pmf).  Standard errors invert
+the last pass's observed information in (beta, r).  Linear predictors are
+clamped to |eta| <= 700 and per-observation probabilities floored at
+1e-300, both counted in the fit diagnostics.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ import numpy as np
 from scipy import special as _sps
 
 from .datasets import Dataset, _rounded_counts
-from .errors import (DataError, DegenerateDataError, DegenerateVuongError, DomainError,
-                     RankDeficientError)
-# _opt is unused here; perfbench/tracing.py wraps regression._opt.
+from .errors import DataError, DegenerateVuongError, DomainError, RankDeficientError
+# Unused here; perfbench/tracing.py wraps regression._opt and regression.fit_mm.
 from .estimation import _FAMILIES, _eta, _fit, _opt, fit_mm  # noqa: F401
 
 __all__ = [
@@ -146,24 +145,17 @@ def unb_reg_loglik(beta, r: float, design: np.ndarray, y) -> float:
 
 
 def _regress(family, dataset, spec: RegressionSpec) -> RegressionFit:
-    """The design, rank and all-zero checks, one start and the engine."""
+    """The design and rank checks, the family's start and the engine."""
     design, y, names = build_design(dataset, spec)
     n, k = design.shape
     if n <= k + 1:
         raise DataError(f"need more rows than parameters: n={n}, columns={k}")
     _check_rank(design)
-    if not np.any(y):
-        raise DegenerateDataError("all responses are zero: the likelihood increases "
-                                  "as the mean goes to 0 and no maximum exists")
+    start = family.start(y, np.ones(n))
     theta0 = np.zeros(k + family.n_shape)
+    theta0[k:] = start[1:]
     if spec.intercept:
-        theta0[0] = math.log(float(np.mean(y)) + 0.5 / n)
-    if family.n_shape:
-        try:
-            r0 = fit_mm(y).params.r
-        except DataError:
-            r0 = 2.0
-        theta0[k] = math.log(min(max(r0, 1e-3), 1e3))
+        theta0[0] = start[0]
     theta, cov, ll, converged, iterations, diagnostics = _fit(
         family, design, y, np.ones(n), theta0)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))

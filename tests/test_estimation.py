@@ -529,6 +529,26 @@ class TestOneEngine:
         assert astuple(mfit.params) == pytest.approx(astuple(family.law(theta)[0]),
                                                      rel=1e-6)
 
+    @pytest.mark.parametrize("model", list(REGRESSION_FITS))
+    def test_regression_and_marginal_fit_share_the_start(self, model, monkeypatch):
+        # The intercept-only regression on the counts and the marginal fit
+        # on their distinct values and frequencies start at one point: the
+        # family's start, the log mean with the family's moment r.
+        real_minimize, starts = estimation._opt.minimize, []
+
+        def record(fun, x0, **kwargs):
+            starts.append(np.array(x0, dtype=float))
+            return real_minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(estimation._opt, "minimize", record)
+        y = unb_sample(UnbParams(2.0, 0.45), 2000, 5)
+        data = Dataset(column_names=("y",), columns={"y": y.astype(float)}, n=y.size)
+        REGRESSION_FITS[model](data, RegressionSpec("y", ()))
+        MARGINAL_FITS[model](y)
+        assert len(starts) == 2
+        assert starts[0] == pytest.approx(starts[1], rel=0.0, abs=1e-15)
+        assert starts[0][0] == pytest.approx(math.log(np.mean(y)), rel=1e-15)
+
     @pytest.mark.parametrize("model", list(RECORDED_FITS))
     def test_marginal_fits_match_recorded_values(self, model):
         estimates, loglik, std_errors = RECORDED_FITS[model]
@@ -579,3 +599,20 @@ class TestFitTrace:
     def test_all_zero_input_raises(self, model):
         with pytest.raises(DegenerateDataError):
             MARGINAL_FITS[model]([0] * 50)
+
+    def test_every_fit_rejects_all_zero_counts_with_one_text(self):
+        # One check, in the families' start, for all eight entry points.
+        y = np.zeros(50)
+        z = np.random.default_rng(3).normal(0.0, 1.0, y.size)
+        data = Dataset(column_names=("y", "z"), columns={"y": y, "z": z}, n=y.size)
+        calls = [lambda f=f: f(y) for f in MARGINAL_FITS.values()]
+        calls.append(lambda: fit_mle(y, init=UnbParams(2.0, 0.5)))
+        calls += [lambda f=f: f(data, RegressionSpec("y", ("z",)))
+                  for f in REGRESSION_FITS.values()]
+        texts = set()
+        for call in calls:
+            with pytest.raises(DegenerateDataError) as exc:
+                call()
+            texts.add(str(exc.value))
+        assert len(texts) == 1
+        assert texts.pop().startswith("all responses are zero")

@@ -256,8 +256,8 @@ REGRESSION_FITS = {"unb": fit_unb_regression, "nb": fit_nb_regression,
 
 class TestPassBudget:
     def test_nmes_shaped_fits_within_pass_budget(self, monkeypatch):
-        # Every UNB kernel pass of the fit counts: the start's moment fit,
-        # the optimiser's, and no separate information step.
+        # Every UNB kernel pass of the fit counts: the optimiser's, and no
+        # separate information step; the start takes no kernel pass.
         calls = {"n": 0}
         real = distributions.unb_logpmf_kernel
 
@@ -270,10 +270,13 @@ class TestPassBudget:
         data = make_dataset(y, **{c: covs[:, j] for j, c in enumerate(gen.COVARIATES)})
         spec = RegressionSpec("y", gen.COVARIATES)
         for model, budget in (("unb", 30), ("nb", 15), ("up", 15)):
+            calls["n"] = 0
             fit = REGRESSION_FITS[model](data, spec)
             assert fit.converged and fit.diagnostics["grad_norm"] <= 1e-8, model
             assert fit.diagnostics["evaluations"] <= budget, model
-        assert calls["n"] <= 30
+            # NB and UP run no UNB kernel pass, UNB one per evaluation
+            expected = fit.diagnostics["evaluations"] if model == "unb" else 0
+            assert calls["n"] == expected, model
 
 
 class TestObservedInformation:
