@@ -9,6 +9,7 @@ error, 3 convergence failure (diagnostics are still printed).
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import math
 import sys
@@ -31,6 +32,9 @@ EXIT_CONVERGENCE = 3
 
 # Draws formatted per write by `simulate`.
 _WRITE_BLOCK = 1 << 14
+# 10, 100, ..., 10**18: a non-negative int64 has one digit more than the
+# number of these at or below it.
+_TENS = 10 ** np.arange(1, 19, dtype=np.int64)
 
 # Fitters by model name, looked up on their module at each call.
 FIT_MODELS = {"unb": "fit_mle", "nb": "fit_nb_mle", "up": "fit_up_mle",
@@ -87,15 +91,14 @@ def _raw_count_file(path) -> Optional[np.ndarray]:
 
 
 def _count_column(fh) -> np.ndarray:
-    """The numbers of a text file, one a line, blank lines skipped.  numpy's
-    reader takes the file; where it declines, a loop over the lines reads
-    it as ``float`` does (``1_000`` among others) or raises ValueError."""
-    try:
-        vals = np.loadtxt(fh, comments=None, ndmin=2)
-        if vals.shape[1] == 1:
-            return vals[:, 0]
-    except ValueError:
-        pass
+    """The numbers of a text file, one a line, blank lines skipped.  The
+    field reader takes the file's bytes; where it declines, a loop over the
+    lines reads it as ``float`` does (``1_000`` among others) or raises
+    ValueError."""
+    body = fh.buffer.read().removeprefix(codecs.BOM_UTF8)
+    vals = ds._field_rows(body, ",", 1, [0], skip=0)
+    if vals is not None:
+        return vals[:, 0]
     fh.seek(0)
     return np.array([float(v) for v in map(str.strip, fh) if v])
 
@@ -143,11 +146,13 @@ def _fit_models(config: argparse.Namespace, *, pmfs: bool = False, **options):
         return data, fits, None
     if regression:
         return data, fits, [reg.per_observation_pmf(fit, data, spec) for fit in fits]
+    # Each law's pmf at the distinct counts, spread to the observations
+    values, inverse = np.unique(counts, return_inverse=True)
     per_obs = []
     for model, fit in zip(config.models, fits):
         family = est._FAMILIES[model]
         eta, r = family.eta_of(fit.params)
-        per_obs.append(np.exp(family.logpmf(eta, r, counts)[0]))
+        per_obs.append(np.exp(family.logpmf(eta, r, values)[0])[inverse])
     return data, fits, per_obs
 
 
@@ -259,6 +264,20 @@ def cmd_compare(config: argparse.Namespace) -> int:
     return _exit_code(fits)
 
 
+def _count_lines(values: np.ndarray) -> bytes:
+    """Non-negative int64 ``values`` in decimal, one a line, as ASCII."""
+    ends = np.cumsum(np.searchsorted(_TENS, values, side="right") + 2)
+    text = np.full(ends[-1], ord("\n"), np.uint8)
+    # Digits from the last, while any value has digits left
+    pos, rest = ends - 2, values
+    while pos.size:
+        text[pos] = ord("0") + rest % 10
+        pos, rest = pos - 1, rest // 10
+        left = rest > 0
+        pos, rest = pos[left], rest[left]
+    return text.tobytes()
+
+
 def cmd_simulate(config: argparse.Namespace) -> int:
     if config.r is None or config.p is None or config.n is None:
         raise DataError("simulate requires --r, --p and --n")
@@ -267,12 +286,11 @@ def cmd_simulate(config: argparse.Namespace) -> int:
     params = dist.UnbParams(config.r, config.p)
     draws = dist.unb_sample(params, config.n, config.seed)
     try:
-        with open(config.output, "w", encoding="utf-8") as fh:
+        with open(config.output, "wb") as fh:
             # A block at a time: the text of every draw at once would be
             # the run's largest allocation.
             for i in range(0, draws.size, _WRITE_BLOCK):
-                block = draws[i:i + _WRITE_BLOCK].tolist()
-                fh.write("\n".join(map(str, block)) + "\n")
+                fh.write(_count_lines(draws[i:i + _WRITE_BLOCK]))
         sidecar = {
             "schema_version": SCHEMA_VERSION,
             "command": "simulate",

@@ -18,7 +18,6 @@ import io
 import json
 import math
 import os
-import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -125,7 +124,7 @@ def load_csv(path, response: str, covariates=(), delimiter: str = ",") -> Datase
     the file, the header being line 1.  The file is UTF-8 text, with or
     without a byte-order mark.
 
-    A regular file is read by numpy's reader (:func:`_numpy_rows`); a file
+    A regular file is read by a field reader (:func:`_numpy_rows`); a file
     it declines, such as one with quoted cells, blank lines or ragged rows,
     by a row parser (:func:`_csv_rows`) that gives the same results and
     messages.
@@ -191,56 +190,163 @@ def _csv_rows(path, reader, selected, idx, width):
     return values, np.array(lines, dtype=int)
 
 
-# Delimiters that numpy's reader splits a row at where csv's does.
+# Delimiters the field reader takes: those numpy's reader splits a row at
+# where csv's does, the files numpy's reader took when it read whole rows.
 _NUMPY_DELIMITERS = frozenset(",;|:\t ")
+# Bytes per block of the field reader: every array it makes but its result
+# is bounded by a multiple of this, whatever the size of the file.
+_BLOCK = 1 << 17
+# A field of at most this many bytes, digits and a decimal point, is read
+# by digit arithmetic: its digits are below 2**53, exact in a float.
+_DIGITS = 15
+_TENS = np.array([10 ** k for k in range(_DIGITS)], dtype=float)
 
 
 def _numpy_rows(path, delimiter, width, idx):
-    """The selected cells of every data row of the file by numpy's reader,
-    NaN where missing, row i being line i + 2 of the file; None for a file
-    the reader cannot take exactly as :func:`_csv_rows` does.
+    """The selected cells of every data row of the file, NaN where missing,
+    row i being line i + 2 of the file, by the field reader
+    (:func:`_field_rows`); None for a file it declines."""
+    return _field_rows(path.read_bytes(), delimiter, width, idx, skip=1)
 
-    Whole ``NA`` and ``NULL`` fields are spelled ``nan`` on the file's bytes
-    first; numpy reads ``nan`` itself.  Declined: a delimiter outside
-    ``_NUMPY_DELIMITERS``, quoted cells (csv reads them, numpy does not),
-    blank lines (numpy skips them, which shifts the line numbers), rows of
-    the wrong width (numpy reads ``usecols`` of a ragged row), more than
-    256 columns, and any selected cell it cannot read: among them an empty
-    cell, ``NA`` in another case or padded, which the row parser reads as
-    missing, and a carriage return inside a line.
+
+def _field_rows(body, delimiter, width, idx, skip):
+    """The fields ``idx`` of each line of ``body`` after the first ``skip``,
+    as floats, NaN for a whole ``NA`` or ``NULL`` field; None for a body
+    this reader cannot take exactly as the row parser does.
+
+    Lines are cut at their delimiters, a block of whole lines at a time,
+    and each selected field is read by its byte offsets: up to ``_DIGITS``
+    bytes of ASCII digits, with at most one decimal point, by digit
+    arithmetic, any other field by numpy's reader, one call per column and
+    block, so numpy's grammar applies to it (``nan`` in any case, `` 3 ``,
+    ``-1``, ``1e5``).  Declined: a delimiter outside
+    ``_NUMPY_DELIMITERS``, bytes that are not UTF-8, quotes (csv reads
+    them, numpy does not), a carriage return other than before a line feed
+    or at the end, no line after the first ``skip``, lines of another
+    width than ``width`` (blank lines among them, when ``width`` > 1), more
+    than 256 columns, an empty selected field (a blank line, when ``width``
+    is 1) and any field numpy cannot read: among them ``NA`` in another
+    case or padded, which the row parser reads as missing.
     """
-    if delimiter not in _NUMPY_DELIMITERS:
+    if delimiter not in _NUMPY_DELIMITERS or width > 256 or b'"' in body:
         return None
-    body = path.read_bytes()
-    if b'"' in body or b"\n\n" in body or b"\n\r\n" in body:
+    if not body.isascii():
+        try:
+            body.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    if b"\r" in body and body.count(b"\r") != body.count(b"\r\n"):
         return None
-    d = delimiter.encode()
-    arr = np.frombuffer(body, np.uint8)
-    starts = np.flatnonzero(arr[:-1] == 10) + 1  # data lines; the header is line 1
-    # Each line's delimiters, counted in one byte: with the total, that
-    # pins every count when width <= 256, without a wider copy of the body.
-    # A wider file never matches the one-byte counts.
-    if (not starts.size
-            or body.count(d) != (starts.size + 1) * (width - 1)
-            or np.any(np.add.reduceat(arr == d[0], starts, dtype=np.uint8)
-                      != width - 1)):
+    cuts = [0]
+    for _ in range(skip):
+        cuts[0] = body.find(b"\n", cuts[0]) + 1
+    while cuts[-1] < len(body):
+        cuts.append(body.find(b"\n", min(cuts[-1] + _BLOCK, len(body)) - 1) + 1)
+    chunks = [np.frombuffer(body, np.uint8, end - pos, pos)
+              for pos, end in zip(cuts, cuts[1:])]
+    lines = [np.count_nonzero(chunk == 10) for chunk in chunks]
+    if not lines:
         return None
-    del arr
-    # A pattern that begins with a lookbehind costs twenty times as much as
-    # one that begins with its literal, so the field's start is checked here
-    # (a match at the file's start is in the header, which numpy skips).
-    def whole_field(m):
-        s, i = m.string, m.start()
-        return b"nan" if s[i - 1] in d + b"\n" else m.group()
+    out = np.empty((len(idx), sum(lines)))
+    row = 0
+    for chunk, n in zip(chunks, lines):
+        if not _block_fields(chunk, n, delimiter, width, idx, out[:, row:row + n]):
+            return None
+        row += n
+    return out.T
 
-    body = re.sub(b"N(?:A|ULL)(?=[" + re.escape(d) + b"\r\n]|\\Z)",
-                  whole_field, body)
-    try:
-        return np.loadtxt(io.BytesIO(body), delimiter=delimiter, usecols=idx,
-                          comments=None, quotechar=None, skiprows=1, ndmin=2,
-                          encoding="utf-8")
-    except ValueError:  # a cell it cannot read, or not UTF-8
-        return None
+
+def _block_fields(chunk, n, delimiter, width, idx, out):
+    """Fill row j of ``out`` with field ``idx[j]`` of each of the ``n`` lines
+    of ``chunk``, which ends with a line feed; False for a block
+    :func:`_field_rows` declines."""
+    line_feed = chunk == 10
+    sep = np.flatnonzero(line_feed | (chunk == ord(delimiter)))
+    # With n * width separators, every width-th one a line feed, every line
+    # has width - 1 delimiters.
+    if sep.size != n * width:
+        return False
+    sep = sep.reshape(n, width)
+    if not line_feed[sep[:, -1]].all():
+        return False
+    for j, i in enumerate(idx):
+        start = sep[:, i - 1] + 1 if i else np.r_[0, sep[:-1, -1] + 1]
+        stop = sep[:, i]
+        if i == width - 1:
+            stop = stop - (chunk[stop - 1] == 13)
+        length = stop - start
+        if not length.all():
+            return False
+        col = out[j]
+        rest = np.flatnonzero(~_decimal_values(chunk, start, length, col))
+        if not rest.size:
+            continue
+        missing = (_is_token(chunk, start[rest], length[rest], b"NA")
+                   | _is_token(chunk, start[rest], length[rest], b"NULL"))
+        col[rest[missing]] = np.nan
+        rest = rest[~missing]
+        if rest.size:
+            text = _joined_fields(chunk, start[rest], length[rest])
+            try:
+                col[rest] = np.loadtxt(io.BytesIO(text), delimiter=delimiter,
+                                       comments=None, quotechar=None, ndmin=1,
+                                       encoding="utf-8")
+            except ValueError:  # a field it cannot read
+                return False
+    return True
+
+
+def _decimal_values(chunk, start, length, out):
+    """Write to ``out`` the value of each field of at most ``_DIGITS``
+    bytes, ASCII digits with at most one decimal point among them, and
+    return the mask of those fields.  The digits as an integer below 2**53
+    over a power of ten up to 10**14, both exact in a float, give the
+    correctly rounded quotient: numpy's value."""
+    byte = chunk[start]
+    digit = byte - np.uint8(48)
+    point = byte == 46
+    plain = ((digit <= 9) | (point & (length > 1))) & (length <= _DIGITS)
+    value = digit.astype(np.int64)
+    value[point] = 0
+    scale = np.zeros(start.size, np.int8)
+    # The fields' bytes after the first, a position at a time.
+    live = np.flatnonzero(plain & (length > 1))
+    for k in range(1, _DIGITS):
+        if not live.size:
+            break
+        byte = chunk[start[live] + k]
+        digit = byte - np.uint8(48)
+        is_digit = digit <= 9
+        is_point = (byte == 46) & ~point[live]
+        good = is_digit | is_point
+        plain[live[~good]] = False
+        value[live] = np.where(is_digit, value[live] * 10 + digit, value[live])
+        scale[live] += is_digit & point[live]
+        point[live] |= is_point
+        live = live[good & (length[live] > k + 1)]
+    out[:] = value
+    frac = np.flatnonzero(scale)
+    out[frac] /= _TENS[scale[frac]]
+    return plain
+
+
+def _is_token(chunk, start, length, token):
+    """The mask of the fields that are ``token``."""
+    hit = length == len(token)
+    for k, byte in enumerate(token):
+        hit &= chunk[np.where(hit, start + k, 0)] == byte
+    return hit
+
+
+def _joined_fields(chunk, start, length):
+    """The fields' bytes, each followed by a line feed."""
+    size = length + 1
+    offset = np.cumsum(size) - size
+    text = chunk[np.arange(size.sum()) + np.repeat(start - offset, size)]
+    text[offset + length] = 10
+    return text.tobytes()
 
 
 def write_csv(dataset: Dataset, path, delimiter: str = ","):

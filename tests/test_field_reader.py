@@ -1,0 +1,161 @@
+"""The field reader, the count-file reader and writer, and the pmfs of
+``compare``.
+
+``datasets._field_rows`` reads a CSV body or a count file a block of lines
+at a time; the checks here rerun the row-parser agreement checks of
+test_ingest.py with blocks of a few bytes, compare the count-file reader
+with its line loop, and pin the fast paths to the values ``float`` gives.
+"""
+
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import test_ingest as ingest
+from unbcount import cli, datasets
+from unbcount import estimation as est
+from unbcount.distributions import UnbParams, unb_sample
+
+# Bytes per block small enough that every few lines, and the header, fall
+# in blocks of their own.
+TINY_BLOCK = 5
+
+
+@pytest.fixture
+def tiny_blocks():
+    with mock.patch.object(datasets, "_BLOCK", TINY_BLOCK):
+        yield
+
+
+def test_regular_files_across_block_edges(tiny_blocks):
+    ingest.test_numpy_reader_takes_regular_files()
+
+
+def test_row_parser_agreement_across_block_edges(tiny_blocks):
+    ingest.test_numpy_reader_agrees_with_the_row_parser()
+
+
+@pytest.mark.parametrize("name", ingest.CASES)
+def test_irregular_files_across_block_edges(tiny_blocks, tmp_path, name):
+    ingest.test_irregular_files_match_the_row_parser(tmp_path, name)
+
+
+@pytest.mark.parametrize("name", ingest.COUNT_FILES)
+def test_count_files_across_block_edges(tiny_blocks, tmp_path, name):
+    ingest.test_count_file(tmp_path, name)
+
+
+def test_many_blocks_read_as_one(tmp_path):
+    # Blocks end at the line feed at or after _BLOCK bytes: a file of many
+    # blocks reads as with one block the size of the file.
+    rng = np.random.default_rng(7)
+    y = rng.integers(0, 40, 3000)
+    x = rng.normal(size=y.size)
+    rows = [f"{a},{b!r},NA\r\n" if a % 7 else f"NULL,{b!r},1\r\n"
+            for a, b in zip(y.tolist(), x.tolist())]
+    body = ("y,x,z\r\n" + "".join(rows)).encode()
+    got = {}
+    for block in (1 << 12, len(body)):
+        with mock.patch.object(datasets, "_BLOCK", block):
+            got[block] = datasets._field_rows(body, ",", 3, [0, 1], skip=1)
+    many, one = got.values()
+    assert many.shape == (y.size, 2) and len(body) > 16 * (1 << 12)
+    assert np.array_equal(many, one, equal_nan=True)
+    assert np.array_equal(many[:, 0], np.where(y % 7, y, np.nan), equal_nan=True)
+    assert np.array_equal(many[:, 1], x)
+
+
+@st.composite
+def decimals(draw):
+    """Plain decimals of up to _DIGITS bytes, the fast path's fields."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=datasets._DIGITS - 1))
+    cut = draw(st.integers(0, len(digits)))
+    return draw(st.sampled_from([digits, digits[:cut] + "." + digits[cut:]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(decimals(), min_size=1, max_size=30))
+def test_decimal_fields_read_as_float_reads_them(fields):
+    # Digit arithmetic takes every such field, and gives float's value.
+    chunk = np.frombuffer("".join(fields).encode(), np.uint8)
+    length = np.array([len(f) for f in fields])
+    start = np.cumsum(length) - length
+    values = np.empty(len(fields))
+    plain = datasets._decimal_values(chunk, start, length, values)
+    assert plain.all() and values.tolist() == [float(f) for f in fields]
+
+
+def line_loop(path):
+    """The counts of the file by the line loop alone."""
+    with mock.patch.object(datasets, "_field_rows", return_value=None):
+        return cli._raw_count_file(path)
+
+
+LINES = st.one_of(
+    st.integers(0, 10 ** 18).map(str),
+    st.integers(0, 99).map(lambda v: f" {v}\t"),
+    st.sampled_from(["", " ", "1_000", "2.5", "7.0", "-1", "nan", "NA", "1e3",
+                     "+4", "x", "0" * 17 + "3"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(LINES, min_size=1, max_size=20), st.sampled_from(["\n", "\r\n"]),
+       st.booleans(), st.booleans())
+def test_count_file_reader_agrees_with_the_line_loop(lines, newline, bom, final):
+    # Digits of any length, padding, underscores, blank lines, CRLF, a
+    # byte-order mark and a missing final line feed read as the line loop
+    # reads them.
+    text = newline.join(lines) + (newline if final else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.txt"
+        path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode())
+        got, want = cli._raw_count_file(path), line_loop(path)
+    if want is None:
+        assert got is None
+    else:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_count_file_reader_takes_simulate_output(tmp_path):
+    path = tmp_path / "y.txt"
+    path.write_bytes(b"0\n9\n10\n123456789012345\n")
+    real, taken = datasets._field_rows, []
+
+    def spy(*args, **kwargs):
+        rows = real(*args, **kwargs)
+        taken.append(rows is not None)
+        return rows
+
+    with mock.patch.object(datasets, "_field_rows", spy):
+        got = cli._raw_count_file(path)
+    assert taken == [True] and got.tolist() == [0, 9, 10, 123456789012345]
+
+
+def test_count_lines_edge_values():
+    values = np.array([0, 9, 10, 99, 100, 10 ** 18 - 1, 10 ** 18, 2 ** 63 - 1, 7],
+                      dtype=np.int64)
+    want = "".join(f"{v}\n" for v in values.tolist()).encode()
+    assert cli._count_lines(values) == want
+    assert cli._count_lines(values[:1]) == b"0\n"
+
+
+@pytest.mark.parametrize("r, p, seed", [(1.0, 0.6, 1), (0.5, 0.02, 3)])
+def test_compare_pmfs_at_distinct_counts(tmp_path, r, p, seed):
+    # The marginal per-observation pmfs come from the distinct counts: the
+    # same floats as at every observation, for each of the four laws.
+    y = unb_sample(UnbParams(r, p), 3000, seed)
+    path = tmp_path / "y.txt"
+    path.write_bytes(cli._count_lines(y))
+    config = cli._build_parser().parse_args(
+        ["compare", "--input", str(path), "--models", "unb,nb,up,geometric"])
+    _, fits, pmfs = cli._fit_models(config, pmfs=True)
+    for model, fit, pmf in zip(config.models, fits, pmfs):
+        family = est._FAMILIES[model]
+        eta, shape = family.eta_of(fit.params)
+        assert np.array_equal(pmf, np.exp(family.logpmf(eta, shape, y)[0])), model
+
