@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import functools
 import json
 import math
 import sys
@@ -147,7 +148,9 @@ def _fit_models(config: argparse.Namespace, *, pmfs: bool = False, **options):
     if regression:
         return data, fits, [reg.per_observation_pmf(fit, data, spec) for fit in fits]
     # Each law's pmf at the distinct counts, spread to the observations
-    values, inverse = np.unique(counts, return_inverse=True)
+    # through their places among those counts: one sort, not a second one
+    values = np.unique(counts)
+    inverse = np.searchsorted(values, counts)
     per_obs = []
     for model, fit in zip(config.models, fits):
         family = est._FAMILIES[model]
@@ -348,7 +351,10 @@ def _delimiter(text: str) -> str:
     return text
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parse_args
+    gives each run a namespace of its own."""
     parser = argparse.ArgumentParser(
         prog="unbcount",
         description="Count-model toolkit: uniform-negative-binomial fitting, "

@@ -52,12 +52,17 @@ NMES_FILENAME = "nmes.csv"
 
 def _rounded_counts(values):
     """The values rounded to integers, and the mask of those that are not
-    within 1e-9 of a non-negative integer (non-finite values among them):
-    the one count check of the package."""
-    values = np.asarray(values, dtype=float)
+    within 1e-9 of an integer in [0, 2**63), the range of int64 (non-finite
+    values among them): the one count check of the package.  An integer
+    array comes back as it is, checked by sign, and a uint64 one also
+    against 2**63; any other array, bools among them, is read as floats."""
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        return values, (values >= 2 ** 63 if values.dtype == np.uint64 else values < 0)
+    values = values.astype(float, copy=False)
     ints = np.rint(values)
     with np.errstate(invalid="ignore"):
-        return ints, ~(np.abs(values - ints) <= 1e-9) | (ints < 0)
+        return ints, ~(np.abs(values - ints) <= 1e-9) | (ints < 0) | (ints >= 2.0 ** 63)
 
 
 @dataclass(frozen=True)
@@ -396,14 +401,11 @@ def summarize(dataset: Dataset, response: str,
     if group_by not in dataset.columns:
         raise DataError(f"column {group_by!r} not found in dataset")
     g = dataset.columns[group_by]
-    values = np.unique(g)
-    if not np.all(np.isin(values, (0.0, 1.0))):
+    ones, zeros = g == 1.0, g == 0.0
+    if not np.all(ones | zeros):
         raise DataError(f"group column {group_by!r} must be binary coded (0/1)")
-    out = []
-    for v in sorted(values, reverse=True):
-        mask = g == v
-        out.append(_one_summary(f"{group_by}={int(v)}", x[mask]))
-    return out
+    return [_one_summary(f"{group_by}={v}", x[mask])
+            for v, mask in ((1, ones), (0, zeros)) if mask.any()]
 
 
 def frequency_table(dataset: Dataset, response: str) -> list:

@@ -415,13 +415,13 @@ def _tail_rows(r, lp, lq, x, grad, table):
     t_K rho/(1 - rho) with rho = t_{K+1}/t_K < 1, is below _TAIL_TOL of the
     sum; the estimate, weighted as t_K is, is then added.  It is exact for
     geometric tails, and half the true rest for the k^-2 tails of r << 1,
-    p -> 0 that _TAIL_MAX cuts.
+    p -> 0 that _TAIL_MAX cuts.  The first block is _first_width long.
     """
     acc = np.full((6 if grad else 1, x.size), -np.inf)
     centre = x.astype(np.intp)
     start = centre.copy()
     live = np.arange(x.size)
-    width = max(32, 1024 // x.size)
+    width = _first_width(r, lq, x)
     while live.size:
         k = start[live, None] + np.arange(width)
         start[live] += width
@@ -448,6 +448,22 @@ def _tail_rows(r, lp, lq, x, grad, table):
         live = live[~done]
         width = min(2 * width, max(32, _BLOCK_MAX // max(live.size, 1)))
     return acc
+
+
+def _first_width(r, lq, x):
+    """The first tail block of the rows at x: max(32, 1024 // rows) terms,
+    or fewer where that is more than the decay needs.  Every ratio
+    q (r+k)/(k+2) at k >= x moves monotonically towards q, so it is at most
+    rho = q max(1, (r+x)/(x+2)), and the rest past n terms of a row is below
+    rho^n / (1 - rho) of its first term: under _TAIL_TOL of the sum once
+    n >= log(_TAIL_TOL (1 - rho)) / log rho, two terms added for rounding."""
+    width = max(32, 1024 // x.size)
+    if width > 32:
+        lrho = lq + np.log(np.maximum(1.0, (r + x) / (x + 2.0)))
+        if np.all(lrho < 0.0):
+            need = np.max(np.log(_TAIL_TOL * -np.expm1(lrho)) / lrho)
+            width = min(width, max(32, math.ceil(need) + 2))
+    return width
 
 
 def _rev_acc(inc, seed):

@@ -111,12 +111,12 @@ def _as_counts(data) -> np.ndarray:
     arr = np.asarray(data)
     if arr.size == 0:
         raise DataError("data must be non-empty")
-    if not np.all(np.isfinite(arr)):
+    if arr.dtype.kind not in "iu" and not np.all(np.isfinite(arr)):
         raise DataError("data contains non-finite values")
     rounded, bad = _rounded_counts(arr)
     if np.any(bad):
         raise DataError("data must consist of non-negative integers")
-    return rounded.astype(np.int64)
+    return rounded.astype(np.int64, copy=False)
 
 
 def sample_moments(data) -> MomentSummary:

@@ -20,9 +20,11 @@ def write_file(path, text):
 
 
 def test_count_check_rounds_within_1e_9_and_flags_the_rest():
-    values = [0.0, 2.9999999999, -1e-12, 3.5, -1.0, np.nan, np.inf]
+    # 2**63 - 1024 is the largest float below 2**63, where int64 ends
+    values = [0.0, 2.9999999999, -1e-12, 2.0 ** 63 - 1024, 3.5, -1.0, np.nan, np.inf,
+              2.0 ** 63, 1e20]
     ints, bad = _rounded_counts(values)
-    assert bad.tolist() == [False, False, False, True, True, True, True]
+    assert bad.tolist() == [False] * 4 + [True] * 6
     assert ints[:3].tolist() == [0.0, 3.0, 0.0]
 
 
