@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import csv
 import functools
 import json
 import math
@@ -79,48 +80,41 @@ def _emit(config: argparse.Namespace, payload: dict, text_lines: list):
 
 
 def _raw_count_file(path) -> Optional[np.ndarray]:
-    """A headerless single column of counts (as written by `simulate`)."""
+    """The int64 counts of a bare count file, one non-negative integer a line
+    from the first (as `simulate` writes), blank lines skipped, else None;
+    the CSV row parser reads, as one column, what the field reader declines."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
+        with ds._utf8_text(path) as fh:
+            # A CSV file fails here, before the rest of it is read
             float(fh.readline())
             fh.seek(0)
-            vals = _count_column(fh)
-    except (OSError, ValueError):
+            body = fh.buffer.read().removeprefix(codecs.BOM_UTF8)
+            vals = ds._field_rows(body, ",", 1, [0], skip=0)
+            if vals is None:
+                fh.seek(0)
+                vals = ds._csv_rows(path, csv.reader(fh), ["count"], [0], 1)[0]
+        return ds._counts(vals[:, 0], "counts")
+    except (OSError, ValueError, DataError, csv.Error):
         return None
-    ints, bad = ds._rounded_counts(vals)
-    return None if np.any(bad) else ints.astype(np.int64)
 
 
-def _count_column(fh) -> np.ndarray:
-    """The numbers of a text file, one a line, blank lines skipped.  The
-    field reader takes the file's bytes; where it declines, a loop over the
-    lines reads it as ``float`` does (``1_000`` among others) or raises
-    ValueError."""
-    body = fh.buffer.read().removeprefix(codecs.BOM_UTF8)
-    vals = ds._field_rows(body, ",", 1, [0], skip=0)
-    if vals is not None:
-        return vals[:, 0]
-    fh.seek(0)
-    return np.array([float(v) for v in map(str.strip, fh) if v])
-
-
-def _load_counts(config: argparse.Namespace):
+def _load_counts(config: argparse.Namespace) -> ds.Dataset:
+    """--input as a dataset whose --response column holds int64 counts: a
+    bare count file's column, named "count" by default, or a CSV file's."""
     if not config.input:
         raise DataError("--input is required")
     columns = config.covariates + ((config.group_by,) if config.group_by else ())
-    if not columns:
-        raw = _raw_count_file(config.input)
-        if raw is not None:
-            name = config.response or "count"
-            config.response = name
-            data = ds.Dataset(column_names=(name,),
-                              columns={name: raw.astype(float)}, n=raw.size)
-            return data, raw
+    raw = None if columns else _raw_count_file(config.input)
+    if raw is not None:
+        config.response = config.response or "count"
+        return ds.Dataset(column_names=(config.response,),
+                          columns={config.response: raw}, n=raw.size)
     if not config.response:
-        raise DataError("--response is required")
-    data = ds.load_csv(config.input, config.response, columns,
+        raise DataError("--response is required" if columns else
+                        "--response is required: the input is not a bare count "
+                        "file, one non-negative integer a line")
+    return ds.load_csv(config.input, config.response, columns,
                        delimiter=config.delimiter)
-    return data, ds.response_counts(data, config.response)
 
 
 def _fit_models(config: argparse.Namespace, *, pmfs: bool = False, **options):
@@ -136,20 +130,22 @@ def _fit_models(config: argparse.Namespace, *, pmfs: bool = False, **options):
         if model not in names:
             raise DataError(f"unknown model {model!r}; choose from {', '.join(names)}")
     fitters = [getattr(module, names[m]) for m in config.models]
-    data, counts = _load_counts(config)
+    data = _load_counts(config)
     if regression:
         spec = reg.RegressionSpec(response=config.response,
                                   covariates=config.covariates)
         fits = [fitter(data, spec) for fitter in fitters]
     else:
+        counts = data.columns[config.response]
         fits = [fitter(counts, **options) for fitter in fitters]
     if not pmfs:
         return data, fits, None
     if regression:
         return data, fits, [reg.per_observation_pmf(fit, data, spec) for fit in fits]
     # Each law's pmf at the distinct counts, spread to the observations
-    # through their places among those counts: one sort, not a second one
-    values = np.unique(counts)
+    # through their places among those counts.  return_counts keeps numpy
+    # 2 on its sort path, ten times faster on int64 counts than its hash.
+    values = np.unique(counts, return_counts=True)[0]
     inverse = np.searchsorted(values, counts)
     per_obs = []
     for model, fit in zip(config.models, fits):
@@ -311,7 +307,7 @@ def cmd_simulate(config: argparse.Namespace) -> int:
 
 
 def cmd_summarize(config: argparse.Namespace) -> int:
-    data, _ = _load_counts(config)
+    data = _load_counts(config)
     groups = ds.summarize(data, config.response, config.group_by)
     freq = ds.frequency_table(data, config.response)
     lines = [f"summarize: response={config.response} n={data.n}", "",

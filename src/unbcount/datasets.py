@@ -65,6 +65,15 @@ def _rounded_counts(values):
         return ints, ~(np.abs(values - ints) <= 1e-9) | (ints < 0) | (ints >= 2.0 ** 63)
 
 
+def _counts(values, what: str) -> np.ndarray:
+    """``values`` as int64 counts, by :func:`_rounded_counts`; DataError
+    naming ``what`` if any is not a count."""
+    ints, bad = _rounded_counts(values)
+    if np.any(bad):
+        raise DataError(f"{what} must be non-negative integers")
+    return ints.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable column store; all columns share length n."""
@@ -123,11 +132,12 @@ def load_csv(path, response: str, covariates=(), delimiter: str = ",") -> Datase
 
     Only the selected columns (response plus covariates) are parsed and
     stored, and only they are validated: the response must be
-    non-negative integers, and rows with missing values in any selected
-    column are dropped, each recorded as a (row, column) diagnostic on the
-    returned dataset.  Diagnostics and errors number a row by its line in
-    the file, the header being line 1.  The file is UTF-8 text, with or
-    without a byte-order mark.
+    non-negative integers and is stored as int64 counts, the covariates as
+    floats, and rows with missing values in any selected column are
+    dropped, each recorded as a (row, column) diagnostic on the returned
+    dataset.  Diagnostics and errors number a row by its line in the file,
+    the header being line 1.  The file is UTF-8 text, with or without a
+    byte-order mark.
 
     A regular file is read by a field reader (:func:`_numpy_rows`); a file
     it declines, such as one with quoted cells, blank lines or ragged rows,
@@ -167,11 +177,13 @@ def load_csv(path, response: str, covariates=(), delimiter: str = ",") -> Datase
         raise DataError(f"{path}: no usable data rows")
     columns = {name: values[keep, j] for j, name in enumerate(selected)}
     resp = columns[response]
-    bad = np.nonzero(_rounded_counts(resp)[1])[0]
+    ints, bad = _rounded_counts(resp)
+    bad = np.flatnonzero(bad)
     if bad.size:
         raise DataError(
             f"{path}: row {lines[bad[0]]}: response {response!r} value "
             f"{float(resp[bad[0]])} is not a non-negative integer")
+    columns[response] = ints.astype(np.int64)
     return Dataset(column_names=tuple(selected), columns=columns,
                    n=resp.size, dropped_rows=dropped)
 
@@ -365,12 +377,10 @@ def write_csv(dataset: Dataset, path, delimiter: str = ","):
 
 
 def response_counts(dataset: Dataset, name: str) -> np.ndarray:
+    """Column ``name`` as int64 counts, the column itself if it holds them."""
     if name not in dataset.columns:
         raise DataError(f"column {name!r} not found in dataset")
-    ints, bad = _rounded_counts(dataset.columns[name])
-    if np.any(bad):
-        raise DataError(f"column {name!r} is not a non-negative integer column")
-    return ints.astype(np.int64)
+    return _counts(dataset.columns[name], f"column {name!r}")
 
 
 def _moments(x: np.ndarray) -> tuple:

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import special as _sps
 
 from . import distributions as _dist
-from .datasets import _moments, _rounded_counts
+from .datasets import _counts, _moments
 from .distributions import _LOG_FLOOR, GeomParams, NbParams, UnbParams, UpParams
 from .errors import (
     DataError,
@@ -108,15 +108,9 @@ class LrTestResult:
 
 
 def _as_counts(data) -> np.ndarray:
-    arr = np.asarray(data)
-    if arr.size == 0:
+    if np.size(data) == 0:
         raise DataError("data must be non-empty")
-    if arr.dtype.kind not in "iu" and not np.all(np.isfinite(arr)):
-        raise DataError("data contains non-finite values")
-    rounded, bad = _rounded_counts(arr)
-    if np.any(bad):
-        raise DataError("data must consist of non-negative integers")
-    return rounded.astype(np.int64, copy=False)
+    return _counts(data, "data")
 
 
 def sample_moments(data) -> MomentSummary:

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 from scipy import special as _sps
 
-from .datasets import Dataset, _rounded_counts
+from .datasets import Dataset, _counts, response_counts
 from .errors import DataError, DegenerateVuongError, DomainError, RankDeficientError
 # Unused here; perfbench/tracing.py wraps regression._opt and regression.fit_mm.
 from .estimation import _FAMILIES, _eta, _fit, _opt, fit_mm  # noqa: F401
@@ -49,11 +49,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RegressionSpec:
-    """Response column, ordered covariate columns, optional intercept."""
+    """Response column and ordered covariate columns; the design always
+    starts with an intercept column."""
 
     response: str
     covariates: tuple
-    intercept: bool = True
 
     def __post_init__(self):
         cov = tuple(self.covariates)
@@ -95,29 +95,15 @@ class VuongResult:
 
 
 def build_design(dataset: Dataset, spec: RegressionSpec):
-    """Assemble (X, y, names) from a dataset; validates the response counts."""
+    """Assemble (X, y, names) from a dataset: an intercept column, then the
+    covariates; y is the response as int64 counts (:func:`response_counts`)."""
     for name in (spec.response, *spec.covariates):
         if name not in dataset.columns:
             raise DataError(f"column {name!r} not found in dataset")
-    y_int, bad = _rounded_counts(dataset.columns[spec.response])
-    if np.any(bad):
-        raise DataError(f"response {spec.response!r} must be non-negative integers")
-    cols = [dataset.columns[c] for c in spec.covariates]
-    names = list(spec.covariates)
-    if spec.intercept:
-        cols.insert(0, np.ones(dataset.n))
-        names.insert(0, "intercept")
-    x = np.column_stack(cols) if cols else np.empty((dataset.n, 0))
-    return x, y_int.astype(np.int64), tuple(names)
-
-
-def _check_rank(x: np.ndarray):
-    if x.shape[1] == 0:
-        raise DataError("design matrix has no columns")
-    rank = np.linalg.matrix_rank(x)
-    if rank < x.shape[1]:
-        raise RankDeficientError(
-            f"design matrix is rank deficient ({x.shape[1]} columns, rank {rank})")
+    y = response_counts(dataset, spec.response)
+    x = np.column_stack([np.ones(dataset.n),
+                         *(dataset.columns[c] for c in spec.covariates)])
+    return x, y, ("intercept", *spec.covariates)
 
 
 def unb_reg_loglik(beta, r: float, design: np.ndarray, y) -> float:
@@ -129,9 +115,7 @@ def unb_reg_loglik(beta, r: float, design: np.ndarray, y) -> float:
     the fitting routines).
     """
     beta = np.asarray(beta, dtype=float)
-    y, bad = _rounded_counts(y)
-    if np.any(bad):
-        raise DataError("response must be non-negative integers")
+    y = _counts(y, "response")
     if design.shape[0] != y.size:
         raise DataError("design rows do not match response length")
     if beta.shape != (design.shape[1],):
@@ -150,12 +134,13 @@ def _regress(family, dataset, spec: RegressionSpec) -> RegressionFit:
     n, k = design.shape
     if n <= k + 1:
         raise DataError(f"need more rows than parameters: n={n}, columns={k}")
-    _check_rank(design)
+    rank = np.linalg.matrix_rank(design)
+    if rank < k:
+        raise RankDeficientError(
+            f"design matrix is rank deficient ({k} columns, rank {rank})")
     start = family.start(y, np.ones(n))
     theta0 = np.zeros(k + family.n_shape)
-    theta0[k:] = start[1:]
-    if spec.intercept:
-        theta0[0] = start[0]
+    theta0[0], theta0[k:] = start[0], start[1:]
     theta, cov, ll, converged, iterations, diagnostics = _fit(
         family, design, y, np.ones(n), theta0)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))

@@ -91,7 +91,7 @@ def test_decimal_fields_read_as_float_reads_them(fields):
 
 
 def line_loop(path):
-    """The counts of the file by the line loop alone."""
+    """The counts of the file by the row parser alone."""
     with mock.patch.object(datasets, "_field_rows", return_value=None):
         return cli._raw_count_file(path)
 
