@@ -9,14 +9,11 @@ error, 3 convergence failure (diagnostics are still printed).
 from __future__ import annotations
 
 import argparse
-import codecs
-import csv
 import functools
 import json
 import math
 import sys
 from dataclasses import asdict
-from typing import Optional
 
 import numpy as np
 
@@ -79,32 +76,13 @@ def _emit(config: argparse.Namespace, payload: dict, text_lines: list):
         print(out)
 
 
-def _raw_count_file(path) -> Optional[np.ndarray]:
-    """The int64 counts of a bare count file, one non-negative integer a line
-    from the first (as `simulate` writes), blank lines skipped, else None;
-    the CSV row parser reads, as one column, what the field reader declines."""
-    try:
-        with ds._utf8_text(path) as fh:
-            # A CSV file fails here, before the rest of it is read
-            float(fh.readline())
-            fh.seek(0)
-            body = fh.buffer.read().removeprefix(codecs.BOM_UTF8)
-            vals = ds._field_rows(body, ",", 1, [0], skip=0)
-            if vals is None:
-                fh.seek(0)
-                vals = ds._csv_rows(path, csv.reader(fh), ["count"], [0], 1)[0]
-        return ds._counts(vals[:, 0], "counts")
-    except (OSError, ValueError, DataError, csv.Error):
-        return None
-
-
 def _load_counts(config: argparse.Namespace) -> ds.Dataset:
     """--input as a dataset whose --response column holds int64 counts: a
     bare count file's column, named "count" by default, or a CSV file's."""
     if not config.input:
         raise DataError("--input is required")
     columns = config.covariates + ((config.group_by,) if config.group_by else ())
-    raw = None if columns else _raw_count_file(config.input)
+    raw = None if columns else ds._raw_count_file(config.input)
     if raw is not None:
         config.response = config.response or "count"
         return ds.Dataset(column_names=(config.response,),

@@ -12,6 +12,7 @@ environment variable does not point at a prepared copy.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import io
@@ -119,12 +120,17 @@ def _parse_cell(token: str, column: str, line_no: int) -> float:
 @contextlib.contextmanager
 def _utf8_text(path):
     """``path`` open for the csv module as UTF-8 text, with or without a
-    byte-order mark; bytes that are not UTF-8 raise DataError naming it."""
+    byte-order mark.  A file that cannot be read, bytes that are not UTF-8
+    and a row the csv module rejects raise DataError naming it."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
 
 
 def load_csv(path, response: str, covariates=(), delimiter: str = ",") -> Dataset:
@@ -139,10 +145,9 @@ def load_csv(path, response: str, covariates=(), delimiter: str = ",") -> Datase
     the header being line 1.  The file is UTF-8 text, with or without a
     byte-order mark.
 
-    A regular file is read by a field reader (:func:`_numpy_rows`); a file
-    it declines, such as one with quoted cells, blank lines or ragged rows,
-    by a row parser (:func:`_csv_rows`) that gives the same results and
-    messages.
+    The rows are read by :func:`_rows`: by a field reader, or, for a file it
+    declines, such as one with quoted cells, blank lines or ragged rows, by
+    a row parser that gives the same results and messages.
     """
     path = Path(path)
     if not path.exists():
@@ -162,11 +167,8 @@ def load_csv(path, response: str, covariates=(), delimiter: str = ",") -> Datase
                 raise DataError(f"{path}: column {name!r} not found "
                                 f"(available: {', '.join(header)})")
         idx = [header.index(name) for name in selected]
-        values = _numpy_rows(path, delimiter, len(header), idx)
-        if values is None:
-            values, lines = _csv_rows(path, reader, selected, idx, len(header))
-        else:
-            lines = np.arange(2, values.shape[0] + 2)
+        values, lines = _rows(path, reader, delimiter, len(header), idx,
+                              selected, skip=1)
     missing = np.isnan(values)
     drop = missing.any(axis=1)
     dropped = tuple(zip(lines[drop].tolist(),
@@ -188,13 +190,39 @@ def load_csv(path, response: str, covariates=(), delimiter: str = ",") -> Datase
                    n=resp.size, dropped_rows=dropped)
 
 
-def _csv_rows(path, reader, selected, idx, width):
+def _raw_count_file(path) -> Optional[np.ndarray]:
+    """The int64 counts of a bare count file, one non-negative integer a line
+    from the first (as `simulate` writes), blank lines skipped, else None."""
+    try:
+        with _utf8_text(path) as fh:
+            # A CSV file fails here, before the rest of it is read
+            float(fh.readline())
+            fh.seek(0)
+            values = _rows(path, csv.reader(fh), ",", 1, [0], ["count"], skip=0)[0]
+        return _counts(values[:, 0], "counts")
+    except ValueError:
+        return None
+
+
+def _rows(path, reader, delimiter, width, idx, selected, skip):
+    """The cells ``idx`` (named ``selected``) of the lines of ``path`` after
+    the first ``skip``, NaN where missing, and each row's file line: by the
+    field reader on the bytes, a UTF-8 byte-order mark removed, else by the
+    row parser reading on from ``reader``, which stands at line ``skip + 1``."""
+    body = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    values = _field_rows(body, delimiter, width, idx, skip)
+    if values is None:
+        return _csv_rows(path, reader, selected, idx, width, skip + 1)
+    return values, np.arange(skip + 1, values.shape[0] + skip + 1)
+
+
+def _csv_rows(path, reader, selected, idx, width, first):
     """The selected cells of the rows left in ``reader``, NaN where missing,
-    and the file line of each row.  Blank rows, and rows whose cells are all
-    blank, are skipped."""
+    and the file line of each row, the first being line ``first``.  Blank
+    rows, and rows whose cells are all blank, are skipped."""
     raw = [[] for _ in selected]
     lines = []
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(reader, start=first):
         if len(row) == 0 or all(cell.strip() == "" for cell in row):
             continue
         if len(row) != width:
@@ -207,9 +235,6 @@ def _csv_rows(path, reader, selected, idx, width):
     return values, np.array(lines, dtype=int)
 
 
-# Delimiters the field reader takes: those numpy's reader splits a row at
-# where csv's does, the files numpy's reader took when it read whole rows.
-_NUMPY_DELIMITERS = frozenset(",;|:\t ")
 # Bytes per block of the field reader: every array it makes but its result
 # is bounded by a multiple of this, whatever the size of the file.
 _BLOCK = 1 << 17
@@ -217,13 +242,6 @@ _BLOCK = 1 << 17
 # by digit arithmetic: its digits are below 2**53, exact in a float.
 _DIGITS = 15
 _TENS = np.array([10 ** k for k in range(_DIGITS)], dtype=float)
-
-
-def _numpy_rows(path, delimiter, width, idx):
-    """The selected cells of every data row of the file, NaN where missing,
-    row i being line i + 2 of the file, by the field reader
-    (:func:`_field_rows`); None for a file it declines."""
-    return _field_rows(path.read_bytes(), delimiter, width, idx, skip=1)
 
 
 def _field_rows(body, delimiter, width, idx, skip):
@@ -236,16 +254,15 @@ def _field_rows(body, delimiter, width, idx, skip):
     bytes of ASCII digits, with at most one decimal point, by digit
     arithmetic, any other field by numpy's reader, one call per column and
     block, so numpy's grammar applies to it (``nan`` in any case, `` 3 ``,
-    ``-1``, ``1e5``).  Declined: a delimiter outside
-    ``_NUMPY_DELIMITERS``, bytes that are not UTF-8, quotes (csv reads
-    them, numpy does not), a carriage return other than before a line feed
-    or at the end, no line after the first ``skip``, lines of another
-    width than ``width`` (blank lines among them, when ``width`` > 1), more
-    than 256 columns, an empty selected field (a blank line, when ``width``
-    is 1) and any field numpy cannot read: among them ``NA`` in another
-    case or padded, which the row parser reads as missing.
+    ``-1``, ``1e5``).  Declined: a delimiter that is not one ASCII byte,
+    or is a quote or a line break, bytes that are not UTF-8, quotes (csv
+    reads them, numpy does not), a carriage return other than before a line
+    feed or at the end, lines of another width than ``width`` (blank lines
+    among them, when ``width`` > 1), an empty selected field (a blank line,
+    when ``width`` is 1) and any field numpy cannot read: among them ``NA``
+    in another case or padded, which the row parser reads as missing.
     """
-    if delimiter not in _NUMPY_DELIMITERS or width > 256 or b'"' in body:
+    if not delimiter.isascii() or delimiter in '"\r\n' or b'"' in body:
         return None
     if not body.isascii():
         try:
@@ -264,8 +281,6 @@ def _field_rows(body, delimiter, width, idx, skip):
     chunks = [np.frombuffer(body, np.uint8, end - pos, pos)
               for pos, end in zip(cuts, cuts[1:])]
     lines = [np.count_nonzero(chunk == 10) for chunk in chunks]
-    if not lines:
-        return None
     out = np.empty((len(idx), sum(lines)))
     row = 0
     for chunk, n in zip(chunks, lines):

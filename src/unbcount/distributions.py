@@ -603,8 +603,7 @@ def unb_logpmf_kernel(r: float, p, x, q=None, grad: bool = False):
     return floored + out[1:] if grad else floored
 
 
-def unb_dlogpmf_dp_kernel(r: float, p, x, q=None):
+def unb_dlogpmf_dp_kernel(r: float, p, x):
     """Vectorised d log pmf / dp, the logit-p derivative over p q."""
     p = np.asarray(p, dtype=float)
-    q = 1.0 - p if q is None else q
-    return _unb_logpmf(r, p, x, grad=True, q=q)[1] / (p * q)
+    return _unb_logpmf(r, p, x, grad=True)[1] / (p * (1.0 - p))

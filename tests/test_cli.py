@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import unbcount
-from unbcount import cli
+from unbcount import cli, datasets
 from unbcount.distributions import UnbParams, unb_sample
 
 
@@ -115,7 +115,7 @@ class TestFit:
         # the package's one count check: within 1e-9 of 3 reads as 3
         path = tmp_path / "c.txt"
         path.write_text("1\n2.9999999999\n0\n", encoding="utf-8")
-        assert cli._raw_count_file(path).tolist() == [1, 3, 0]
+        assert datasets._raw_count_file(path).tolist() == [1, 3, 0]
 
     def test_empty_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

@@ -75,7 +75,7 @@ def test_csv_file_is_declined_at_its_first_line(tmp_path, monkeypatch):
     # declines it before the body is read.
     monkeypatch.setattr(ds, "_field_rows", None)
     monkeypatch.setattr(ds, "_csv_rows", None)
-    assert cli._raw_count_file(write_table(tmp_path)) is None
+    assert ds._raw_count_file(write_table(tmp_path)) is None
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

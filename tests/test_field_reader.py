@@ -93,7 +93,7 @@ def test_decimal_fields_read_as_float_reads_them(fields):
 def line_loop(path):
     """The counts of the file by the row parser alone."""
     with mock.patch.object(datasets, "_field_rows", return_value=None):
-        return cli._raw_count_file(path)
+        return datasets._raw_count_file(path)
 
 
 LINES = st.one_of(
@@ -114,7 +114,7 @@ def test_count_file_reader_agrees_with_the_line_loop(lines, newline, bom, final)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.txt"
         path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode())
-        got, want = cli._raw_count_file(path), line_loop(path)
+        got, want = datasets._raw_count_file(path), line_loop(path)
     if want is None:
         assert got is None
     else:
@@ -132,7 +132,7 @@ def test_count_file_reader_takes_simulate_output(tmp_path):
         return rows
 
     with mock.patch.object(datasets, "_field_rows", spy):
-        got = cli._raw_count_file(path)
+        got = datasets._raw_count_file(path)
     assert taken == [True] and got.tolist() == [0, 9, 10, 123456789012345]
 
 

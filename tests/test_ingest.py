@@ -1,13 +1,14 @@
-"""numpy's reader and the row parser read every file alike.
+"""The field reader and the row parser read every file alike.
 
-``load_csv`` hands a regular file to numpy's reader (``_numpy_rows``) and
-any other to the row parser (``_csv_rows``); the CLI reads a bare count
-file with numpy's reader unless it declines.  Each check here compares
-the result, or the message, with the row parser's.
+``load_csv`` and the bare-count-file reader read a file through one step
+(``_rows``): a regular file by the field reader (``_field_rows``), any
+other by the row parser (``_csv_rows``).  Each check here compares the
+result, or the message, with the row parser's.
 """
 
 import contextlib
 import json
+import string
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -33,17 +34,17 @@ def outcome(path, response, covariates, delimiter):
 
 def check(path, response, covariates=(), delimiter=","):
     """Assert that load_csv and the row parser agree on the file; return
-    whether numpy's reader took it."""
-    real, taken = datasets._numpy_rows, []
+    whether the field reader (``_field_rows``) took it."""
+    real, taken = datasets._field_rows, []
 
     def spy(*args):
         values = real(*args)
         taken.append(values is not None)
         return values
 
-    with mock.patch.object(datasets, "_numpy_rows", spy):
+    with mock.patch.object(datasets, "_field_rows", spy):
         got = outcome(path, response, covariates, delimiter)
-    with mock.patch.object(datasets, "_numpy_rows", return_value=None):
+    with mock.patch.object(datasets, "_field_rows", return_value=None):
         want = outcome(path, response, covariates, delimiter)
     if isinstance(want, str):
         assert got == want
@@ -67,16 +68,19 @@ def write(directory, text, name="d.csv"):
 REGULAR = ["NA", "NULL", "nan", "NaN", " nan "]
 IRREGULAR = ["na", "Na", "null", "", " ", " NA", "NA ", "\tnull ", "NAN"]
 TEXT = st.text("abnNAlLuU_xyz", min_size=1, max_size=6)
+# Delimiters of the agreement tests: ASCII punctuation but the quote, tab
+# and space.
+DELIMITERS = [c for c in string.punctuation if c != '"'] + ["\t", " "]
 
 
 @st.composite
-def tables(draw, missing):
+def tables(draw, missing, delimiters=DELIMITERS):
     number = st.one_of(st.integers(0, 30).map(str),
                        st.floats(-1e6, 1e6, allow_nan=False).map(repr),
                        st.integers(0, 9).map(lambda v: f" {v} "))
     count = st.one_of(st.integers(0, 30).map(str), st.sampled_from(missing))
     cell = st.one_of(number, st.sampled_from(missing))
-    delimiter = draw(st.sampled_from([",", ";", "|", "\t", " "]))
+    delimiter = draw(st.sampled_from(delimiters))
     names = draw(st.permutations(["id", "y", "a", "b", "u"]))
     makers = {"id": TEXT, "y": count, "a": cell, "b": cell, "u": cell}
     rows = [delimiter.join(names)]
@@ -91,11 +95,12 @@ def tables(draw, missing):
 
 
 @settings(max_examples=100, deadline=None)
-@given(tables(REGULAR))
+@given(tables(REGULAR, [",", ";", "|", "\t", " "]))
 def test_numpy_reader_takes_regular_files(table):
     # NA, NULL and nan in selected and unselected columns, padded numbers,
-    # and a text column with "NA" in it: numpy's reader takes every such
-    # file, and agrees with the row parser.
+    # and a text column with "NA" in it: the field reader takes every such
+    # file, and agrees with the row parser.  (A delimiter such as "." or
+    # "-" would split the numbers.)
     text, covariates, delimiter = table
     with tempfile.TemporaryDirectory() as tmp:
         assert check(write(tmp, text), "y", covariates, delimiter)
@@ -104,15 +109,15 @@ def test_numpy_reader_takes_regular_files(table):
 @settings(max_examples=150, deadline=None)
 @given(tables(REGULAR + IRREGULAR))
 def test_numpy_reader_agrees_with_the_row_parser(table):
-    # Empty, padded and lower-case missing cells too: a file numpy's reader
-    # takes or declines reads as the row parser reads it.
+    # Empty, padded and lower-case missing cells too: a file the field
+    # reader takes or declines reads as the row parser reads it.
     text, covariates, delimiter = table
     with tempfile.TemporaryDirectory() as tmp:
         check(write(tmp, text), "y", covariates, delimiter)
 
 
 CASES = {
-    # name: (text, covariates, delimiter, taken by numpy's reader)
+    # name: (text, covariates, delimiter, taken by the field reader)
     "blank_line": ("y,a\n0,1\n\n2,3\n", ["a"], ",", False),
     "trailing_blank_line": ("y\n0\n1\n\n", [], ",", False),
     "blank_line_crlf": ("y\r\n0\r\n\r\n1\r\n", [], ",", False),
@@ -139,7 +144,7 @@ CASES = {
     "short_and_long_rows": ("y,a,b\n0,1\n2,3,4,5\n", ["a"], ",", False),
     "256_extra_delimiters": ("y,a\n0,1" + "," * 256 + "\n1,2\n", ["a"], ",", False),
     "300_columns": (",".join(f"c{j}" for j in range(299)) + ",y\n"
-                    + "1," * 299 + "2\n", [], ",", False),
+                    + "1," * 299 + "2\n", [], ",", True),
     "semicolon": ("y;a\n0;NA\n2; 3 \n1;NULL\n", ["a"], ";", True),
     "tab": ("y\ta\n0\tNA\n2\t3\n1\tnan\n4\t 5\n", ["a"], "\t", True),
     "tab_empty_cells": ("y\ta\n0\t\n2\t3\n \tnull\n4\t 5\n", ["a"], "\t", False),
@@ -151,7 +156,7 @@ CASES = {
     "underscore_number": ("y,a\n0,1_000\n", ["a"], ",", False),
     "negative_response": ("y,a\n0,NA\n1,1\n-1,2\n", ["a"], ",", True),
     "all_dropped": ("y,a\nNA,1\n2,NULL\n", ["a"], ",", True),
-    "header_only": ("y,a\n", ["a"], ",", False),
+    "header_only": ("y,a\n", ["a"], ",", True),
 }
 
 
@@ -175,7 +180,7 @@ def test_non_utf8_file_is_a_data_error(tmp_path, row_parser, rows):
     # 5000 rows put the Latin-1 byte past what the header read decodes.
     path = tmp_path / "d.csv"
     path.write_bytes(b"id,y\n" + b"a,1\n" * rows + b"caf\xe9,2\n")
-    patch = mock.patch.object(datasets, "_numpy_rows", return_value=None)
+    patch = mock.patch.object(datasets, "_field_rows", return_value=None)
     with patch if row_parser else contextlib.nullcontext():
         with pytest.raises(DataError, match=r"d\.csv: not UTF-8 text"):
             load_csv(path, "y")
@@ -187,6 +192,27 @@ def test_latin1_cell_exits_2(tmp_path, capsys):
     code = cli.main(["summarize", "--input", str(path), "--response", "y"])
     err = capsys.readouterr().err
     assert code == 2 and "not UTF-8 text" in err and str(path) in err
+
+
+# A cell past the csv module's field limit of 131072 bytes, behind a blank
+# line that hands the file to the row parser.
+BIG_CELL = "y,x\n1,2\n\n2," + "9" * 200001 + "\n"
+
+
+@pytest.mark.parametrize("command", ["summarize", "fit"])
+@pytest.mark.parametrize("input_is", ["directory", "big_cell"])
+def test_unreadable_input_exits_2(tmp_path, capsys, command, input_is):
+    path = tmp_path if input_is == "directory" else write(tmp_path, BIG_CELL)
+    code = cli.main([command, "--input", str(path), "--response", "y"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err
+
+
+def test_load_nmes_big_cell_is_a_data_error(tmp_path):
+    path = write(tmp_path, BIG_CELL.replace("y,x", "HOSP,x"))
+    with pytest.raises(DataError, match=r"d\.csv: field larger than field limit"):
+        datasets.load_nmes(path)
 
 
 def test_messy_file_summarizes_as_its_clean_twin(tmp_path, capsys):
@@ -223,7 +249,7 @@ COUNT_FILES = {
 @pytest.mark.parametrize("name", COUNT_FILES)
 def test_count_file(tmp_path, name):
     text, want = COUNT_FILES[name]
-    got = cli._raw_count_file(write(tmp_path, text, "c.txt"))
+    got = datasets._raw_count_file(write(tmp_path, text, "c.txt"))
     if want is None:
         assert got is None
     else:
@@ -237,4 +263,4 @@ def test_simulate_writes_one_integer_a_line(tmp_path, capsys):
                      "--seed", "11", "--output", str(out)]) == 0
     draws = unb_sample(UnbParams(1.0, 0.6), 40000, 11)
     assert out.read_bytes() == ("\n".join(str(int(v)) for v in draws) + "\n").encode()
-    assert cli._raw_count_file(out).tolist() == draws.tolist()
+    assert datasets._raw_count_file(out).tolist() == draws.tolist()
