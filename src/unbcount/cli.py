@@ -29,12 +29,6 @@ EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_CONVERGENCE = 3
 
-# Draws formatted per write by `simulate`.
-_WRITE_BLOCK = 1 << 14
-# 10, 100, ..., 10**18: a non-negative int64 has one digit more than the
-# number of these at or below it.
-_TENS = 10 ** np.arange(1, 19, dtype=np.int64)
-
 # Fitters by model name, looked up on their module at each call.
 FIT_MODELS = {"unb": "fit_mle", "nb": "fit_nb_mle", "up": "fit_up_mle",
               "geometric": "fit_geometric"}
@@ -77,22 +71,14 @@ def _emit(config: argparse.Namespace, payload: dict, text_lines: list):
 
 
 def _load_counts(config: argparse.Namespace) -> ds.Dataset:
-    """--input as a dataset whose --response column holds int64 counts: a
-    bare count file's column, named "count" by default, or a CSV file's."""
+    """--input by ``load_csv``; its response column becomes --response."""
     if not config.input:
         raise DataError("--input is required")
     columns = config.covariates + ((config.group_by,) if config.group_by else ())
-    raw = None if columns else ds._raw_count_file(config.input)
-    if raw is not None:
-        config.response = config.response or "count"
-        return ds.Dataset(column_names=(config.response,),
-                          columns={config.response: raw}, n=raw.size)
-    if not config.response:
-        raise DataError("--response is required" if columns else
-                        "--response is required: the input is not a bare count "
-                        "file, one non-negative integer a line")
-    return ds.load_csv(config.input, config.response, columns,
+    data = ds.load_csv(config.input, config.response, columns,
                        delimiter=config.delimiter)
+    config.response = data.column_names[0]
+    return data
 
 
 def _fit_models(config: argparse.Namespace, *, pmfs: bool = False, **options):
@@ -241,20 +227,6 @@ def cmd_compare(config: argparse.Namespace) -> int:
     return _exit_code(fits)
 
 
-def _count_lines(values: np.ndarray) -> bytes:
-    """Non-negative int64 ``values`` in decimal, one a line, as ASCII."""
-    ends = np.cumsum(np.searchsorted(_TENS, values, side="right") + 2)
-    text = np.full(ends[-1], ord("\n"), np.uint8)
-    # Digits from the last, while any value has digits left
-    pos, rest = ends - 2, values
-    while pos.size:
-        text[pos] = ord("0") + rest % 10
-        pos, rest = pos - 1, rest // 10
-        left = rest > 0
-        pos, rest = pos[left], rest[left]
-    return text.tobytes()
-
-
 def cmd_simulate(config: argparse.Namespace) -> int:
     if config.r is None or config.p is None or config.n is None:
         raise DataError("simulate requires --r, --p and --n")
@@ -263,11 +235,7 @@ def cmd_simulate(config: argparse.Namespace) -> int:
     params = dist.UnbParams(config.r, config.p)
     draws = dist.unb_sample(params, config.n, config.seed)
     try:
-        with open(config.output, "wb") as fh:
-            # A block at a time: the text of every draw at once would be
-            # the run's largest allocation.
-            for i in range(0, draws.size, _WRITE_BLOCK):
-                fh.write(_count_lines(draws[i:i + _WRITE_BLOCK]))
+        ds.write_counts(config.output, draws)
         sidecar = {
             "schema_version": SCHEMA_VERSION,
             "command": "simulate",

@@ -1,13 +1,13 @@
-"""CSV ingestion and descriptive summaries.
+"""CSV and count-file ingestion, the count-file writer, and summaries.
 
-Generic delimited files are loaded into an immutable column store; the
-survey file used for the published regression comparison (a 4406-person
-subsample with a hospital-stays response and ten coded covariates) gets a
-dedicated loader that normalises the various circulating exports of that
-archive to one canonical column set.  The survey file is not bundled:
+Delimited files, and bare count files (one count a line, no header), are
+loaded into an immutable column store; the survey file used for the
+published regression comparison (4406 people, a hospital-stays response,
+ten coded covariates) gets a loader that normalises the circulating
+exports of that archive to one canonical column set.  It is not bundled:
 ``scripts/fetch_nmes.py`` documents how to obtain and convert it, and
-every test keyed to it skips with a notice when the ``UNB_NMES_DIR``
-environment variable does not point at a prepared copy.
+every test keyed to it skips with a notice unless the ``UNB_NMES_DIR``
+environment variable points at a prepared copy.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "GroupSummary",
     "load_csv",
     "write_csv",
+    "write_counts",
     "summarize",
     "frequency_table",
     "covariate_summary",
@@ -133,93 +134,86 @@ def _utf8_text(path):
         raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
 
 
-def load_csv(path, response: str, covariates=(), delimiter: str = ",") -> Dataset:
-    """Load a delimited text file with a header row.
+def load_csv(path, response: Optional[str] = None, covariates=(),
+             delimiter: str = ",") -> Dataset:
+    """Load a delimited text file with a header row, or a bare count file:
+    one whose first line is a number (``float`` reads it), one count a line
+    and no header, as :func:`write_counts` writes it, whose one column is
+    named ``response``, or ``"count"`` if that is None.
 
     Only the selected columns (response plus covariates) are parsed and
     stored, and only they are validated: the response must be
     non-negative integers and is stored as int64 counts, the covariates as
     floats, and rows with missing values in any selected column are
     dropped, each recorded as a (row, column) diagnostic on the returned
-    dataset.  Diagnostics and errors number a row by its line in the file,
-    the header being line 1.  The file is UTF-8 text, with or without a
-    byte-order mark.
+    dataset.  Diagnostics and errors number a row by its line in the file.
+    The file is UTF-8 text, with or without a byte-order mark.
 
-    The rows are read by :func:`_rows`: by a field reader, or, for a file it
-    declines, such as one with quoted cells, blank lines or ragged rows, by
-    a row parser that gives the same results and messages.
+    The rows are read by a field reader, or, for a file it declines, such
+    as one with quoted cells, blank lines or ragged rows, by a row parser
+    that gives the same results and messages.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with _utf8_text(path) as fh:
+        first = fh.readline()
+        if not first:
+            raise DataError(f"{path}: file is empty, expected a header row")
+        fh.seek(0)
         reader = csv.reader(fh, delimiter=delimiter)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty, expected a header row") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            raise DataError(f"{path}: duplicate column names in header")
+            float(first)
+        except ValueError:
+            header = [h.strip() for h in next(reader)]
+            if len(set(header)) != len(header):
+                raise DataError(f"{path}: duplicate column names in header")
+            if response is None:
+                raise DataError(f"{path}: a response column is required: "
+                                "line 1 is a header row, not a count")
+            skip = 1
+        else:
+            response = "count" if response is None else response
+            header, skip = [response], 0
         selected = list(dict.fromkeys([response, *covariates]))
         for name in selected:
             if name not in header:
                 raise DataError(f"{path}: column {name!r} not found "
                                 f"(available: {', '.join(header)})")
         idx = [header.index(name) for name in selected]
-        values, lines = _rows(path, reader, delimiter, len(header), idx,
-                              selected, skip=1)
+        values = _field_rows(path.read_bytes().removeprefix(codecs.BOM_UTF8),
+                             delimiter, len(header), idx, skip)
+        if values is None:
+            values, lines = _csv_rows(path, reader, selected, idx, len(header),
+                                      skip + 1)
+        else:
+            # Consecutive lines: a range, not one more array of every row
+            lines = range(skip + 1, len(values) + skip + 1)
     missing = np.isnan(values)
     drop = missing.any(axis=1)
-    dropped = tuple(zip(lines[drop].tolist(),
-                        [selected[j] for j in missing[drop].argmax(axis=1)]))
-    keep = ~drop
-    lines = lines[keep]
-    if not lines.size:
-        raise DataError(f"{path}: no usable data rows")
+    dropped = tuple((lines[i], selected[j]) for i, j in zip(
+        np.flatnonzero(drop).tolist(), missing[drop].argmax(axis=1).tolist()))
+    # Rows are copied only when some are dropped
+    keep = ~drop if dropped else slice(None)
     columns = {name: values[keep, j] for j, name in enumerate(selected)}
     resp = columns[response]
+    if not resp.size:
+        raise DataError(f"{path}: no usable data rows")
     ints, bad = _rounded_counts(resp)
     bad = np.flatnonzero(bad)
     if bad.size:
-        raise DataError(
-            f"{path}: row {lines[bad[0]]}: response {response!r} value "
-            f"{float(resp[bad[0]])} is not a non-negative integer")
+        row = lines[np.flatnonzero(~drop)[bad[0]]]
+        raise DataError(f"{path}: row {row}: response {response!r} value "
+                        f"{float(resp[bad[0]])} is not a non-negative integer")
     columns[response] = ints.astype(np.int64)
     return Dataset(column_names=tuple(selected), columns=columns,
                    n=resp.size, dropped_rows=dropped)
 
 
-def _raw_count_file(path) -> Optional[np.ndarray]:
-    """The int64 counts of a bare count file, one non-negative integer a line
-    from the first (as `simulate` writes), blank lines skipped, else None."""
-    try:
-        with _utf8_text(path) as fh:
-            # A CSV file fails here, before the rest of it is read
-            float(fh.readline())
-            fh.seek(0)
-            values = _rows(path, csv.reader(fh), ",", 1, [0], ["count"], skip=0)[0]
-        return _counts(values[:, 0], "counts")
-    except ValueError:
-        return None
-
-
-def _rows(path, reader, delimiter, width, idx, selected, skip):
-    """The cells ``idx`` (named ``selected``) of the lines of ``path`` after
-    the first ``skip``, NaN where missing, and each row's file line: by the
-    field reader on the bytes, a UTF-8 byte-order mark removed, else by the
-    row parser reading on from ``reader``, which stands at line ``skip + 1``."""
-    body = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
-    values = _field_rows(body, delimiter, width, idx, skip)
-    if values is None:
-        return _csv_rows(path, reader, selected, idx, width, skip + 1)
-    return values, np.arange(skip + 1, values.shape[0] + skip + 1)
-
-
 def _csv_rows(path, reader, selected, idx, width, first):
     """The selected cells of the rows left in ``reader``, NaN where missing,
-    and the file line of each row, the first being line ``first``.  Blank
-    rows, and rows whose cells are all blank, are skipped."""
+    and the list of each row's file line, the first being line ``first``.
+    Blank rows, and rows whose cells are all blank, are skipped."""
     raw = [[] for _ in selected]
     lines = []
     for line_no, row in enumerate(reader, start=first):
@@ -231,8 +225,7 @@ def _csv_rows(path, reader, selected, idx, width, first):
         for col, i, name in zip(raw, idx, selected):
             col.append(_parse_cell(row[i], name, line_no))
         lines.append(line_no)
-    values = np.array(raw, dtype=float).T
-    return values, np.array(lines, dtype=int)
+    return np.array(raw, dtype=float).T, lines
 
 
 # Bytes per block of the field reader: every array it makes but its result
@@ -241,7 +234,12 @@ _BLOCK = 1 << 17
 # A field of at most this many bytes, digits and a decimal point, is read
 # by digit arithmetic: its digits are below 2**53, exact in a float.
 _DIGITS = 15
-_TENS = np.array([10 ** k for k in range(_DIGITS)], dtype=float)
+# 1, 10, ..., 10**18: a non-negative int64 has one digit more than the
+# number of these after the first at or below it.
+_TENS = 10 ** np.arange(19, dtype=np.int64)
+# Counts formatted per write by write_counts: the text of every count at
+# once would be the largest allocation of a large write.
+_WRITE_BLOCK = 1 << 14
 
 
 def _field_rows(body, delimiter, width, idx, skip):
@@ -379,6 +377,25 @@ def _joined_fields(chunk, start, length):
     text = chunk[np.arange(size.sum()) + np.repeat(start - offset, size)]
     text[offset + length] = 10
     return text.tobytes()
+
+
+def write_counts(path, values):
+    """Write the counts ``values`` to ``path`` in decimal, one a line: a
+    bare count file, which :func:`load_csv` reads back."""
+    values = _counts(values, "counts")
+    with open(path, "wb") as fh:
+        for i in range(0, values.size, _WRITE_BLOCK):
+            block = values[i:i + _WRITE_BLOCK]
+            ends = np.cumsum(np.searchsorted(_TENS[1:], block, side="right") + 2)
+            text = np.full(ends[-1], ord("\n"), np.uint8)
+            # Digits from the last, while any count has digits left
+            pos, rest = ends - 2, block
+            while pos.size:
+                text[pos] = ord("0") + rest % 10
+                pos, rest = pos - 1, rest // 10
+                left = rest > 0
+                pos, rest = pos[left], rest[left]
+            fh.write(text.tobytes())
 
 
 def write_csv(dataset: Dataset, path, delimiter: str = ","):

@@ -115,7 +115,7 @@ class TestFit:
         # the package's one count check: within 1e-9 of 3 reads as 3
         path = tmp_path / "c.txt"
         path.write_text("1\n2.9999999999\n0\n", encoding="utf-8")
-        assert datasets._raw_count_file(path).tolist() == [1, 3, 0]
+        assert datasets.load_csv(path).columns["count"].tolist() == [1, 3, 0]
 
     def test_empty_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

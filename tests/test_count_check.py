@@ -1,8 +1,9 @@
 """Counts are checked once.  ``load_csv`` stores the response as int64, so
 the CLI runs the float count check once per CSV run; every other count
 check (fits, designs, summaries) takes the column's integer path, and
-names its input in one message.  A bare count file that is not one reads
-as such when no --response is given."""
+names its input in one message.  A bare count file is a CSV without a
+header row: ``load_csv`` checks its counts row by row, as it checks a
+CSV's response."""
 
 import numpy as np
 import pytest
@@ -64,18 +65,22 @@ def test_csv_runs_check_the_float_response_once(tmp_path, capsys, monkeypatch, a
 def test_count_file_dataset_holds_int64(tmp_path):
     path = tmp_path / "c.txt"
     path.write_bytes(b"3\r\n\r\n0\r\n1\r\n")
-    config = cli._build_parser().parse_args(["fit", "--input", str(path)])
-    data = cli._load_counts(config)
+    data = ds.load_csv(path)
+    assert data.column_names == ("count",) and data.dropped_rows == ()
     assert data.columns["count"].dtype == np.int64
     assert data.columns["count"].tolist() == [3, 0, 1]
 
 
 def test_csv_file_is_declined_at_its_first_line(tmp_path, monkeypatch):
-    # fit and compare try a CSV file as a count file first: its header
-    # declines it before the body is read.
+    # A CSV file's header is not a count, so with no response named it is
+    # an error naming the file, raised before the body is read.
     monkeypatch.setattr(ds, "_field_rows", None)
     monkeypatch.setattr(ds, "_csv_rows", None)
-    assert ds._raw_count_file(write_table(tmp_path)) is None
+    path = write_table(tmp_path)
+    with pytest.raises(DataError) as exc:
+        ds.load_csv(path)
+    assert str(exc.value) == (f"{path}: a response column is required: "
+                              "line 1 is a header row, not a count")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -93,12 +98,43 @@ def test_one_message_per_input():
         ds.response_counts(data, "y")
 
 
-@pytest.mark.parametrize("line", ["-1", "2.5", "NA", "x"])
+# A second line of a count file, and the error it gives (None: the row is
+# dropped, as a CSV's missing cell is).
+BAD_LINES = {
+    "-1": "{path}: row 2: response 'count' value -1.0 is not a non-negative integer",
+    "2.5": "{path}: row 2: response 'count' value 2.5 is not a non-negative integer",
+    "NA": None,
+    "x": "line 2: cannot parse 'x' in column 'count' as a number",
+}
+
+
+@pytest.mark.parametrize("line", BAD_LINES)
 def test_bare_count_file_with_a_bad_line_says_so(tmp_path, capsys, line):
+    # With --response count too: the file is never read again as a CSV.
     path = tmp_path / "c.txt"
     path.write_text(f"1\n{line}\n3\n", encoding="utf-8")
-    assert cli.main(["fit", "--input", str(path)]) == cli.EXIT_DATA
-    err = capsys.readouterr().err
-    assert "--response is required" in err
-    assert "not a bare count file, one non-negative integer a line" in err
-    assert str(path) not in err
+    want = BAD_LINES[line]
+    for response in ([], ["--response", "count"]):
+        code = cli.main(["fit", "--input", str(path), "--models", "geometric",
+                         *response])
+        out, err = capsys.readouterr()
+        if want is None:
+            assert code == cli.EXIT_OK and err == ""
+            assert "response=count n=2" in out
+        else:
+            assert code == cli.EXIT_DATA
+            assert err == f"error: {want.format(path=path)}\n"
+
+
+def test_count_file_na_line_is_dropped(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("1\nNA\n3\n", encoding="utf-8")
+    data = ds.load_csv(path)
+    assert data.columns["count"].tolist() == [1, 3]
+    assert data.dropped_rows == ((2, "count"),)
+
+
+@pytest.mark.parametrize("command", ["fit", "compare", "summarize"])
+def test_directory_input_cannot_be_read(tmp_path, capsys, command):
+    assert cli.main([command, "--input", str(tmp_path)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path}: cannot read (")

@@ -1,10 +1,11 @@
-"""The field reader, the count-file reader and writer, and the pmfs of
+"""The field reader, count files read and written, and the pmfs of
 ``compare``.
 
 ``datasets._field_rows`` reads a CSV body or a count file a block of lines
 at a time; the checks here rerun the row-parser agreement checks of
-test_ingest.py with blocks of a few bytes, compare the count-file reader
-with its line loop, and pin the fast paths to the values ``float`` gives.
+test_ingest.py with blocks of a few bytes, compare count files read by
+``load_csv`` with the row parser, and pin the fast paths to the values
+``float`` gives.
 """
 
 import tempfile
@@ -20,6 +21,7 @@ import test_ingest as ingest
 from unbcount import cli, datasets
 from unbcount import estimation as est
 from unbcount.distributions import UnbParams, unb_sample
+from unbcount.errors import DataError
 
 # Bytes per block small enough that every few lines, and the header, fall
 # in blocks of their own.
@@ -90,10 +92,20 @@ def test_decimal_fields_read_as_float_reads_them(fields):
     assert plain.all() and values.tolist() == [float(f) for f in fields]
 
 
+def read_counts(path):
+    """The file's count column and dropped rows by ``load_csv``, or its
+    error message."""
+    try:
+        data = datasets.load_csv(path)
+    except DataError as exc:
+        return str(exc)
+    return data.columns["count"], data.dropped_rows
+
+
 def line_loop(path):
-    """The counts of the file by the row parser alone."""
+    """``read_counts`` by the row parser alone."""
     with mock.patch.object(datasets, "_field_rows", return_value=None):
-        return datasets._raw_count_file(path)
+        return read_counts(path)
 
 
 LINES = st.one_of(
@@ -114,11 +126,13 @@ def test_count_file_reader_agrees_with_the_line_loop(lines, newline, bom, final)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.txt"
         path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode())
-        got, want = datasets._raw_count_file(path), line_loop(path)
-    if want is None:
-        assert got is None
+        got, want = read_counts(path), line_loop(path)
+    if isinstance(want, str):
+        assert got == want
     else:
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not isinstance(got, str), got
+        assert got[0].dtype == want[0].dtype == np.int64
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
 def test_count_file_reader_takes_simulate_output(tmp_path):
@@ -132,16 +146,24 @@ def test_count_file_reader_takes_simulate_output(tmp_path):
         return rows
 
     with mock.patch.object(datasets, "_field_rows", spy):
-        got = datasets._raw_count_file(path)
+        got = datasets.load_csv(path).columns["count"]
     assert taken == [True] and got.tolist() == [0, 9, 10, 123456789012345]
 
 
-def test_count_lines_edge_values():
+def test_count_lines_edge_values(tmp_path):
     values = np.array([0, 9, 10, 99, 100, 10 ** 18 - 1, 10 ** 18, 2 ** 63 - 1, 7],
                       dtype=np.int64)
-    want = "".join(f"{v}\n" for v in values.tolist()).encode()
-    assert cli._count_lines(values) == want
-    assert cli._count_lines(values[:1]) == b"0\n"
+    path = tmp_path / "c.txt"
+    datasets.write_counts(path, values)
+    assert path.read_bytes() == "".join(f"{v}\n" for v in values.tolist()).encode()
+    datasets.write_counts(path, values[:1])
+    assert path.read_bytes() == b"0\n"
+
+
+@pytest.mark.parametrize("values", [[1, -1], [1.5], [np.nan]])
+def test_write_counts_takes_counts_only(tmp_path, values):
+    with pytest.raises(DataError, match="^counts must be non-negative integers$"):
+        datasets.write_counts(tmp_path / "c.txt", values)
 
 
 @pytest.mark.parametrize("r, p, seed", [(1.0, 0.6, 1), (0.5, 0.02, 3)])
@@ -150,7 +172,7 @@ def test_compare_pmfs_at_distinct_counts(tmp_path, r, p, seed):
     # same floats as at every observation, for each of the four laws.
     y = unb_sample(UnbParams(r, p), 3000, seed)
     path = tmp_path / "y.txt"
-    path.write_bytes(cli._count_lines(y))
+    datasets.write_counts(path, y)
     config = cli._build_parser().parse_args(
         ["compare", "--input", str(path), "--models", "unb,nb,up,geometric"])
     _, fits, pmfs = cli._fit_models(config, pmfs=True)

@@ -1,9 +1,9 @@
 """The field reader and the row parser read every file alike.
 
-``load_csv`` and the bare-count-file reader read a file through one step
-(``_rows``): a regular file by the field reader (``_field_rows``), any
-other by the row parser (``_csv_rows``).  Each check here compares the
-result, or the message, with the row parser's.
+``load_csv`` reads every file, a CSV or a bare count file, by the field
+reader (``_field_rows``) if it takes the file, by the row parser
+(``_csv_rows``) if not.  Each check here compares the result, or the
+message, with the row parser's.
 """
 
 import contextlib
@@ -229,19 +229,24 @@ def test_messy_file_summarizes_as_its_clean_twin(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+# The error of a file whose first line is not a number, with no response
+# named.
+HEADER_ROW = "a response column is required: line 1 is a header row, not a count"
+
 COUNT_FILES = {
-    # name: (text, counts the CLI reads, or None when it is not a count file)
+    # name: (text, counts load_csv reads, or the error it raises)
     "plain": ("3\n0\n1\n", [3, 0, 1]),
     "blank_lines": ("3\n\n0\n\n\n1\n", [3, 0, 1]),
     "padded_lines": (" 3 \n\t0\n1  \n", [3, 0, 1]),
     "no_final_newline": ("3\n0\n1", [3, 0, 1]),
     "crlf": ("3\r\n0\r\n1\r\n", [3, 0, 1]),
     "underscore": ("1_000\n2\n", [1000, 2]),
-    "two_numbers_a_line": ("1 2\n3 4\n", None),
-    "comma": ("1,2\n", None),
-    "fraction": ("1\n2.5\n", None),
-    "header": ("y\n1\n2\n", None),
-    "leading_blank_line": ("\n1\n2\n", None),
+    "two_numbers_a_line": ("1 2\n3 4\n", HEADER_ROW),
+    "comma": ("1,2\n", HEADER_ROW),
+    "fraction": ("1\n2.5\n",
+                 "row 2: response 'count' value 2.5 is not a non-negative integer"),
+    "header": ("y\n1\n2\n", HEADER_ROW),
+    "leading_blank_line": ("\n1\n2\n", HEADER_ROW),
     "byte_order_mark": ("\ufeff4\n5\n", [4, 5]),
 }
 
@@ -249,10 +254,14 @@ COUNT_FILES = {
 @pytest.mark.parametrize("name", COUNT_FILES)
 def test_count_file(tmp_path, name):
     text, want = COUNT_FILES[name]
-    got = datasets._raw_count_file(write(tmp_path, text, "c.txt"))
-    if want is None:
-        assert got is None
+    path = write(tmp_path, text, "c.txt")
+    check(path, None)
+    if isinstance(want, str):
+        with pytest.raises(DataError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: {want}"
     else:
+        got = load_csv(path).columns["count"]
         assert got.dtype == np.int64 and got.tolist() == want
 
 
@@ -263,4 +272,4 @@ def test_simulate_writes_one_integer_a_line(tmp_path, capsys):
                      "--seed", "11", "--output", str(out)]) == 0
     draws = unb_sample(UnbParams(1.0, 0.6), 40000, 11)
     assert out.read_bytes() == ("\n".join(str(int(v)) for v in draws) + "\n").encode()
-    assert datasets._raw_count_file(out).tolist() == draws.tolist()
+    assert load_csv(out).columns["count"].tolist() == draws.tolist()

@@ -89,19 +89,18 @@ def test_uint64_count_beyond_int64_is_a_data_error():
 
 
 def test_count_file_beyond_int64_exits_2_without_warning(tmp_path, capsys):
-    # 10**20 is read as a float, which int64 cannot hold: the file is
-    # declined as a negative count's is, and nothing casts it.
-    big, negative = tmp_path / "big.txt", tmp_path / "negative.txt"
-    big.write_text("1\n100000000000000000000\n3\n", encoding="utf-8")
-    negative.write_text("1\n-1\n3\n", encoding="utf-8")
-    outcomes = []
-    for path in (big, negative):
+    # 10**20 is read as a float, which int64 cannot hold: its row is named
+    # as a negative count's is, and nothing casts it.
+    for line, value in (("100000000000000000000", "1e+20"), ("-1", "-1.0")):
+        path = tmp_path / "c.txt"
+        path.write_text(f"1\n{line}\n3\n", encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = cli.main(["fit", "--input", str(path)])
-        outcomes.append((code, capsys.readouterr().err))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] == cli.EXIT_DATA
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {path}: row 2: response 'count' value {value} "
+            "is not a non-negative integer\n")
 
 
 def test_csv_response_beyond_int64_is_a_data_error(tmp_path, capsys):
@@ -119,7 +118,7 @@ def test_csv_response_beyond_int64_is_a_data_error(tmp_path, capsys):
 
 def test_cached_parser_shares_no_state(tmp_path, capsys):
     counts = tmp_path / "c.txt"
-    counts.write_bytes(cli._count_lines(unb_sample(UnbParams(2.0, 0.5), 200, 1)))
+    ds.write_counts(counts, unb_sample(UnbParams(2.0, 0.5), 200, 1))
     table = tmp_path / "t.csv"
     table.write_text("y,x\n0,1\n2,3\n", encoding="utf-8")
     assert cli._build_parser() is cli._build_parser()
@@ -127,12 +126,13 @@ def test_cached_parser_shares_no_state(tmp_path, capsys):
     assert cli.main(["fit", "--input", str(counts), "--models", "geometric"]) == 0
     assert "response=count" in capsys.readouterr().out
     assert cli.main(["summarize", "--input", str(table)]) == cli.EXIT_DATA
-    assert "--response is required" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: {table}: a response column is "
+                                       "required: line 1 is a header row, not a count\n")
 
 
 def test_successive_runs_match_fresh_interpreters(tmp_path):
     counts = tmp_path / "c.txt"
-    counts.write_bytes(cli._count_lines(unb_sample(UnbParams(1.2, 0.3), 3000, 5)))
+    ds.write_counts(counts, unb_sample(UnbParams(1.2, 0.3), 3000, 5))
     runs = {"fit": ["fit", "--input", str(counts), "--models", "unb,nb,up,geometric",
                     "--format", "json"],
             "compare": ["compare", "--input", str(counts), "--models", "unb,nb,up",
