@@ -20,7 +20,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
@@ -106,16 +105,19 @@ class GroupSummary:
     zero_proportion: float
 
 
-def _parse_cell(token: str, column: str, line_no: int) -> float:
+# The tokens of a missing cell, in any case, besides an empty one
+_MISSING = ("NA", "NAN", "NULL")
+
+
+def _parse_cell(token: str, column: str, line_no: int, path) -> float:
     token = token.strip()
-    if token == "" or token.upper() in ("NA", "NAN", "NULL"):
+    if token == "" or token.upper() in _MISSING:
         return math.nan
     try:
         return float(token)
     except ValueError:
-        raise DataError(
-            f"line {line_no}: cannot parse {token!r} in column {column!r} as a number"
-        ) from None
+        raise DataError(f"{path}: line {line_no}: cannot parse {token!r} "
+                        f"in column {column!r} as a number") from None
 
 
 @contextlib.contextmanager
@@ -137,7 +139,8 @@ def _utf8_text(path):
 def load_csv(path, response: Optional[str] = None, covariates=(),
              delimiter: str = ",") -> Dataset:
     """Load a delimited text file with a header row, or a bare count file:
-    one whose first line is a number (``float`` reads it), one count a line
+    one whose first line is a number (``float`` reads it) or a missing
+    value (``NA`` or ``NULL``, dropped as any such row), one count a line
     and no header, as :func:`write_counts` writes it, whose one column is
     named ``response``, or ``"count"`` if that is None.
 
@@ -163,7 +166,8 @@ def load_csv(path, response: Optional[str] = None, covariates=(),
         fh.seek(0)
         reader = csv.reader(fh, delimiter=delimiter)
         try:
-            float(first)
+            # A missing-value token is a data line, as NaN (a float) is
+            float("nan" if first.strip().upper() in _MISSING else first)
         except ValueError:
             header = [h.strip() for h in next(reader)]
             if len(set(header)) != len(header):
@@ -223,7 +227,7 @@ def _csv_rows(path, reader, selected, idx, width, first):
             raise DataError(
                 f"{path}: line {line_no}: expected {width} fields, got {len(row)}")
         for col, i, name in zip(raw, idx, selected):
-            col.append(_parse_cell(row[i], name, line_no))
+            col.append(_parse_cell(row[i], name, line_no, path))
         lines.append(line_no)
     return np.array(raw, dtype=float).T, lines
 
@@ -479,6 +483,9 @@ def _load_mapping() -> dict:
     if override:
         with open(override, encoding="utf-8") as fh:
             return json.load(fh)
+    # Imported here: 30-40 ms, and only the survey loader needs it
+    from importlib import resources
+
     with resources.files("unbcount").joinpath("nmes_mapping.json").open(
             encoding="utf-8") as fh:
         return json.load(fh)

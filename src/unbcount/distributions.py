@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sps
 
+from . import _special as _sps
 from .errors import DomainError
 # These are unused here, but perfbench/tracing.py wraps the specfun names by
 # their attribute on this module, so they stay importable.

@@ -28,8 +28,8 @@ from dataclasses import astuple, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
-from scipy import special as _sps
 
+from . import _special as _sps
 from . import distributions as _dist
 from .datasets import _counts, _moments
 from .distributions import _LOG_FLOOR, GeomParams, NbParams, UnbParams, UpParams

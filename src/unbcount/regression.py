@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import special as _sps
 
+from . import _special as _sps
 from .datasets import Dataset, _counts, response_counts
 from .errors import DataError, DegenerateVuongError, DomainError, RankDeficientError
 # Unused here; perfbench/tracing.py wraps regression._opt and regression.fit_mm.

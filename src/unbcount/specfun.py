@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from scipy import special as _sps
-
+from . import _special as _sps
 from .errors import DomainError, NonConvergenceError
 
 __all__ = [

@@ -24,19 +24,82 @@ def write_counts(path, counts):
     return str(path)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # The fits run on the package's own Newton method, so importing the
-    # package and its CLI loads numpy and scipy.special only.  Test modules
-    # that import scipy.stats load scipy.optimize into this process, so a
-    # fresh interpreter does the import.
+def fresh_python(code, *args):
+    """The stdout of ``code`` run with ``args`` in a fresh interpreter that
+    imports this checkout of the package.  Test modules that import scipy
+    load it into this process, so import checks need a fresh one."""
     src = str(Path(unbcount.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, unbcount, unbcount.cli; print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c", code, *args],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
         timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # The fits run on the package's own Newton method, not scipy.optimize.
+    # Importing the package and its CLI loads numpy and no scipy module at
+    # all; scipy.special comes in at a fit's first special-function call.
+    out = fresh_python(
+        "import sys, unbcount, unbcount.cli; print('scipy.optimize' in sys.modules)")
+    assert out.strip() == "False"
+
+
+def test_import_loads_no_scipy():
+    out = fresh_python(
+        "import sys; before = set(sys.modules); import unbcount, unbcount.cli; "
+        "print(sorted(m for m in set(sys.modules) - before "
+        "if m.split('.')[0] == 'scipy'), 'scipy' in before)")
+    assert out.strip() == "[] False"
+
+
+# Runs each argv of the JSON list argv[1] through cli.main, its output and
+# exit status to stdout, then whether scipy is loaded, on its own last line.
+RUN_MAIN = """
+import json, sys
+from unbcount import cli
+for argv in json.loads(sys.argv[1]):
+    try:
+        cli.main(argv)
+    except SystemExit:
+        pass
+print('scipy' in sys.modules)
+"""
+
+
+def test_commands_without_special_functions_leave_scipy_unloaded(tmp_path):
+    table = tmp_path / "t.csv"
+    table.write_text("y,g\n0,1\n2,0\nNA,1\n1,1\n", encoding="utf-8")
+    runs = [["summarize", "--input", str(table), "--response", "y", "--group-by", "g"],
+            ["simulate", "--r", "2", "--p", "0.5", "--n", "50", "--seed", "1",
+             "--output", str(tmp_path / "y.txt")],
+            ["--help"],
+            ["fit", "--input", str(table), "--bogus"]]
+    out = fresh_python(RUN_MAIN, json.dumps(runs))
+    assert (tmp_path / "y.txt").exists() and "usage:" in out
+    assert out.splitlines()[-1] == "False"
+
+
+def test_fit_loads_scipy_and_prints_the_in_process_fit(tmp_path, capsys):
+    path = write_counts(tmp_path / "c.txt", unb_sample(UnbParams(2.0, 0.5), 300, 5))
+    argv = ["fit", "--input", path, "--models", "unb", "--format", "json"]
+    *lines, loaded = fresh_python(RUN_MAIN, json.dumps([argv])).splitlines()
+    assert loaded == "True"
+    code, want, _ = run_cli(argv, capsys)
+    assert code == 0 and json.loads("\n".join(lines)) == json.loads(want)
+
+
+def test_special_names_are_scipy_functions():
+    import scipy.special
+
+    from unbcount import _special
+
+    assert _special.gammaln is scipy.special.gammaln
+    assert vars(_special)["gammaln"] is scipy.special.gammaln
+    for name in ("no_such_function", "__path__"):
+        with pytest.raises(AttributeError):
+            getattr(_special, name)
 
 
 def text_and_json(argv, capsys):

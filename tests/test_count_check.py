@@ -104,7 +104,7 @@ BAD_LINES = {
     "-1": "{path}: row 2: response 'count' value -1.0 is not a non-negative integer",
     "2.5": "{path}: row 2: response 'count' value 2.5 is not a non-negative integer",
     "NA": None,
-    "x": "line 2: cannot parse 'x' in column 'count' as a number",
+    "x": "{path}: line 2: cannot parse 'x' in column 'count' as a number",
 }
 
 
@@ -132,6 +132,23 @@ def test_count_file_na_line_is_dropped(tmp_path):
     data = ds.load_csv(path)
     assert data.columns["count"].tolist() == [1, 3]
     assert data.dropped_rows == ((2, "count"),)
+
+
+@pytest.mark.parametrize("token", ["NA", "NULL"])
+def test_count_file_missing_first_line_is_dropped(tmp_path, capsys, token):
+    # A missing value on line 1 is a data line, not a header: the file is a
+    # bare count file, with or without --response.
+    path = tmp_path / "c.txt"
+    path.write_text(f"{token}\n1\n2\n", encoding="utf-8")
+    data = ds.load_csv(path)
+    assert data.columns["count"].tolist() == [1, 2]
+    assert data.dropped_rows == ((1, "count"),)
+    for response in ([], ["--response", "count"]):
+        code = cli.main(["fit", "--input", str(path), "--models", "geometric",
+                         *response])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_OK and err == ""
+        assert "response=count n=2" in out
 
 
 @pytest.mark.parametrize("command", ["fit", "compare", "summarize"])

@@ -229,8 +229,8 @@ def test_messy_file_summarizes_as_its_clean_twin(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-# The error of a file whose first line is not a number, with no response
-# named.
+# The error of a file whose first line is neither a number nor a missing
+# value, with no response named.
 HEADER_ROW = "a response column is required: line 1 is a header row, not a count"
 
 COUNT_FILES = {
@@ -247,6 +247,8 @@ COUNT_FILES = {
                  "row 2: response 'count' value 2.5 is not a non-negative integer"),
     "header": ("y\n1\n2\n", HEADER_ROW),
     "leading_blank_line": ("\n1\n2\n", HEADER_ROW),
+    "leading_na": ("NA\n1\n2\n", [1, 2]),
+    "leading_null": ("null\n1\n2\n", [1, 2]),
     "byte_order_mark": ("\ufeff4\n5\n", [4, 5]),
 }
 
