@@ -106,17 +106,12 @@ def _fit_models(config: argparse.Namespace, *, pmfs: bool = False, **options):
         return data, fits, None
     if regression:
         return data, fits, [reg.per_observation_pmf(fit, data, spec) for fit in fits]
-    # Each law's pmf at the distinct counts, spread to the observations
+    # The fits' log pmfs at the distinct counts, spread to the observations
     # through their places among those counts.  return_counts keeps numpy
     # 2 on its sort path, ten times faster on int64 counts than its hash.
     values = np.unique(counts, return_counts=True)[0]
     inverse = np.searchsorted(values, counts)
-    per_obs = []
-    for model, fit in zip(config.models, fits):
-        family = est._FAMILIES[model]
-        eta, r = family.eta_of(fit.params)
-        per_obs.append(np.exp(family.logpmf(eta, r, values)[0])[inverse])
-    return data, fits, per_obs
+    return data, fits, [np.exp(fit.log_pmf)[inverse] for fit in fits]
 
 
 def _exit_code(fits) -> int:

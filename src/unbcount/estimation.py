@@ -84,6 +84,8 @@ class FitResult:
     negative definite), ``step_halvings``, ``pmf_floored``,
     ``eta_clamped`` (both summed over evaluations), ``hessian`` in the
     engine's (intercept, r) coordinates and its 2-norm ``condition``.
+    ``log_pmf``, None for the method-of-moments fit, is the last kernel
+    pass's floored log pmf at the distinct counts in increasing order.
     """
 
     params: object
@@ -96,6 +98,7 @@ class FitResult:
     iterations: int
     method: str
     diagnostics: dict = field(default_factory=dict)
+    log_pmf: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -201,14 +204,14 @@ _MAX_RADIUS = 16.0
 class _Family:
     """A law of the table above.  ``n_shape`` is 1 when r is free (fitted as
     log r after the coefficients), 0 otherwise; ``fixed_r`` is the r of a
-    law that fixes it.  ``logpmf(eta, r, y)`` gives the log pmf at the
-    counts y floored at log PMF_FLOOR and the number of entries floored;
-    ``logpmf_grad(eta, r, y)`` gives those and, in the same pass, the
-    unfloored log pmf's derivatives d/d eta, d/d log r, d2/d eta^2,
-    d2/d eta d log r and d2/d log r^2 (None for those in log r of a law
-    without r).  ``law(theta)`` gives the law at theta = (eta[, r]) with
-    the Jacobian of its parameters in theta, and ``eta_of(params)`` the
-    inverse, (eta, r).  ``start(y, w)`` gives every fit's start."""
+    law that fixes it.  ``logpmf_grad(eta, r, y)`` gives the log pmf at
+    the counts y floored at log PMF_FLOOR, the number of entries floored
+    and, in the same pass, the unfloored log pmf's derivatives d/d eta,
+    d/d log r, d2/d eta^2, d2/d eta d log r and d2/d log r^2 (None for
+    those in log r of a law without r).  ``law(theta)`` gives the law at
+    theta = (eta[, r]) with the Jacobian of its parameters in theta, and
+    ``eta_of(params)`` the inverse, (eta, r).  ``start(y, w)`` gives every
+    fit's start."""
 
     def __init__(self, name: str, params_type, kappa: float = 1.0, fixed_r=None):
         self.name, self.params_type = name, params_type
@@ -265,10 +268,6 @@ class _Unb(_Family):
         except UnderDispersionError:
             return 2.0
 
-    def logpmf(self, eta, r, y):
-        p, q = self.link(eta, r)
-        return _dist.unb_logpmf_kernel(r, p, y, q=q)
-
     def logpmf_grad(self, eta, r, y):
         p, q = self.link(eta, r)
         lp, floored, *derivs = _dist.unb_logpmf_kernel(r, p, y, q=q, grad=True)
@@ -281,17 +280,14 @@ class _Nb(_Family):
         var = float(np.dot(w, (y - m1) ** 2)) / max(n - 1.0, 1.0)
         return min(max(m1 ** 2 / (var - m1), 1e-2), 1e3) if var > m1 else 2.0
 
-    def logpmf(self, eta, r, y):
-        p, q = self.link(eta, r)
-        lp = _dist._nb_logpmf(r, p, y, q)
-        return np.maximum(lp, _LOG_FLOOR), int(np.count_nonzero(lp < _LOG_FLOOR))
-
     def logpmf_grad(self, eta, r, y):
         """The UNB sums collapsed to their one term k = y."""
         p, q = self.link(eta, r)
+        lp = _dist._nb_logpmf(r, p, y, q)
         derivs = (r * q - y * p, _sps.digamma(r + y) - _sps.digamma(r) + np.log(p),
                   -p * q * (r + y), q, _dist._trigamma(r + y) - _dist._trigamma(r))
-        return (*self.logpmf(eta, r, y), *_eta_logr(r, *derivs))
+        return (np.maximum(lp, _LOG_FLOOR), int(np.count_nonzero(lp < _LOG_FLOOR)),
+                *_eta_logr(r, *derivs))
 
 
 class _Up(_Family):
@@ -300,9 +296,6 @@ class _Up(_Family):
     a (1 + x - lam - a), since d P(N > x) / d lam = pois(x; lam)."""
 
     n_shape = 0
-
-    def logpmf(self, eta, r, y):
-        return self.logpmf_grad(eta, r, y)[:2]
 
     def logpmf_grad(self, eta, r, y):
         lam = 2.0 * np.exp(eta)
@@ -342,8 +335,8 @@ def _finite(*arrays) -> bool:
 
 
 def _newton(fun, x0, *, lo, hi, span):
-    """Damped Newton minimisation of fun(x) -> (value, gradient, Hessian) in
-    the box [lo, hi] (Nocedal & Wright, Numerical Optimization, ch. 3).
+    """Damped Newton minimisation of fun(x) -> (value, gradient, Hessian,
+    aux) in the box [lo, hi] (Nocedal & Wright, Numerical Optimization, ch. 3).
     Coordinates on a bound with the gradient pointing out are held; the
     others step on their block of the Hessian, shifted by lambda I where a
     Cholesky factorisation fails, lambda doubled from 1e-3 of the largest
@@ -358,12 +351,12 @@ def _newton(fun, x0, *, lo, hi, span):
     _MAX_SPAN after a halved one, so that a start far out on a flat stretch
     takes tens of steps, not hundreds.  It stops at a free-gradient norm
     below 1e-9, when a step fails, or after 200 steps.  The result holds x
-    with its value fun, gradient jac and Hessian hess, the steps nit, the
-    calls of fun nfev, message, success (message starts CONVERGENCE),
-    hessian_shifts (steps on a shifted Hessian) and step_halvings (rejected
-    trial points)."""
+    with its value fun, gradient jac, Hessian hess and aux (never a rejected
+    trial's), the steps nit, the calls of fun nfev, message, success
+    (message starts CONVERGENCE), hessian_shifts (steps on a shifted
+    Hessian) and step_halvings (rejected trial points)."""
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    f, g, hess = fun(x)
+    f, g, hess, aux = fun(x)
     nfev, nit, shifts, halvings = 1, 0, 0, 0
     radius = _MAX_SPAN
     ok = _finite(f, g, hess)
@@ -391,7 +384,7 @@ def _newton(fun, x0, *, lo, hi, span):
         exact = shift == 0.0 and -(g @ d + 0.5 * d @ hess @ d) <= 1e-13 * max(1.0, abs(f))
         for halved in range(50):
             trial = np.clip(x + step, lo, hi)
-            ft, gt, ht = fun(trial)
+            ft, gt, ht, at = fun(trial)
             nfev += 1
             ok = _finite(ft, gt, ht) and (
                 np.linalg.norm(gt[free]) < (np.linalg.norm(g[free]) if exact else 1e-9)
@@ -404,11 +397,11 @@ def _newton(fun, x0, *, lo, hi, span):
             message = ("CONVERGENCE: NEWTON DECREMENT BELOW ROUNDING" if exact
                        else "ABNORMAL: NO DECREASE ABOVE ROUNDING")
             break
-        x, f, g, hess = trial, ft, gt, ht
+        x, f, g, hess, aux = trial, ft, gt, ht, at
         if halved or reach > radius:
             radius = _MAX_SPAN if halved else min(2.0 * radius, _MAX_RADIUS)
-    return types.SimpleNamespace(x=x, fun=f, jac=g, hess=hess, nit=nit, nfev=nfev,
-                                 success=message.startswith("CONVERGENCE"),
+    return types.SimpleNamespace(x=x, fun=f, jac=g, hess=hess, aux=aux, nit=nit,
+                                 nfev=nfev, success=message.startswith("CONVERGENCE"),
                                  message=message, hessian_shifts=shifts,
                                  step_halvings=halvings)
 
@@ -423,18 +416,18 @@ def _fit(family, design, y, weights, theta0):
 
     One _newton run on the mean log-likelihood, its gradient and its
     Hessian in (beta, log r), all from one pass of the family's kernel.
-    Returns (theta, cov, log-likelihood, converged, iterations, diagnostics)
-    with theta = (beta[, r]) and cov the inverse observed information, the
-    last pass's Hessian mapped to r by H_rr = (H_ll - g_l)/r^2, H_beta,r =
-    H_beta,l / r.  ``converged`` is the full gradient's norm below
-    _GRAD_GATE.  A start where the log-likelihood or its Hessian is not
-    finite raises NonConvergenceError.
+    Returns (theta, cov, log-likelihood, converged, iterations, diagnostics,
+    log_pmf) with theta = (beta[, r]), cov the inverse observed information,
+    the last pass's Hessian mapped to r by H_rr = (H_ll - g_l)/r^2, H_beta,r
+    = H_beta,l / r, and log_pmf that pass's floored log pmf at y.  A start
+    where the log-likelihood or its Hessian is not finite raises
+    NonConvergenceError; ``converged`` is the full gradient's norm below _GRAD_GATE.
     """
     n, k = float(np.sum(weights)), design.shape[1]
     tally = {"pmf_floored": 0, "eta_clamped": 0}
 
     def value_grad_hess(theta):
-        """The negative mean log-likelihood, its gradient and its Hessian."""
+        """The negative mean log-likelihood, its gradient, Hessian and log pmf at y."""
         eta, clipped = _eta(theta[:k], design)
         tally["eta_clamped"] += clipped
         r = math.exp(theta[k]) if family.n_shape else family.fixed_r
@@ -446,7 +439,7 @@ def _fit(family, design, y, weights, theta0):
             cross = design.T @ (w * h_es)
             grad = np.append(grad, np.dot(weights, g_s))
             hess = np.block([[hess, cross[:, None]], [cross, np.dot(weights, h_ss)]])
-        return -float(np.dot(weights, lp)) / n, -grad / n, -hess / n
+        return -float(np.dot(weights, lp)) / n, -grad / n, -hess / n, lp
 
     def span(d):
         """The largest change of a linear predictor or of log r."""
@@ -477,7 +470,7 @@ def _fit(family, design, y, weights, theta0):
         cov = np.linalg.pinv(-hess)
         diagnostics["singular_hessian"] = True
     return (theta, cov, float(-n * res.fun), diagnostics["grad_norm"] < _GRAD_GATE,
-            res.nit, diagnostics)
+            res.nit, diagnostics, res.aux)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +500,7 @@ def _fit_marginal(family, data, level: float, init=None) -> FitResult:
     theta0 = family.start(xs, w)
     if init is not None:
         theta0 = np.array([family.eta_of(init)[0], math.log(init.r)])
-    theta, cov, ll, converged, iterations, diagnostics = _fit(
+    theta, cov, ll, converged, iterations, diagnostics, log_pmf = _fit(
         family, np.ones((xs.size, 1)), xs, w, theta0)
     params, jac = family.law(theta)
     cov = jac @ cov @ jac.T
@@ -515,10 +508,10 @@ def _fit_marginal(family, data, level: float, init=None) -> FitResult:
     z = float(_sps.ndtri(0.5 * (1.0 + level)))
     cis = tuple(_interval(f.name, e, s, z)
                 for f, e, s in zip(fields(params), astuple(params), se))
-    return FitResult(params=params, log_likelihood=ll, std_errors=se,
-                     cov_matrix=cov, conf_intervals=cis,
-                     aic=-2.0 * ll + 2.0 * len(se), converged=converged,
-                     iterations=iterations, method="mle", diagnostics=diagnostics)
+    return FitResult(params=params, log_likelihood=ll, std_errors=se, cov_matrix=cov,
+                     conf_intervals=cis, aic=-2.0 * ll + 2.0 * len(se),
+                     converged=converged, iterations=iterations, method="mle",
+                     diagnostics=diagnostics, log_pmf=log_pmf)
 
 
 def fit_mle(data, init: Optional[UnbParams] = None, level: float = 0.95) -> FitResult:

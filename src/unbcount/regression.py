@@ -15,9 +15,10 @@ the engine of ``estimation._fit`` with unit weights: Newton's method over
 (beta, log r) on the log-likelihood, its gradient and its Hessian from one
 kernel pass (for UNB, means and variances of k and H_k = psi(r+k) - psi(r)
 over the terms nb(k)/(k+1) whose sum is the pmf).  Standard errors invert
-the last pass's observed information in (beta, r).  Linear predictors are
-clamped to |eta| <= 700 and per-observation probabilities floored at
-1e-300, both counted in the fit diagnostics.
+the last pass's observed information in (beta, r), and the fit keeps that
+pass's log pmf at each observation.  Linear predictors are clamped to
+|eta| <= 700 and per-observation probabilities floored at 1e-300, both
+counted in the fit diagnostics.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import _special as _sps
+from . import distributions as _dist
 from .datasets import Dataset, _counts, response_counts
 from .errors import DataError, DegenerateVuongError, DomainError, RankDeficientError
 # Unused here; perfbench/tracing.py wraps regression._opt and regression.fit_mm.
@@ -70,6 +72,7 @@ class RegressionFit:
 
     ``r`` is None for the uniform-Poisson model, which has no dispersion
     parameter; ``std_errors``/``wald_t``/``p_values`` then cover beta only.
+    ``log_pmf`` is the last kernel pass's floored log pmf at each row.
     """
 
     beta: np.ndarray
@@ -84,6 +87,7 @@ class RegressionFit:
     coef_names: tuple = ()
     iterations: int = 0
     diagnostics: dict = field(default_factory=dict)
+    log_pmf: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -96,26 +100,37 @@ class VuongResult:
 
 def build_design(dataset: Dataset, spec: RegressionSpec):
     """Assemble (X, y, names) from a dataset: an intercept column, then the
-    covariates; y is the response as int64 counts (:func:`response_counts`)."""
+    covariates, which must be finite; y is the response as int64 counts
+    (:func:`response_counts`)."""
     for name in (spec.response, *spec.covariates):
         if name not in dataset.columns:
             raise DataError(f"column {name!r} not found in dataset")
     y = response_counts(dataset, spec.response)
     x = np.column_stack([np.ones(dataset.n),
                          *(dataset.columns[c] for c in spec.covariates)])
-    return x, y, ("intercept", *spec.covariates)
+    names = ("intercept", *spec.covariates)
+    finite = np.isfinite(x).all(axis=0)
+    if not finite.all():
+        raise DataError(f"column {names[np.argmin(finite)]!r} holds a non-finite "
+                        "value (inf or NaN)")
+    return x, y, names
 
 
 def unb_reg_loglik(beta, r: float, design: np.ndarray, y) -> float:
     """Log-likelihood of the UNB regression at (beta, r).
 
-    The response must be non-negative integers (within 1e-9), r positive
-    and finite, and beta one entry per design column.  Linear predictors
-    beyond +-700 are clamped (an explicit diagnostic is available through
-    the fitting routines).
+    The design must be a finite 2-D array, the response non-negative
+    integers (within 1e-9), r positive and finite, and beta one entry per
+    design column.  Linear predictors beyond +-700 are clamped (an explicit
+    diagnostic is available through the fitting routines).
     """
     beta = np.asarray(beta, dtype=float)
+    design = np.asarray(design, dtype=float)
     y = _counts(y, "response")
+    if design.ndim != 2:
+        raise DataError(f"design must be 2-D, got {design.ndim} dimension(s)")
+    if not np.all(np.isfinite(design)):
+        raise DataError("design holds a non-finite value (inf or NaN)")
     if design.shape[0] != y.size:
         raise DataError("design rows do not match response length")
     if beta.shape != (design.shape[1],):
@@ -124,8 +139,8 @@ def unb_reg_loglik(beta, r: float, design: np.ndarray, y) -> float:
     if not (r > 0.0 and math.isfinite(r)):
         raise DomainError(f"r must be a positive finite real, got {r}")
     eta, _ = _eta(beta, design)
-    lp, _ = _FAMILIES["unb"].logpmf(eta, r, y)
-    return float(np.sum(lp))
+    p, q = _FAMILIES["unb"].link(eta, r)
+    return float(np.sum(_dist.unb_logpmf_kernel(r, p, y, q=q)[0]))
 
 
 def _regress(family, dataset, spec: RegressionSpec) -> RegressionFit:
@@ -141,7 +156,7 @@ def _regress(family, dataset, spec: RegressionSpec) -> RegressionFit:
     start = family.start(y, np.ones(n))
     theta0 = np.zeros(k + family.n_shape)
     theta0[0], theta0[k:] = start[0], start[1:]
-    theta, cov, ll, converged, iterations, diagnostics = _fit(
+    theta, cov, ll, converged, iterations, diagnostics, log_pmf = _fit(
         family, design, y, np.ones(n), theta0)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -152,7 +167,7 @@ def _regress(family, dataset, spec: RegressionSpec) -> RegressionFit:
                          log_likelihood=ll, aic=-2.0 * ll + 2.0 * theta.size,
                          converged=converged, model=family.name,
                          coef_names=names, iterations=iterations,
-                         diagnostics=diagnostics)
+                         diagnostics=diagnostics, log_pmf=log_pmf)
 
 
 def fit_unb_regression(dataset, spec: RegressionSpec) -> RegressionFit:
@@ -171,10 +186,14 @@ def fit_up_regression(dataset, spec: RegressionSpec) -> RegressionFit:
 
 
 def per_observation_pmf(fit: RegressionFit, dataset, spec: RegressionSpec) -> np.ndarray:
-    """Fitted probability of each observed response, for Vuong comparisons."""
-    design, y, _ = build_design(dataset, spec)
-    eta, _ = _eta(fit.beta, design)
-    return np.exp(_FAMILIES[fit.model].logpmf(eta, fit.r, y)[0])
+    """Fitted probability of each observed response, for Vuong comparisons:
+    exp(fit.log_pmf), for the fit's own dataset and spec only (DataError for
+    another row count or other covariates)."""
+    if (dataset.n, spec.covariates) != (fit.log_pmf.size, fit.coef_names[1:]):
+        raise DataError("per_observation_pmf takes the fit's own dataset and spec: "
+                        f"{dataset.n} rows on {spec.covariates}, not {fit.log_pmf.size} "
+                        f"on {fit.coef_names[1:]}")
+    return np.exp(fit.log_pmf)
 
 
 def vuong_test(pmf1_per_obs, pmf2_per_obs) -> VuongResult:
@@ -191,7 +210,7 @@ def vuong_test(pmf1_per_obs, pmf2_per_obs) -> VuongResult:
     if n < 2:
         raise DataError(f"need at least 2 observations, got {n}")
     for name, v in (("first", p1), ("second", p2)):
-        if np.any(v <= 0.0) or np.any(v > 1.0):
+        if not np.all((v > 0.0) & (v <= 1.0)):  # NaN fails both tests
             raise DataError(f"{name} pmf vector has entries outside (0, 1]")
     m = np.log(p1) - np.log(p2)
     omega_sq = float(np.mean(m ** 2) - np.mean(m) ** 2)

@@ -398,8 +398,7 @@ class TestOneEngine:
         for eta in (-40.0, -100.0, -700.0):
             for r in (0.5, 2.0, 20.0):
                 etas = np.full(3, eta)
-                lp, floored = family.logpmf(etas, r, y)
-                deta = family.logpmf_grad(etas, r, y)[2]
+                lp, floored, deta = family.logpmf_grad(etas, r, y)[:3]
                 oracle = [mp_family_logpmf(model, eta, r, int(x)) for x in y]
                 assert np.all(np.isfinite(lp)) and np.all(np.isfinite(deta))
                 expect = np.maximum([float(v) for v in oracle], math.log(dist.PMF_FLOOR))
@@ -514,7 +513,7 @@ class TestOneEngine:
         y = unb_sample(UnbParams(2.0, 0.45), 2000, 5)
         family = _FAMILIES[model]
         if model == "geometric":
-            theta, _, loglik, converged, _, _ = _fit(
+            theta, _, loglik, converged, _, _, _ = _fit(
                 family, np.ones((y.size, 1)), y, np.ones(y.size),
                 np.array([math.log(np.mean(y))]))
         else:
@@ -560,6 +559,23 @@ class TestOneEngine:
 
 
 class TestFitTrace:
+    def test_newton_result_carries_the_aux_of_its_point(self):
+        # A gradient whose rounding the value does not show: the unshifted
+        # step predicts a fall below the value's rounding and the trial's
+        # gradient is no smaller, so the run ends on that rejected trial,
+        # the last call of fun.  The aux returned is the one of x.
+        calls = []
+
+        def fun(x):
+            calls.append(x.copy())
+            return 1e6, np.array([1e-8]), np.array([[1.0]]), x.copy()
+
+        res = estimation._newton(fun, np.array([0.5]), lo=np.array([-1.0]),
+                                 hi=np.array([1.0]), span=lambda d: np.max(np.abs(d)))
+        assert res.message == "CONVERGENCE: NEWTON DECREMENT BELOW ROUNDING"
+        assert len(calls) == 2 and calls[-1][0] != res.x[0]
+        assert np.array_equal(res.aux, res.x) and res.x[0] == 0.5
+
     def test_lone_outlier_trace(self):
         data = np.append(unb_sample(UnbParams(1.5, 0.2), 2000, seed=7), 200)
         fit = fit_mle(data)

@@ -168,16 +168,22 @@ def test_write_counts_takes_counts_only(tmp_path, values):
 
 @pytest.mark.parametrize("r, p, seed", [(1.0, 0.6, 1), (0.5, 0.02, 3)])
 def test_compare_pmfs_at_distinct_counts(tmp_path, r, p, seed):
-    # The marginal per-observation pmfs come from the distinct counts: the
-    # same floats as at every observation, for each of the four laws.
+    # The marginal per-observation pmfs are each fit's log pmf at the
+    # distinct counts, from its last kernel pass, spread to the
+    # observations; they agree with the kernel run at every observation at
+    # the law's (eta, r), whose round trip through the law's parameters
+    # moves eta by a few ulps.
     y = unb_sample(UnbParams(r, p), 3000, seed)
     path = tmp_path / "y.txt"
     datasets.write_counts(path, y)
     config = cli._build_parser().parse_args(
         ["compare", "--input", str(path), "--models", "unb,nb,up,geometric"])
     _, fits, pmfs = cli._fit_models(config, pmfs=True)
+    inverse = np.unique(y, return_inverse=True)[1]
     for model, fit, pmf in zip(config.models, fits, pmfs):
+        assert np.array_equal(pmf, np.exp(fit.log_pmf)[inverse]), model
         family = est._FAMILIES[model]
         eta, shape = family.eta_of(fit.params)
-        assert np.array_equal(pmf, np.exp(family.logpmf(eta, shape, y)[0])), model
+        lp = family.logpmf_grad(eta, shape, y)[0]
+        assert np.max(np.abs(np.log(pmf) - lp)) <= 1e-13, model
 

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unbcount.datasets import Dataset
+from unbcount.datasets import Dataset, write_counts
 from unbcount.distributions import UnbParams, unb_dlogpmf_dp_kernel, unb_pmf, unb_sample
 from unbcount.errors import (DataError, DegenerateDataError, DegenerateVuongError,
                              DomainError, RankDeficientError)
-from unbcount import distributions, estimation
+from unbcount import cli, distributions, estimation
 from unbcount.estimation import _FAMILIES, fit_mle, unb_loglik
 from unbcount.regression import (
     RegressionSpec,
@@ -60,6 +60,24 @@ class TestSpecValidation:
         data = make_dataset([1, 2, 3], a=[0.0, 1.0, 2.0])
         with pytest.raises(DataError):
             build_design(data, RegressionSpec(response="y", covariates=("b",)))
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e400", "nan"])
+    def test_non_finite_covariate_is_named(self, tmp_path, capsys, cell):
+        # An input error naming the column, not a rank deficiency of the
+        # design or numpy's SVD failure.
+        y, x = [1, 0, 2, 1, 3], [0.5, 1.5, 0.2, 0.1, 0.7]
+        z = ["0.1", cell, "0.3", "0.2", "0.4"]
+        data = make_dataset(y, x=x, z=[float(c) for c in z])
+        with pytest.raises(DataError, match="^column 'z' holds a non-finite value"):
+            fit_unb_regression(data, RegressionSpec("y", ("x", "z")))
+        if cell == "nan":  # a CSV's nan cell is a missing value
+            return
+        path = tmp_path / "t.csv"
+        path.write_text("y,x,z\n" + "".join(f"{a},{b},{c}\n" for a, b, c in zip(y, x, z)))
+        code = cli.main(["regress", "--input", str(path), "--response", "y",
+                         "--covariates", "x,z"])
+        assert code == 2
+        assert "error: column 'z' holds a non-finite value" in capsys.readouterr().err
 
 
 class TestRegLoglik:
@@ -110,6 +128,21 @@ class TestRegLoglik:
     def test_beta_needs_one_entry_per_design_column(self):
         with pytest.raises(DataError, match="one entry per design column"):
             unb_reg_loglik([0.1], 2.0, np.ones((5, 2)), np.array([0, 1, 2, 0, 1]))
+
+    @pytest.mark.parametrize("design, message", [
+        ([[1.0, 0.5], [1.0, -0.5]], None),
+        (np.ones(2), "design must be 2-D, got 1"),
+        (np.array([[1.0, 0.5], [1.0, np.nan]]), "non-finite"),
+        (np.array([[1.0, 0.5], [1.0, np.inf]]), "non-finite"),
+    ])
+    def test_design_is_a_finite_2d_array(self, design, message):
+        y = np.array([0, 1])
+        if message is None:  # a nested list reads as its array
+            assert unb_reg_loglik([0.1, 0.2], 2.0, design, y) == unb_reg_loglik(
+                [0.1, 0.2], 2.0, np.array(design), y)
+            return
+        with pytest.raises(DataError, match=message):
+            unb_reg_loglik([0.1, 0.2], 2.0, design, y)
 
 
 class TestGradient:
@@ -165,7 +198,7 @@ class TestUnbRegressionFit:
         hess = np.block([[design.T @ (design * h_ee[:, None]), cross[:, None]],
                          [cross[None, :], np.sum(h_ss)]])
         assert np.max(np.linalg.eigvalsh(hess)) > 0.0
-        theta, _, loglik, converged, _, diag = estimation._fit(
+        theta, _, loglik, converged, _, diag, _ = estimation._fit(
             family, design, y, np.ones(y.size), start)
         assert converged and diag["hessian_shifts"] > 0
         fit = fit_unb_regression(data, spec)
@@ -297,16 +330,18 @@ class TestObservedInformation:
 
         def loglik(t):
             r = t[k] if family.n_shape else family.fixed_r
-            return float(np.sum(family.logpmf(design @ t[:k], r, y)[0]))
+            return float(np.sum(family.logpmf_grad(design @ t[:k], r, y)[0]))
 
         hess = fd_hessian(loglik, theta, 1e-4 * np.maximum(1.0, np.abs(theta)))
         se = np.sqrt(np.diag(np.linalg.inv(-hess)))
         assert fit.std_errors == pytest.approx(se, rel=1e-4)
 
-    def test_information_costs_linear_in_parameters(self, monkeypatch):
+    def test_information_costs_linear_in_parameters(self, monkeypatch, tmp_path):
         # No kernel call after the optimiser: the observed information is
-        # the Hessian of its last kernel pass.  A stencil of log-likelihood
-        # values would take 2 p^2 + 1 (163 at p = 9).
+        # the Hessian of its last kernel pass, and the per-observation pmfs
+        # of a regression and of compare's marginal fits are that pass's
+        # log pmf.  A stencil of log-likelihood values would take 2 p^2 + 1
+        # (163 at p = 9).
         calls = {"n": 0, "at_minimize": 0}
         for name in ("unb_logpmf_kernel", "unb_dlogpmf_dp_kernel"):
             def counted(*args, _real=getattr(distributions, name), **kwargs):
@@ -327,8 +362,15 @@ class TestObservedInformation:
             data, _ = simulate_reg(
                 rng, 600, np.append(0.4, np.full(s, 0.1)), 2.0,
                 lambda rg, n: {z: rg.normal(0, 0.5, n) for z in names})
-            fit_unb_regression(data, RegressionSpec("y", names))
+            spec = RegressionSpec("y", names)
+            per_observation_pmf(fit_unb_regression(data, spec), data, spec)
             assert calls["n"] - calls["at_minimize"] == 0
+        path = tmp_path / "y.txt"
+        write_counts(path, unb_sample(UnbParams(0.5, 0.3), 2000, 3))
+        config = cli._build_parser().parse_args(
+            ["compare", "--input", str(path), "--models", "unb,nb,up,geometric"])
+        cli._fit_models(config, pmfs=True)
+        assert calls["n"] - calls["at_minimize"] == 0
 
     def test_one_kernel_pass_per_optimizer_evaluation(self, monkeypatch):
         # The value and the whole gradient, log r included, come from one
@@ -410,9 +452,38 @@ class TestComparatorRegressions:
         family = _FAMILIES[model]
         r = 2.0 if family.n_shape else family.fixed_r
         y = np.array([0.0, 1.0, 500.0])
-        lp, floored = family.logpmf(np.full(3, math.log(1e-3)), r, y)
+        lp, floored = family.logpmf_grad(np.full(3, math.log(1e-3)), r, y)[:2]
         assert floored == 1
         assert np.all(np.isfinite(lp))
+
+
+class TestPerObservationPmf:
+    @staticmethod
+    def _data():
+        rng = np.random.default_rng(31)
+        return simulate_reg(rng, 500, np.array([0.3, 0.4, -0.2]), 1.5,
+                            lambda rg, n: {"z1": rg.normal(0, 1, n),
+                                           "z2": rg.uniform(0, 1, n)})[0]
+
+    @pytest.mark.parametrize("model", list(REGRESSION_FITS))
+    def test_is_the_last_kernel_pass(self, model):
+        data, spec = self._data(), RegressionSpec("y", ("z1",))
+        fit = REGRESSION_FITS[model](data, spec)
+        pmf = per_observation_pmf(fit, data, spec)
+        design, y, _ = build_design(data, spec)
+        lp = _FAMILIES[model].logpmf_grad(design @ fit.beta, fit.r, y)[0]
+        assert np.array_equal(pmf, np.exp(fit.log_pmf))
+        assert np.array_equal(fit.log_pmf, lp)
+
+    def test_rejects_data_other_than_the_fits(self):
+        data, spec = self._data(), RegressionSpec("y", ("z1",))
+        fit = fit_unb_regression(data, spec)
+        short = make_dataset(data.columns["y"][:-1], z1=data.columns["z1"][:-1])
+        for other_data, other_spec in ((short, spec),
+                                       (data, RegressionSpec("y", ("z2",))),
+                                       (data, RegressionSpec("y", ("z1", "z2")))):
+            with pytest.raises(DataError, match="the fit's own dataset and spec"):
+                per_observation_pmf(fit, other_data, other_spec)
 
 
 class TestVuong:
@@ -444,6 +515,8 @@ class TestVuong:
             vuong_test([0.5, 0.0], [0.4, 0.2])
         with pytest.raises(DataError):
             vuong_test([0.5, 1.5], [0.4, 0.2])
+        with pytest.raises(DataError):
+            vuong_test([0.5, math.nan, 0.2], [0.5, 0.4, 0.3])
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.floats(1e-4, 1.0), st.floats(1e-4, 1.0)),
