@@ -24,15 +24,17 @@ file manually by either route and re-run with --from-csv:
 
   $ python scripts/fetch_nmes.py --from-csv debtrivedi.csv --dest data/nmes
 
-Factor columns in those exports (health status, gender, yes/no flags)
-are recoded to 0/1 automatically via the shipped mapping file.
+The conversion finds each canonical column under the names those
+exports give it (the script's EXPORT_COLUMNS table) and recodes their factor
+columns (health status, gender, yes/no flags) to 0/1.  The written file is
+read back by `unbcount.datasets.load_nmes`, which applies the package's
+CSV rules to it.
 """
 
 import argparse
 import csv
 import hashlib
 import io
-import json
 import sys
 import urllib.request
 import zipfile
@@ -47,6 +49,7 @@ from unbcount.datasets import (  # noqa: E402
     NMES_RESPONSE,
     load_nmes,
 )
+from unbcount.errors import DataError  # noqa: E402
 
 ARCHIVE_URLS = [
     "http://qed.econ.queensu.ca/jae/1997-v12.3/deb-trivedi/dt-data.zip",
@@ -54,14 +57,32 @@ ARCHIVE_URLS = [
     "http://www.econ.queensu.ca/jae/1997-v12.3/deb-trivedi/dt-data.zip",
 ]
 
-RAW_COLUMNS = None  # filled from the mapping file
+# The columns of the archive's whitespace-delimited raw file, in order.
+RAW_COLUMNS = (
+    "ofp", "ofnp", "opp", "opnp", "emr", "hosp", "exclhlth", "poorhlth",
+    "numchron", "adldiff", "noreast", "midwest", "west", "age", "black",
+    "male", "married", "school", "faminc", "employed", "privins", "medicaid",
+)
 
-
-def _load_raw_order():
-    mapping = json.loads(
-        (Path(__file__).resolve().parent.parent / "src" / "unbcount"
-         / "nmes_mapping.json").read_text())
-    return mapping["raw_archive_column_order"]
+# Each canonical column: the names an export may give it, in order of
+# preference (the raw archive, pscl::DebTrivedi, AER::NMES1988), and for a
+# factor column the level that codes 1; any other word in a factor column
+# codes 0, and a number is kept as it is.  AGE stays in decades and FAMINC
+# in $10,000 units, as in the archive.
+EXPORT_COLUMNS = {
+    "HOSP": (("HOSP", "hosp", "hospital"), None),
+    "EXCELHLTH": (("EXCELHLTH", "EXCLHLTH", "exclhlth", "excelhlth", "health"),
+                  "excellent"),
+    "POORHLTH": (("POORHLTH", "poorhlth", "health"), "poor"),
+    "NUMCHRON": (("NUMCHRON", "numchron", "chronic"), None),
+    "AGE": (("AGE", "age"), None),
+    "MALE": (("MALE", "male", "gender"), "male"),
+    "MARRIED": (("MARRIED", "married"), "yes"),
+    "FAMINC": (("FAMINC", "faminc", "income"), None),
+    "EMPLOYED": (("EMPLOYED", "employed"), "yes"),
+    "PRIVINS": (("PRIVINS", "PRINVINS", "privins", "insurance"), "yes"),
+    "MEDICAID": (("MEDICAID", "medicaid"), "yes"),
+}
 
 
 def _download(url: str, timeout: float = 60.0) -> bytes:
@@ -71,36 +92,71 @@ def _download(url: str, timeout: float = 60.0) -> bytes:
 
 def _raw_to_csv(blob: bytes, dest: Path) -> Path:
     """Convert a whitespace-delimited raw archive file to a named CSV."""
-    order = _load_raw_order()
     text = blob.decode("ascii", errors="replace")
     rows = []
     for line in text.splitlines():
         fields = line.split()
         if not fields:
             continue
-        if len(fields) != len(order):
+        if len(fields) != len(RAW_COLUMNS):
             raise SystemExit(
                 f"raw file has {len(fields)} columns per row, expected "
-                f"{len(order)}; edit raw_archive_column_order in the mapping "
-                f"file to match the archive README and retry")
+                f"{len(RAW_COLUMNS)}; edit RAW_COLUMNS in this script to "
+                f"match the archive README and retry")
         rows.append(fields)
     out = dest / "raw_named.csv"
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(order)
+        writer.writerow(RAW_COLUMNS)
         writer.writerows(rows)
     return out
 
 
+def _cell(token: str, level) -> str:
+    """An export's cell as canonical text: a factor column's word as 1 for
+    its level and 0 otherwise, a number as its integer text or its repr,
+    both of which load_csv reads back as the same float, and a missing
+    cell, or any other text of a numeric column, as it is, for load_csv to
+    drop or reject."""
+    token = token.strip()
+    try:
+        value = float(token)
+    except ValueError:
+        if level is None or token.upper() in ("", "NA", "NULL"):
+            return token
+        return "1" if token.lower() == level else "0"
+    return str(int(value)) if value.is_integer() else repr(value)
+
+
 def _canonicalize(source_csv: Path, dest: Path) -> Path:
-    data = load_nmes(source_csv)
-    out = dest / NMES_FILENAME
+    """Write the canonical file for the export ``source_csv`` into ``dest``."""
     names = (NMES_RESPONSE, *NMES_COVARIATES)
+    with open(source_csv, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader, [])]
+        columns = []
+        for name in names:
+            candidates, level = EXPORT_COLUMNS[name]
+            found = next((c for c in candidates if c in header), None)
+            if found is None:
+                raise SystemExit(
+                    f"{source_csv}: no column for {name} (looked for "
+                    f"{', '.join(candidates)}; found: {', '.join(header)}); "
+                    f"edit EXPORT_COLUMNS in this script")
+            columns.append((header.index(found), level))
+        rows = []
+        for line_no, row in enumerate(reader, start=2):
+            if not any(cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise SystemExit(f"{source_csv}: line {line_no}: expected "
+                                 f"{len(header)} fields, got {len(row)}")
+            rows.append([_cell(row[i], level) for i, level in columns])
+    out = dest / NMES_FILENAME
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        for i in range(data.n):
-            writer.writerow([format(float(data.columns[c][i]), "g") for c in names])
+        writer.writerows(rows)
     return out
 
 
@@ -145,9 +201,12 @@ def main() -> int:
             return 1
 
     out = _canonicalize(source, dest)
+    try:
+        check = load_nmes(out)
+    except DataError as exc:
+        raise SystemExit(f"the converted file does not load: {exc}") from None
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     (dest / "nmes.sha256").write_text(f"{digest}  {NMES_FILENAME}\n")
-    check = load_nmes(out)
     print(f"\nwrote {out} ({check.n} rows)")
     print(f"sha256: {digest}")
     if check.n != 4406:

@@ -1,13 +1,14 @@
 """CSV and count-file ingestion, the count-file writer, and summaries.
 
 Delimited files, and bare count files (one count a line, no header), are
-loaded into an immutable column store; the survey file used for the
+loaded into an immutable column store.  The survey file used for the
 published regression comparison (4406 people, a hospital-stays response,
-ten coded covariates) gets a loader that normalises the circulating
-exports of that archive to one canonical column set.  It is not bundled:
-``scripts/fetch_nmes.py`` documents how to obtain and convert it, and
-every test keyed to it skips with a notice unless the ``UNB_NMES_DIR``
-environment variable points at a prepared copy.
+ten coded covariates) is such a CSV, in one canonical column set, which
+its loader reads by the same rules.  It is not bundled:
+``scripts/fetch_nmes.py`` documents how to obtain it and converts the
+circulating exports of that archive to the canonical file, and every test
+keyed to it skips with a notice unless the ``UNB_NMES_DIR`` environment
+variable points at a prepared copy.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import codecs
 import contextlib
 import csv
 import io
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -478,99 +478,19 @@ def covariate_summary(dataset: Dataset, covariates) -> dict:
 # Survey-file support
 
 
-def _load_mapping() -> dict:
-    override = os.environ.get("UNB_NMES_MAPPING")
-    if override:
-        with open(override, encoding="utf-8") as fh:
-            return json.load(fh)
-    # Imported here: 30-40 ms, and only the survey loader needs it
-    from importlib import resources
-
-    with resources.files("unbcount").joinpath("nmes_mapping.json").open(
-            encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _coerce_numeric(values: list) -> Optional[np.ndarray]:
-    out = np.empty(len(values))
-    for i, tok in enumerate(values):
-        tok = tok.strip().strip('"')
-        if tok == "":
-            return None
-        low = tok.lower()
-        if low in ("yes", "true", "male"):
-            out[i] = 1.0
-        elif low in ("no", "false", "female"):
-            out[i] = 0.0
-        else:
-            try:
-                out[i] = float(tok)
-            except ValueError:
-                return None
-    return out
-
-
 def load_nmes(path) -> Dataset:
-    """Load a prepared survey CSV, normalising column names.
-
-    Accepts either the canonical columns (HOSP plus the ten covariates) or
-    any export whose raw names appear in the shipped mapping file; factor
-    columns from R exports (health status, gender, yes/no indicators) are
-    recoded to 0/1.  The file is UTF-8 text, with or without a byte-order
-    mark.
+    """Load the prepared survey file ``path``, or ``NMES_FILENAME`` in the
+    directory ``path``: a CSV with the canonical columns, read by
+    :func:`load_csv` with ``HOSP`` as the response and the ten covariates,
+    under its rules: ``HOSP`` is int64 counts, rows with a missing cell are
+    dropped and recorded, and errors name the line.  An export of the
+    archive in other names or factor codes is converted to this file by
+    ``scripts/fetch_nmes.py``.
     """
     path = Path(path)
     if path.is_dir():
         path = path / NMES_FILENAME
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    mapping = _load_mapping()
-    with _utf8_text(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip().strip('"') for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: file is empty, expected a header row") from None
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not any(cell.strip() for cell in row):
-                continue
-            if len(row) < len(header):
-                raise DataError(f"{path}: line {line_no}: expected {len(header)} "
-                                f"fields, got {len(row)}")
-            rows.append(row)
-    raw = {name: [row[i] for row in rows] for i, name in enumerate(header)}
-
-    columns = {}
-    canonical = (NMES_RESPONSE, *NMES_COVARIATES)
-    for target in canonical:
-        spec = mapping["columns"][target]
-        found = None
-        for cand in spec["candidates"]:
-            if cand in raw:
-                found = _coerce_numeric(raw[cand])
-                if found is not None:
-                    break
-        if found is None and "derive" in spec:
-            src = spec["derive"]["from"]
-            if src in raw:
-                target_level = spec["derive"]["equals"].lower()
-                found = np.array(
-                    [1.0 if tok.strip().strip('"').lower() == target_level else 0.0
-                     for tok in raw[src]])
-        if found is None:
-            raise DataError(
-                f"cannot locate column {target!r} in {path}; edit the mapping "
-                f"file (see scripts/fetch_nmes.py --help)")
-        columns[target] = found
-
-    scale = mapping.get("scale", {})
-    for name, factor in scale.items():
-        if name in columns:
-            columns[name] = columns[name] * float(factor)
-
-    n = len(columns[NMES_RESPONSE])
-    return Dataset(column_names=canonical, columns=columns, n=n)
+    return load_csv(path, NMES_RESPONSE, NMES_COVARIATES)
 
 
 def nmes_path_from_env() -> Optional[Path]:

@@ -209,9 +209,9 @@ class _Family:
     and, in the same pass, the unfloored log pmf's derivatives d/d eta,
     d/d log r, d2/d eta^2, d2/d eta d log r and d2/d log r^2 (None for
     those in log r of a law without r).  ``law(theta)`` gives the law at
-    theta = (eta[, r]) with the Jacobian of its parameters in theta, and
-    ``eta_of(params)`` the inverse, (eta, r).  ``start(y, w)`` gives every
-    fit's start."""
+    theta = (eta[, r]) with the Jacobian of its parameters in theta, and,
+    for a law of p, ``eta_of(params)`` the inverse, (eta, r).
+    ``start(y, w)`` gives every fit's start."""
 
     def __init__(self, name: str, params_type, kappa: float = 1.0, fixed_r=None):
         self.name, self.params_type = name, params_type
@@ -310,9 +310,6 @@ class _Up(_Family):
     def law(self, theta):
         lam = 2.0 * math.exp(theta[0])
         return self.params_type(lam), np.array([[lam]])
-
-    def eta_of(self, params):
-        return math.log(0.5 * params.lam), None
 
 
 _FAMILIES = {

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,18 @@ from unbcount.errors import DataError
 def write_file(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+FETCH_NMES = Path(__file__).resolve().parent.parent / "scripts" / "fetch_nmes.py"
+
+
+def convert_export(tmp_path, text):
+    """Run scripts/fetch_nmes.py --from-csv on the export ``text``, into
+    ``tmp_path / "out"``; the completed process."""
+    export = write_file(tmp_path / "export.csv", text)
+    return subprocess.run([sys.executable, str(FETCH_NMES), "--from-csv", str(export),
+                           "--dest", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_count_check_rounds_within_1e_9_and_flags_the_rest():
@@ -195,19 +211,20 @@ class TestNmesLoader:
         data = load_nmes(f)
         assert data.n == 2
         assert list(data.columns["HOSP"]) == [1.0, 0.0]
+        assert data.columns["HOSP"].dtype == np.int64
         assert list(data.columns["MALE"]) == [1.0, 0.0]
 
+    # A pscl::DebTrivedi-style export with factor columns
+    _EXPORT = ("ofp,hosp,health,numchron,adldiff,region,age,black,gender,"
+               "married,school,faminc,employed,privins,medicaid\n"
+               "5,1,average,2,0,other,6.9,no,male,yes,12,2.5,no,yes,no\n"
+               "2,0,poor,0,0,other,7.4,no,female,no,10,1.0,yes,no,yes\n"
+               "1,3,excellent,1,0,west,8.1,yes,female,yes,8,0.5,no,yes,no\n")
+
     def test_r_export_recoded(self, tmp_path):
-        # pscl::DebTrivedi-style export with factor columns
-        header = ("ofp,hosp,health,numchron,adldiff,region,age,black,gender,"
-                  "married,school,faminc,employed,privins,medicaid")
-        rows = [
-            "5,1,average,2,0,other,6.9,no,male,yes,12,2.5,no,yes,no",
-            "2,0,poor,0,0,other,7.4,no,female,no,10,1.0,yes,no,yes",
-            "1,3,excellent,1,0,west,8.1,yes,female,yes,8,0.5,no,yes,no",
-        ]
-        f = write_file(tmp_path / "export.csv", header + "\n" + "\n".join(rows) + "\n")
-        data = load_nmes(f)
+        run = convert_export(tmp_path, self._EXPORT)
+        assert run.returncode == 0, run.stderr
+        data = load_nmes(tmp_path / "out")
         assert data.n == 3
         assert list(data.columns["HOSP"]) == [1.0, 0.0, 3.0]
         assert list(data.columns["POORHLTH"]) == [0.0, 1.0, 0.0]
@@ -219,10 +236,18 @@ class TestNmesLoader:
         assert list(data.columns["MEDICAID"]) == [0.0, 1.0, 0.0]
         assert list(data.columns["FAMINC"]) == [2.5, 1.0, 0.5]
 
+    def test_export_values_read_back_exactly(self, tmp_path):
+        run = convert_export(tmp_path, self._EXPORT.replace(",2.5,", ",12.34567,"))
+        assert run.returncode == 0, run.stderr
+        assert load_nmes(tmp_path / "out").columns["FAMINC"][0] == 12.34567
+
     def test_missing_source_column(self, tmp_path):
-        f = write_file(tmp_path / "broken.csv", "hosp\n1\n0\n")
-        with pytest.raises(DataError, match="mapping"):
+        f = write_file(tmp_path / "broken.csv", "HOSP\n1\n0\n")
+        with pytest.raises(DataError, match=r"broken\.csv: column 'EXCELHLTH' not found"):
             load_nmes(f)
+        run = convert_export(tmp_path, "hosp\n1\n0\n")
+        assert run.returncode == 1
+        assert "no column for EXCELHLTH (looked for EXCELHLTH," in run.stderr
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
@@ -253,6 +278,28 @@ class TestNmesLoader:
     def test_short_row_names_its_line(self, tmp_path):
         f = write_file(tmp_path / "short.csv", self._CANONICAL + "\n1,0,0\n")
         with pytest.raises(DataError, match=r"short\.csv: line 5: expected 11 fields, got 3"):
+            load_nmes(f)
+
+    def test_long_row_names_its_line(self, tmp_path):
+        f = write_file(tmp_path / "long.csv", self._CANONICAL + "1,0,0,2,6.9,1,1,2.5,0,1,0,7\n")
+        with pytest.raises(DataError, match=r"long\.csv: line 4: expected 11 fields, got 12"):
+            load_nmes(f)
+
+    @pytest.mark.parametrize("column", ["HOSP", "AGE"])
+    @pytest.mark.parametrize("missing", ["", "NA", "nan"])
+    def test_missing_cell_drops_its_row(self, tmp_path, column, missing):
+        header, first, second = self._CANONICAL.splitlines()
+        cells = second.split(",")
+        cells[header.split(",").index(column)] = missing
+        f = write_file(tmp_path / "nmes.csv", f"{header}\n{first}\n{','.join(cells)}\n")
+        data = load_nmes(f)
+        assert data.n == 1 and data.dropped_rows == ((3, column),)
+
+    @pytest.mark.parametrize("value", ["-1", "1.5", "inf"])
+    def test_response_not_a_count_names_its_row(self, tmp_path, value):
+        f = write_file(tmp_path / "nmes.csv", self._CANONICAL.replace("\n0,1,0", f"\n{value},1,0"))
+        with pytest.raises(DataError, match=rf"nmes\.csv: row 3: response 'HOSP' value "
+                                            rf"{float(value)} is not a non-negative integer"):
             load_nmes(f)
 
 

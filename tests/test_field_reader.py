@@ -172,7 +172,7 @@ def test_compare_pmfs_at_distinct_counts(tmp_path, r, p, seed):
     # distinct counts, from its last kernel pass, spread to the
     # observations; they agree with the kernel run at every observation at
     # the law's (eta, r), whose round trip through the law's parameters
-    # moves eta by a few ulps.
+    # moves eta by a few ulps.  UP's eta is log(lam / 2).
     y = unb_sample(UnbParams(r, p), 3000, seed)
     path = tmp_path / "y.txt"
     datasets.write_counts(path, y)
@@ -183,7 +183,10 @@ def test_compare_pmfs_at_distinct_counts(tmp_path, r, p, seed):
     for model, fit, pmf in zip(config.models, fits, pmfs):
         assert np.array_equal(pmf, np.exp(fit.log_pmf)[inverse]), model
         family = est._FAMILIES[model]
-        eta, shape = family.eta_of(fit.params)
+        if model == "up":
+            eta, shape = np.log(fit.params.lam / 2), None
+        else:
+            eta, shape = family.eta_of(fit.params)
         lp = family.logpmf_grad(eta, shape, y)[0]
         assert np.max(np.abs(np.log(pmf) - lp)) <= 1e-13, model
 

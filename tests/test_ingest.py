@@ -210,7 +210,9 @@ def test_unreadable_input_exits_2(tmp_path, capsys, command, input_is):
 
 
 def test_load_nmes_big_cell_is_a_data_error(tmp_path):
-    path = write(tmp_path, BIG_CELL.replace("y,x", "HOSP,x"))
+    header = ",".join((datasets.NMES_RESPONSE, *datasets.NMES_COVARIATES))
+    row = "1,0,0,2,6.9,1,1,2.5,0,1,"
+    path = write(tmp_path, f"{header}\n{row}0\n\n{row}{'9' * 200001}\n")
     with pytest.raises(DataError, match=r"d\.csv: field larger than field limit"):
         datasets.load_nmes(path)
 
