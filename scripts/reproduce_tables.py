@@ -1,90 +1,49 @@
 #!/usr/bin/env python3
-"""Reproduce the published survey-data results end to end.
-
-Requires the prepared survey file (see scripts/fetch_nmes.py); point
-UNB_NMES_DIR at its directory or pass --nmes-dir.  Prints:
-
-  * covariate definitions table (means / standard deviations),
-  * gender-wise and health-status-wise response summaries,
-  * the relative-frequency table of the response,
-  * covariate-free log-likelihoods for the three candidate models,
-  * the three regression fits with Wald inference, LL and AIC,
-  * Vuong statistics of the reference model against the other two.
+"""Reproduce the published survey-data tables: the covariate means and stdevs of
+the survey file in --nmes-dir or $UNB_NMES_DIR, then `unbcount summarize`, `compare`
+and `regress` on it.  Exits 2 on a missing cell, else the runs' largest exit code.
 """
 
 import argparse
-import os
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from unbcount import cli  # noqa: E402
 from unbcount import datasets as ds  # noqa: E402
-from unbcount import estimation as est  # noqa: E402
-from unbcount import regression as reg  # noqa: E402
+from unbcount.errors import DataError  # noqa: E402
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--nmes-dir", default=os.environ.get(ds.NMES_ENV_VAR),
-                    help="directory containing nmes.csv")
-    args = ap.parse_args()
-    if not args.nmes_dir:
-        raise SystemExit(f"set {ds.NMES_ENV_VAR} or pass --nmes-dir "
-                         "(run scripts/fetch_nmes.py first)")
-    data = ds.load_nmes(Path(args.nmes_dir))
-    y = ds.response_counts(data, ds.NMES_RESPONSE)
-    print(f"loaded {data.n} rows")
-
-    print("\n== covariate summary (mean, stdev) ==")
+    ap.add_argument("--nmes-dir", dest="path", type=lambda d: Path(d, ds.NMES_FILENAME),
+                    default=ds.nmes_path_from_env(), help="directory of nmes.csv")
+    path = ap.parse_args(argv).path
+    if path is None:
+        ap.error(f"set {ds.NMES_ENV_VAR} or pass --nmes-dir (scripts/fetch_nmes.py)")
+    try:
+        data = ds.load_nmes(path)
+        if data.dropped_rows:  # every table is on the same, complete rows
+            row, column = data.dropped_rows[0]
+            raise DataError(f"{path}: row {row}: column {column!r} is missing")
+    except DataError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_DATA
+    print(f"loaded {data.n} rows\n\n  {'covariate':<10} {'mean':>10} {'stdev':>10}")
     for name, (mean, std) in ds.covariate_summary(data, ds.NMES_COVARIATES).items():
-        print(f"  {name:<10} {mean:8.3f} {std:8.3f}")
-
-    print("\n== response summaries ==")
-    for group_col in (None, "MALE", "POORHLTH"):
-        for g in ds.summarize(data, ds.NMES_RESPONSE, group_col):
-            print(f"  {g.group_label:<12} n={g.n:<5} max={g.max} min={g.min} "
-                  f"mean={g.mean:.3f} var={g.variance:.4f} "
-                  f"ID={g.dispersion_index:.3f} zero={g.zero_proportion:.3f}")
-
-    print("\n== relative frequencies ==")
-    for value, count, rel in ds.frequency_table(data, ds.NMES_RESPONSE):
-        print(f"  {value:>3} {count:>6} {rel:.4f}")
-
-    print("\n== covariate-free log-likelihoods ==")
-    t0 = time.time()
-    for name, fit in (("unb", est.fit_mle(y)),
-                      ("nb", est.fit_nb_mle(y)),
-                      ("up", est.fit_up_mle(y))):
-        print(f"  {name:<4} loglik={fit.log_likelihood:10.2f}  aic={fit.aic:9.2f}  "
-              f"converged={fit.converged}")
-
-    spec = reg.RegressionSpec(response=ds.NMES_RESPONSE,
-                              covariates=ds.NMES_COVARIATES)
-    fits = {}
-    print("\n== regression fits ==")
-    for name, fn in (("up", reg.fit_up_regression),
-                     ("nb", reg.fit_nb_regression),
-                     ("unb", reg.fit_unb_regression)):
-        fit = fn(data, spec)
-        fits[name] = fit
-        print(f"\n  model {name} (converged={fit.converged})")
-        labels = list(fit.coef_names) + (["r"] if fit.r is not None else [])
-        estimates = list(fit.beta) + ([fit.r] if fit.r is not None else [])
-        for i, lab in enumerate(labels):
-            print(f"    {lab:<10} {estimates[i]:9.3f} ({fit.std_errors[i]:.3f})  "
-                  f"t={fit.wald_t[i]:8.3f}  p={fit.p_values[i]:.3f}")
-        print(f"    LL = {fit.log_likelihood:.2f}   AIC = {fit.aic:.2f}")
-
-    print("\n== Vuong tests (reference: unb) ==")
-    p_unb = reg.per_observation_pmf(fits["unb"], data, spec)
-    for other in ("nb", "up"):
-        p_other = reg.per_observation_pmf(fits[other], data, spec)
-        v = reg.vuong_test(p_unb, p_other)
-        print(f"  unb vs {other}: z = {v.z:.3f}, p = {v.p_value:.4g}")
-    print(f"\ntotal time {time.time() - t0:.1f}s")
-    return 0
+        print(f"  {name:<10} {mean:>10.6g} {std:>10.6g}")
+    base = ["--input", str(path), "--response", ds.NMES_RESPONSE]
+    cov = ["--covariates", ",".join(ds.NMES_COVARIATES)]
+    codes = []
+    for run in (["summarize"], ["summarize", "--group-by", "MALE"],
+                ["summarize", "--group-by", "POORHLTH"],
+                ["compare", "--models", "unb,nb,up"],
+                ["regress", *cov, "--models", "up,nb,unb"],
+                ["compare", *cov, "--models", "unb,nb,up"]):
+        print()
+        codes.append(cli.main(run + base))
+    return max(codes)
 
 
 if __name__ == "__main__":

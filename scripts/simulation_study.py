@@ -9,7 +9,8 @@ Runs three studies and prints their realised numbers:
              from the uniform-negative-binomial model
 
 The defaults mirror the values frozen into tests/; pass --quick for a
-fast smoke run.
+fast smoke run.  Stdout depends only on the seeds; the wall time goes to
+stderr.
 """
 
 import argparse
@@ -95,7 +96,7 @@ def main() -> int:
     pos = vuong_study(vreps, 3000, seed0=5000)
     print(f"vuong:    {pos}/{vreps} replications preferred the generating model "
           "(positive z against the negative binomial)")
-    print(f"total time {time.time() - t0:.1f}s")
+    print(f"total time {time.time() - t0:.1f}s", file=sys.stderr)
     return 0
 
 

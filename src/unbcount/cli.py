@@ -150,14 +150,15 @@ def cmd_fit(config: argparse.Namespace) -> int:
 
 
 def _regression_record(fit: reg.RegressionFit) -> dict:
+    """r's row, where there is one, has no Wald test: None, printed ``-``."""
     has_r = fit.r is not None
     return {
         "model": fit.model,
         "coefficients": list(fit.coef_names) + ["r"] * has_r,
         "estimates": list(fit.beta) + [fit.r] * has_r,
         "std_errors": list(fit.std_errors),
-        "wald_t": list(fit.wald_t),
-        "p_values": list(fit.p_values),
+        "wald_t": list(fit.wald_t) + [None] * has_r,
+        "p_values": list(fit.p_values) + [None] * has_r,
         "log_likelihood": fit.log_likelihood,
         "aic": fit.aic,
         "converged": fit.converged,

@@ -70,8 +70,11 @@ class RegressionSpec:
 class RegressionFit:
     """Coefficients and Wald inference from one regression fit.
 
-    ``r`` is None for the uniform-Poisson model, which has no dispersion
-    parameter; ``std_errors``/``wald_t``/``p_values`` then cover beta only.
+    ``std_errors`` cover beta and then r; ``r`` is None for the
+    uniform-Poisson model, which has no dispersion parameter.
+    ``wald_t``/``p_values`` test each beta against 0 and cover beta only:
+    r = 0 lies outside the parameter space (r = inf is the uniform-Poisson
+    limit, not r = 0), so r gets no Wald test.
     ``log_pmf`` is the last kernel pass's floored log pmf at each row.
     """
 
@@ -159,8 +162,9 @@ def _regress(family, dataset, spec: RegressionSpec) -> RegressionFit:
     theta, cov, ll, converged, iterations, diagnostics, log_pmf = _fit(
         family, design, y, np.ones(n), theta0)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    # beta only: r = 0 lies outside the parameter space
     with np.errstate(divide="ignore", invalid="ignore"):
-        wald = np.where(se > 0, theta / se, np.nan)
+        wald = np.where(se[:k] > 0, theta[:k] / se[:k], np.nan)
     return RegressionFit(beta=theta[:k], r=float(theta[k]) if family.n_shape else None,
                          std_errors=se, wald_t=wald,
                          p_values=2.0 * _sps.ndtr(-np.abs(wald)),

@@ -256,7 +256,7 @@ class TestFitMle:
         # where a step capped at a change of 4 crawled: 178 steps and 180
         # kernel passes.  The radius doubles to 16 after capped steps taken
         # whole: 53 passes, which the bound of 60 keeps; it is not the 20
-        # passes such a start should take (ROADMAP item 4).
+        # passes such a start should take (ROADMAP item 3).
         y = unb_sample(UnbParams(2.0, 0.5), 500, 3)
         far = fit_mle(y, init=UnbParams(1e-300, 0.5))
         assert far.converged and far.diagnostics["evaluations"] <= 60

@@ -262,9 +262,11 @@ class TestUnbRegressionFit:
             rng, 1000, np.array([0.3, 0.4]), 1.8,
             lambda rg, n: {"z1": rg.normal(0, 1, n)})
         fit = fit_unb_regression(data, RegressionSpec("y", ("z1",)))
-        est = np.append(fit.beta, fit.r)
-        mask = fit.std_errors > 0
-        assert np.allclose(fit.wald_t[mask], est[mask] / fit.std_errors[mask],
+        # beta only: r gets no Wald test against r = 0, outside its space
+        se = fit.std_errors[:fit.beta.size]
+        assert fit.wald_t.shape == fit.p_values.shape == fit.beta.shape
+        mask = se > 0
+        assert np.allclose(fit.wald_t[mask], fit.beta[mask] / se[mask],
                            rtol=1e-12)
         assert np.all((fit.p_values >= 0.0) & (fit.p_values <= 1.0))
 

@@ -1,0 +1,103 @@
+"""scripts/reproduce_tables.py is the command line on the survey file: its
+stdout is the covariate table and then the output of six CLI runs, byte for
+byte; a row with a missing cell exits 2 and a fit that does not converge 3."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from unbcount import cli
+from unbcount import regression as reg
+from unbcount.datasets import (NMES_COVARIATES, NMES_ENV_VAR, covariate_summary,
+                               load_nmes)
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "reproduce_tables.py"
+sys.path.insert(0, str(ROOT / "perfbench"))
+import gen  # noqa: E402
+
+COVARIATES = ["--covariates", ",".join(NMES_COVARIATES)]
+RUNS = [["summarize"],
+        ["summarize", "--group-by", "MALE"],
+        ["summarize", "--group-by", "POORHLTH"],
+        ["compare", "--models", "unb,nb,up"],
+        ["regress", *COVARIATES, "--models", "up,nb,unb"],
+        ["compare", *COVARIATES, "--models", "unb,nb,up"]]
+
+
+@pytest.fixture(scope="module")
+def panel(tmp_path_factory):
+    """The benchmark's first NMES-shaped panel as a canonical-header survey
+    file, in a directory of its own."""
+    covs, y = gen.nmes_dataset(0)
+    rows = [",".join((gen.RESPONSE,) + gen.COVARIATES)]
+    rows += [",".join([str(int(a))] + [repr(float(v)) for v in c])
+             for a, c in zip(y, covs)]
+    directory = tmp_path_factory.mktemp("nmes")
+    (directory / "nmes.csv").write_text("\n".join(rows) + "\n")
+    return directory
+
+
+def run_script(*args, nmes_dir=None):
+    env = {k: v for k, v in os.environ.items() if k != NMES_ENV_VAR}
+    if nmes_dir is not None:
+        env[NMES_ENV_VAR] = str(nmes_dir)
+    return subprocess.run([sys.executable, str(SCRIPT), *args], capture_output=True,
+                          env=env, timeout=300)
+
+
+def test_stdout_is_the_cli_output(panel, capsys):
+    first, second = (run_script("--nmes-dir", str(panel)) for _ in range(2))
+    assert first.returncode == second.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
+    out = first.stdout.decode()
+
+    path = panel / "nmes.csv"
+    tail = ""
+    for run in RUNS:
+        assert cli.main([*run, "--input", str(path), "--response", gen.RESPONSE]) == 0
+        tail += "\n" + capsys.readouterr().out
+    assert out.endswith(tail)
+
+    data = load_nmes(path)
+    head = out[:-len(tail)].splitlines()
+    assert head[:2] == [f"loaded {data.n} rows", ""]
+    assert head[2].split() == ["covariate", "mean", "stdev"]
+    rows = [line.split() for line in head[3:]]
+    assert [row[0] for row in rows] == list(NMES_COVARIATES)
+    summary = covariate_summary(data, NMES_COVARIATES)
+    for name, mean, std in rows:
+        assert (float(mean), float(std)) == pytest.approx(summary[name], rel=1e-5)
+
+
+def test_missing_cell_exits_2_naming_its_line(panel, tmp_path):
+    lines = (panel / "nmes.csv").read_text().splitlines()
+    age = lines[0].split(",").index("AGE")
+    cells = lines[41].split(",")
+    cells[age] = ""
+    lines[41] = ",".join(cells)
+    (tmp_path / "nmes.csv").write_text("\n".join(lines) + "\n")
+    # UNB_NMES_DIR stands in for --nmes-dir
+    proc = run_script(nmes_dir=tmp_path)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert "row 42: column 'AGE' is missing" in proc.stderr.decode()
+
+
+def test_a_fit_not_converged_exits_3(panel, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("reproduce_tables", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    fit_nb = reg.fit_nb_regression
+
+    def not_converged(*args):
+        fit = fit_nb(*args)
+        fit.converged = False
+        return fit
+
+    monkeypatch.setattr(reg, "fit_nb_regression", not_converged)
+    assert script.main(["--nmes-dir", str(panel)]) == 3
+    assert capsys.readouterr().out.count("model nb  [NOT CONVERGED]") == 1
