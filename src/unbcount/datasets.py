@@ -494,9 +494,8 @@ def load_nmes(path) -> Dataset:
 
 
 def nmes_path_from_env() -> Optional[Path]:
-    """Directory with the prepared survey file, from UNB_NMES_DIR."""
+    """The prepared survey file ``NMES_FILENAME`` in the directory UNB_NMES_DIR
+    names, whether or not it is there (a reader then names the missing
+    file), or None when the variable is unset or empty."""
     root = os.environ.get(NMES_ENV_VAR)
-    if not root:
-        return None
-    p = Path(root) / NMES_FILENAME
-    return p if p.exists() else None
+    return Path(root) / NMES_FILENAME if root else None

@@ -8,13 +8,16 @@ one, whose mean is lam / 2, so all three models share the same
 conditional-mean scale.  q_i is computed from mu_i, never as 1 - p_i,
 which rounds to 0 once eta is below about log r - 37.
 
-Each fit is build_design, a rank check, the family's start (intercept
-log mean, log r the family's moment estimate; all-zero responses, which
-have no maximum-likelihood estimate, raise DegenerateDataError there) and
-the engine of ``estimation._fit`` with unit weights: Newton's method over
-(beta, log r) on the log-likelihood, its gradient and its Hessian from one
-kernel pass (for UNB, means and variances of k and H_k = psi(r+k) - psi(r)
-over the terms nb(k)/(k+1) whose sum is the pmf).  Standard errors invert
+Each fit is build_design, a rank check and the engine of
+``estimation._fit`` with unit weights from the family's start: beta at
+the Poisson quasi-likelihood estimate, consistent under all three laws
+since they share the mean exp(eta), and log r from the family's moment
+equation at its means, with no kernel pass (all-zero responses, which
+have no maximum-likelihood estimate, raise DegenerateDataError there,
+before any step).  The engine is Newton's method over (beta, log r) on
+the log-likelihood, its gradient and its Hessian from one kernel pass
+(for UNB, means and variances of k and H_k = psi(r+k) - psi(r) over the
+terms nb(k)/(k+1) whose sum is the pmf).  Standard errors invert
 the last pass's observed information in (beta, r), and the fit keeps that
 pass's log pmf at each observation.  Linear predictors are clamped to
 |eta| <= 700 and per-observation probabilities floored at 1e-300, both
@@ -102,15 +105,17 @@ class VuongResult:
 
 
 def build_design(dataset: Dataset, spec: RegressionSpec):
-    """Assemble (X, y, names) from a dataset: an intercept column, then the
-    covariates, which must be finite; y is the response as int64 counts
-    (:func:`response_counts`)."""
+    """Assemble (X, y, names) from a dataset: X column-major, an intercept
+    column, then the covariates, which must be finite; y is the response as
+    int64 counts (:func:`response_counts`)."""
     for name in (spec.response, *spec.covariates):
         if name not in dataset.columns:
             raise DataError(f"column {name!r} not found in dataset")
     y = response_counts(dataset, spec.response)
-    x = np.column_stack([np.ones(dataset.n),
-                         *(dataset.columns[c] for c in spec.covariates)])
+    # Column-major: the fit's weighted Gram matrices then read contiguous
+    # columns (estimation._poisson_beta).
+    x = np.array([np.ones(dataset.n), *(dataset.columns[c] for c in spec.covariates)],
+                 dtype=float).T
     names = ("intercept", *spec.covariates)
     finite = np.isfinite(x).all(axis=0)
     if not finite.all():
@@ -156,11 +161,8 @@ def _regress(family, dataset, spec: RegressionSpec) -> RegressionFit:
     if rank < k:
         raise RankDeficientError(
             f"design matrix is rank deficient ({k} columns, rank {rank})")
-    start = family.start(y, np.ones(n))
-    theta0 = np.zeros(k + family.n_shape)
-    theta0[0], theta0[k:] = start[0], start[1:]
     theta, cov, ll, converged, iterations, diagnostics, log_pmf = _fit(
-        family, design, y, np.ones(n), theta0)
+        family, design, y, np.ones(n))
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     # beta only: r = 0 lies outside the parameter space
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -134,7 +134,7 @@ NMES_SKIP_NOTICE = (
 @pytest.fixture(scope="session")
 def nmes_dataset():
     path = nmes_path_from_env()
-    if path is None:
+    if path is None or not path.is_file():
         pytest.skip(NMES_SKIP_NOTICE)
     return load_nmes(path)
 

@@ -291,7 +291,7 @@ def test_criterion_10_vuong_and_sampler_gof():
 @pytest.fixture(scope="module")
 def nmes():
     path = nmes_path_from_env()
-    if path is None:
+    if path is None or not path.is_file():
         return None
     from unbcount.datasets import load_nmes
     data = load_nmes(path)

@@ -548,6 +548,37 @@ class TestOneEngine:
         assert starts[0] == pytest.approx(starts[1], rel=0.0, abs=1e-15)
         assert starts[0][0] == pytest.approx(math.log(np.mean(y)), rel=1e-15)
 
+    def test_fit_reports_its_start(self, monkeypatch):
+        # A regression starts at the Poisson quasi-likelihood beta, where the
+        # Poisson score vanishes, with log r from the moment equation at its
+        # means; a marginal fit at the log mean and moment r, with no step.
+        real_minimize, starts = estimation._opt.minimize, []
+
+        def record(fun, x0, **kwargs):
+            starts.append(np.array(x0, dtype=float))
+            return real_minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(estimation._opt, "minimize", record)
+        y = unb_sample(UnbParams(2.0, 0.45), 2000, 5)
+        z = np.random.default_rng(5).normal(0.0, 1.0, y.size)
+        data = Dataset(column_names=("y", "z"),
+                       columns={"y": y.astype(float), "z": z}, n=y.size)
+        reg = fit_unb_regression(data, RegressionSpec("y", ("z",)))
+        marginal = fit_mle(y)
+        for fit, x0 in zip((reg, marginal), starts):
+            assert np.array_equal(fit.diagnostics["start"], x0)
+        assert 1 <= reg.diagnostics["start_steps"] <= 10
+        design = np.column_stack([np.ones(y.size), z])
+        mu = np.exp(design @ starts[0][:2])
+        assert design.T @ (y - mu) == pytest.approx([0.0, 0.0], abs=1e-8 * y.sum())
+        m2, mu2 = np.mean(y ** 2.0), np.mean(mu ** 2)
+        r = 4.0 * mu2 / (3.0 * (m2 - np.mean(y)) - 4.0 * mu2)
+        assert starts[0][2] == pytest.approx(math.log(r), rel=1e-9)
+        assert marginal.diagnostics["start_steps"] == 0
+        mom = sample_moments(y)
+        assert starts[1] == pytest.approx(
+            [math.log(mom.m1), math.log(fit_mm(y).params.r)], rel=1e-12)
+
     @pytest.mark.parametrize("model", list(RECORDED_FITS))
     def test_marginal_fits_match_recorded_values(self, model):
         estimates, loglik, std_errors = RECORDED_FITS[model]

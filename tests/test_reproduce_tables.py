@@ -101,3 +101,25 @@ def test_a_fit_not_converged_exits_3(panel, monkeypatch, capsys):
     monkeypatch.setattr(reg, "fit_nb_regression", not_converged)
     assert script.main(["--nmes-dir", str(panel)]) == 3
     assert capsys.readouterr().out.count("model nb  [NOT CONVERGED]") == 1
+
+
+def test_a_missing_survey_file_is_named(tmp_path):
+    # UNB_NMES_DIR set to a directory without the file: the file is named,
+    # not the variable.  Unset: the variable is named.  The survey fixtures
+    # skip in both cases.
+    missing = run_script(nmes_dir=tmp_path)
+    assert missing.returncode == 2 and missing.stdout == b""
+    assert missing.stderr.decode() == f"error: no such file: {tmp_path / 'nmes.csv'}\n"
+    unset = run_script()
+    assert unset.returncode == 2
+    assert f"set {NMES_ENV_VAR} or pass --nmes-dir" in unset.stderr.decode()
+    for nmes_dir in (tmp_path, None):
+        env = {k: v for k, v in os.environ.items() if k != NMES_ENV_VAR}
+        if nmes_dir is not None:
+            env[NMES_ENV_VAR] = str(nmes_dir)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "tests/test_acceptance.py::test_criterion_11_covariate_free_logliks",
+             "tests/test_datasets.py::TestNmesConditional::test_row_count"],
+            cwd=ROOT, env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0 and b"2 skipped" in proc.stdout, proc.stdout
