@@ -271,18 +271,21 @@ def geom_pmf(params: GeomParams, x) -> float:
 #   d/d logit p = r q - p m (m = E[k]),    d/dr = log p + E[H],
 #   d2/d logit p^2 = -p q (r + m) + p^2 Var(k),
 #   d2/d logit p dr = q - p Cov(k, H),     d2/dr^2 = E[H'] + Var(H),
-# from the sums of t_k times 1, j, j^2, G, j G and G^2 + G' (j = k - c,
+# from the sums of t_k times 1, j, G, j^2, j G and G^2 + G' (j = k - c,
 # G = H_k - H_c, G' = H'_k - H'_c, all >= 0) about a centre c: 0 in the
 # head, with the full sums in closed form, and x in the tail, where a
 # variance far below m^2 (q near 0) then keeps its digits.
 # Of log t_k = r log p + k log q + log C(r+k-1, k) - log(k+1), and of the
 # weights, only r log p and k log q depend on the row; the rest, with
 # psi(r+k) and psi'(r+k), depends on k and on r, which a pass shares.  A
-# pass reads it from one table over k (_KTable), built to max(x) and grown
-# in place as tail blocks run past its end, so that the per-row pass takes
-# the special functions once per k, not once per (row, k).  Each row's head
-# adds its terms in order of k, as the scalar-p pass's cumulative sum does,
-# so both passes give the same head sums.
+# pass reads it from one table over k (_KTable), so that the per-row pass
+# takes the special functions once per k, not once per (row, k).  The
+# scalar-p pass sizes its table once, with the tail seed's block at max(x)
+# where one block holds that sum, and reads the head, the seed and the
+# tails below it from it in whole-array calls; the per-row pass builds its
+# table to max(x) and grows it in place as tail blocks run past its end.
+# Each row's head adds its terms in order of k, as the scalar-p pass's
+# cumulative sum does, so both passes give the same head sums.
 
 PMF_FLOOR = 1e-300
 _LOG_FLOOR = math.log(PMF_FLOOR)
@@ -297,6 +300,7 @@ _TAIL_TOL = 1e-17
 _LOG_PMF0_MAX = math.log1p(-2.0 ** -10)
 _TAIL_MAX = 2 ** 20   # tail terms past x; bounds the work at the box corners
 _BLOCK_MAX = 2 ** 16  # tail terms held at once, over all rows
+_SEED_MAX = 1024      # terms of the first tail block of one row (_first_width)
 
 
 def _log_factors(r, k):
@@ -314,7 +318,11 @@ class _KTable:
     index k; ``upto(n)`` appends the k < n it does not yet hold, computed
     _BLOCK_MAX at a time into the columns grown in place, so that the table
     takes about three doubles a k (24 MB for the 10^6 entries a regression
-    with a count of 10^6 needs) and a grow copies none of them."""
+    with a count of 10^6 needs) and a grow copies none of them.  A block's
+    psi' runs down from _trigamma_series past its end by psi'(z) =
+    psi'(z+1) + 1/z^2 (DLMF 5.15.5), one cumulative sum from the smallest
+    term up: within 1e-15 relative of zeta(2, r+k) over 1024 entries, 1e-14
+    over _BLOCK_MAX."""
 
     def __init__(self, r, grad):
         self.r, self.grad = r, grad
@@ -328,21 +336,24 @@ class _KTable:
             for a in (self.lg, self.psi, self.tri) if self.grad else (self.lg,):
                 a.resize(n, refcheck=False)
             for a in range(size, n, _BLOCK_MAX):
-                k = np.arange(a, min(a + _BLOCK_MAX, n), dtype=float)
-                self.lg[a:a + k.size] = _log_factors(self.r, k)
+                b = min(a + _BLOCK_MAX, n)
+                k = np.arange(a, b, dtype=float)
+                self.lg[a:b] = _log_factors(self.r, k)
                 if self.grad:
-                    self.psi[a:a + k.size] = _sps.digamma(self.r + k)
-                    self.tri[a:a + k.size] = _trigamma(self.r + k)
+                    self.psi[a:b] = _sps.digamma(self.r + k)
+                    z = self.r + np.arange(b + 9, a - 1, -1.0)  # r+b+9 down to r+a
+                    self.tri[a:b] = (np.cumsum(1.0 / (z * z))
+                                     + _trigamma_series(z[0] + 1.0))[:9:-1]
         return self
 
     def weights(self, i, c):
-        """1, j, j^2, G, j G and G^2 + G' (above) at the entries i about the
+        """1, j, G, j^2, j G and G^2 + G' (above) at the entries i about the
         entry c, j = i - c, stacked on a new first axis."""
         j = (i - c).astype(float)
         w = np.empty((6,) + j.shape)
         w[0], w[1] = 1.0, j
-        np.multiply(j, j, out=w[2])
-        g = np.subtract(self.psi[i], self.psi[c], out=w[3])
+        g = np.subtract(self.psi[i], self.psi[c], out=w[2])
+        np.multiply(j, j, out=w[3])
         np.multiply(j, g, out=w[4])
         np.maximum(g * g + self.tri[i] - self.tri[c], 0.0, out=w[5])
         return w
@@ -350,14 +361,19 @@ class _KTable:
 
 def _trigamma(x):
     """psi'(x) for x > 0, elementwise, within 1e-15 relative: sum_{j<10}
-    1/(x+j)^2 plus the asymptotic series at x + 10.  scipy's zeta(2, x)
-    takes six times as long, and took most of a regression's kernel pass."""
+    1/(x+j)^2 plus _trigamma_series at x + 10, for the NB family's rows.
+    scipy's zeta(2, x) takes six times as long."""
     x = np.asarray(x, dtype=float)
-    z = x + 10.0
+    return sum(1.0 / (x + j) ** 2 for j in range(10)) + _trigamma_series(x + 10.0)
+
+
+def _trigamma_series(z):
+    """psi'(z) from its asymptotic series 1/z + 1/(2 z^2) + sum B_2k / z^(2k+1)
+    to k = 7, within 1e-16 relative for z >= 10."""
     w = 1.0 / (z * z)
     series = 1.0 / 6.0 - w * (1 / 30 - w * (1 / 42 - w * (1 / 30 - w * (
         5 / 66 - w * (691 / 2730 - w * 7 / 6)))))
-    return sum(1.0 / (x + j) ** 2 for j in range(10)) + (1.0 + (0.5 + series / z) / z) / z
+    return (1.0 + (0.5 + series / z) / z) / z
 
 
 def _log_pmf0(r, lp, lq):
@@ -372,15 +388,14 @@ def _log_pmf0(r, lp, lq):
 def _dlog_pmf0_dr(r, lp):
     """d log pmf(0)/dr = log p (v/(1 - e^-v) - 1)/v and d2 log pmf(0)/dr^2 =
     log p^2 (1/v^2 - 1/(4 sinh(v/2)^2)), v = (r-1) log p; series below 0.1."""
-    v = np.asarray((r - 1.0) * lp, dtype=float)
-    w = v * v
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return (np.where(np.abs(v) < 0.1, lp * (0.5 + v * (1 / 12 - w * (
-                    1 / 720 - w * (1 / 30240 - w / 1209600)))),
-                         (-v / np.expm1(-v) - 1.0) / (r - 1.0)),
-                np.where(np.abs(v) < 0.1, lp * lp * (1 / 12 - w * (
-                    1 / 240 - w * (1 / 6048 - w / 172800))),
-                         lp * lp * (1.0 / w - 0.25 / np.sinh(0.5 * v) ** 2)))
+    v = np.float64((r - 1.0) * lp)  # numpy division: inf, not an exception, at v = 0
+    w, small = v * v, np.abs(v) < 0.1
+    return (np.where(small, lp * (0.5 + v * (1 / 12 - w * (
+                1 / 720 - w * (1 / 30240 - w / 1209600)))),
+                     (-v / np.expm1(-v) - 1.0) / (r - 1.0)),
+            np.where(small, lp * lp * (1 / 12 - w * (
+                1 / 240 - w * (1 / 6048 - w / 172800))),
+                     lp * lp * (1.0 / w - 0.25 / np.sinh(0.5 * v) ** 2)))
 
 
 def _head_rows(r, lp, lq, lpmf0, x, table, grad):
@@ -411,11 +426,9 @@ def _tail_rows(r, lp, lq, x, grad, table):
     t_k times each weight about x.  The k-factors come from the _KTable
     ``table`` of r, which grows as the blocks run past its end.
 
-    Blocks of terms grow until the rest past the last term K, estimated as
-    t_K rho/(1 - rho) with rho = t_{K+1}/t_K < 1, is below _TAIL_TOL of the
-    sum; the estimate, weighted as t_K is, is then added.  It is exact for
-    geometric tails, and half the true rest for the k^-2 tails of r << 1,
-    p -> 0 that _TAIL_MAX cuts.  The first block is _first_width long.
+    Blocks of terms (_tail_block) grow until the rest past the last term
+    is below _TAIL_TOL of the sum; its estimate is then added.  The first
+    block is _first_width long.
     """
     acc = np.full((6 if grad else 1, x.size), -np.inf)
     centre = x.astype(np.intp)
@@ -427,20 +440,8 @@ def _tail_rows(r, lp, lq, x, grad, table):
         start[live] += width
         table.upto(int(k[:, -1].max()) + 1)
         lt = r * lp[live, None] + k * lq[live, None] + table.lg[k]
-        top = lt.max(axis=1)
-        t = np.exp(lt - top[:, None])
-        last = k[:, -1]
-        rho = np.exp(lq[live]) * (r + last) / (last + 2.0)
-        falling = rho < 1.0
-        if grad:
-            w = table.weights(k, centre[live, None])
-            sums, w_last = np.einsum("wik,ik->wi", w, t), w[:, :, -1]
-        else:
-            sums, w_last = t.sum(axis=1)[None], np.ones((1, live.size))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            acc[:, live] = np.logaddexp(acc[:, live], top + np.log(sums))
-            rest = np.log(w_last) + np.where(
-                falling, lt[:, -1] + np.log(rho / (1.0 - rho)), -np.inf)
+        block, rest, falling = _tail_block(r, lq[live], lt, k, centre[live], table, grad)
+        acc[:, live] = np.logaddexp(acc[:, live], block)
         done = (falling & (rest[0] <= acc[0, live] + math.log(_TAIL_TOL))) | (
             start[live] - centre[live] >= _TAIL_MAX)
         end = live[done]
@@ -450,25 +451,47 @@ def _tail_rows(r, lp, lq, x, grad, table):
     return acc
 
 
+def _tail_block(r, lq, lt, k, centre, table, grad):
+    """One block of tail terms (logs ``lt`` at the entries ``k``), a row per
+    centre: the logs of its sums of t_k times each weight about the centre,
+    of the rest past its last term K, t_K rho/(1 - rho) with rho =
+    t_{K+1}/t_K, weighted as t_K is (-inf unless rho < 1), and rho < 1.
+    The estimate is exact for geometric tails, and half the true rest for
+    the k^-2 tails of r << 1, p -> 0 that _TAIL_MAX cuts."""
+    top = lt.max(axis=1)
+    t = np.exp(lt - top[:, None])
+    last = k[:, -1]
+    rho = np.exp(lq) * (r + last) / (last + 2.0)
+    falling = rho < 1.0
+    if grad:
+        w = table.weights(k, centre[:, None])
+        sums, lw_last = np.einsum("wik,ik->wi", w, t), np.log(w[:, :, -1])
+    else:
+        sums, lw_last = t.sum(axis=1)[None], np.zeros((1, 1))
+    return top + np.log(sums), lw_last + np.where(
+        falling, lt[:, -1] + np.log(rho / (1.0 - rho)), -np.inf), falling
+
+
 def _first_width(r, lq, x):
-    """The first tail block of the rows at x: max(32, 1024 // rows) terms,
+    """The first tail block of the rows at x: max(32, _SEED_MAX // rows) terms,
     or fewer where that is more than the decay needs.  Every ratio
     q (r+k)/(k+2) at k >= x moves monotonically towards q, so it is at most
     rho = q max(1, (r+x)/(x+2)), and the rest past n terms of a row is below
     rho^n / (1 - rho) of its first term: under _TAIL_TOL of the sum once
     n >= log(_TAIL_TOL (1 - rho)) / log rho, two terms added for rounding."""
-    width = max(32, 1024 // x.size)
+    width = max(32, _SEED_MAX // x.size)
     if width > 32:
         lrho = lq + np.log(np.maximum(1.0, (r + x) / (x + 2.0)))
-        if np.all(lrho < 0.0):
-            need = np.max(np.log(_TAIL_TOL * -np.expm1(lrho)) / lrho)
+        if (lrho < 0.0).all():
+            need = (np.log(_TAIL_TOL * -np.expm1(lrho)) / lrho).max()
             width = min(width, max(32, math.ceil(need) + 2))
     return width
 
 
-def _rev_acc(inc, seed):
-    """log of the sums seed + sum_{i'>=i} inc_i', from the logs."""
-    return np.logaddexp.accumulate(np.append(inc, seed)[::-1])[::-1]
+def _rev_acc(rows):
+    """Each row of the 2-d view ``rows``, in place, to the logs of its
+    reverse cumulative sums: row_i <- log sum_{i'>=i} e^row_i'."""
+    np.logaddexp.accumulate(rows[:, ::-1], axis=1, out=rows[:, ::-1])
 
 
 def _shared_tail(r, lt, k, seed, grad):
@@ -477,19 +500,27 @@ def _shared_tail(r, lt, k, seed, grad):
     c = 1/(r+x) and y = x+1: S(x) = S(y) + t_x, A_j(x) = A_j(y) + S(y),
     A_G(x) = A_G(y) + c S(y), A_jj(x) = A_jj(y) + 2 A_j(y) + S(y),
     A_jG(x) = A_jG(y) + c (A_j(y) + S(y)) + A_G(y), A_GG(x) = A_GG(y) +
-    2 c A_G(y): three levels of reverse log-cumsums of positive terms."""
-    ls = _rev_acc(lt, seed[0])
-    if not grad:
-        return ls[None]
-    lc = -np.log(r + k)
-    lj = _rev_acc(ls[1:], seed[1])
-    lg = _rev_acc(lc + ls[1:], seed[3])
-    ljj = _rev_acc(np.logaddexp(lj[1:] + math.log(2.0), ls[1:]), seed[2])
-    ljg = _rev_acc(np.logaddexp(lc + np.logaddexp(lj[1:], ls[1:]), lg[1:]), seed[4])
-    lgg = _rev_acc(lc + lg[1:] + math.log(2.0), seed[5])
-    return np.array([ls, lj, ljj, lg, ljg, lgg])
+    2 c A_G(y): three levels of reverse log-cumsums of positive terms, one
+    accumulation per level over its rows of the result."""
+    out = np.empty((seed.size, lt.size + 1))
+    out[:, -1], out[0, :-1] = seed, lt
+    _rev_acc(out[:1])
+    if grad:
+        ls, lc = out[0, 1:], -np.log(r + k)
+        out[1, :-1] = ls
+        np.add(lc, ls, out=out[2, :-1])
+        _rev_acc(out[1:3])
+        lj, lg = out[1, 1:], out[2, 1:]
+        np.logaddexp(lj + math.log(2.0), ls, out=out[3, :-1])
+        np.logaddexp(lc + np.logaddexp(lj, ls), lg, out=out[4, :-1])
+        np.add(lc + lg, math.log(2.0), out=out[5, :-1])
+        _rev_acc(out[3:])
+    return out
 
 
+# The kernel takes logs of zero sums, -inf logs of vanished terms and
+# branches that np.where masks; no warning of those is a fault.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _unb_logpmf(r: float, p, x, grad: bool = False, q=None):
     """Exact log pmf of UNB(r, p) at the counts x; with ``grad`` also (d/d
     logit p, d/dr, d2/d logit p^2, d2/d logit p dr, d2/dr^2), r-derivatives
@@ -499,15 +530,17 @@ def _unb_logpmf(r: float, p, x, grad: bool = False, q=None):
     mean; p rounds to 1 once q < 1.1e-16).
 
     A p with one value, scalar or an array whose entries are all equal,
-    shares one pass over k = 0..max(x) between all x; other array p are
-    broadcast against x and summed row by row.  Either way the k-factors of
-    the terms and weights, and the centre terms psi(r+c) and psi'(r+c),
-    come from one _KTable of r (above).  Against mpmath the log pmf
-    is within 2e-12 for r in [0.2, 50], p in [0.01, 0.95], x <= 1000, and
-    within 1e-10 at the fits' box corners (log r = +-8, logit p = +-35,
-    the regression's p = r/(2 e^700 + r), x <= 10^4) except at r = e^-8
-    with p near 0: that k^-2 tail is cut after _TAIL_MAX terms, 4.5e-7 off
-    at x = 1 and 4.5e-3 at x = 10^4, in under 0.2 s.
+    shares one pass over k between all x: the head sums are cumulative
+    sums, the tail at max(x) is one _tail_block (the seed) and the tails
+    below it _shared_tail's reverse sums, all read from one _KTable sized
+    for them up front.  Only a seed that needs more than one block runs
+    _tail_rows, which grows the table.  Other array p are broadcast against
+    x and summed row by row (_head_rows, _tail_rows).  Against mpmath the
+    log pmf is within 2e-12 for r in [0.2, 50], p in [0.01, 0.95],
+    x <= 1000, and within 1e-10 at the fits' box corners (log r = +-8,
+    logit p = +-35, the regression's p = r/(2 e^700 + r), x <= 10^4) except
+    at r = e^-8 with p near 0: that k^-2 tail is cut after _TAIL_MAX terms,
+    4.5e-7 off at x = 1 and 4.5e-3 at x = 10^4, in under 0.2 s.
     """
     x = np.asarray(x, dtype=float)
     if np.ndim(p):
@@ -519,32 +552,40 @@ def _unb_logpmf(r: float, p, x, grad: bool = False, q=None):
             p, q = p.flat[0], q.flat[0]
     # log p keeps its relative digits (log(-log p) in _log_pmf0) from the
     # smaller of p and q; log q enters only in sums, where absolute ones do.
-    if np.ndim(p) == 0:
+    shared = np.ndim(p) == 0
+    if shared:
         p = float(p)
         q = 1.0 - p if q is None else float(q)
         shape = x.shape
         x = x.ravel()
         lp, lq = math.log1p(-q) if q < p else math.log(p), math.log(q)
         lpmf0 = _log_pmf0(r, lp, lq)
-        table = _KTable(r, grad).upto(int(np.max(x, initial=0.0)) + 1)
-        k = np.arange(table.lg.size, dtype=float)
-        lt = r * lp + k * lq + table.lg
-        t = np.exp(lt[:-1] - lpmf0)
         xi = x.astype(np.intp)
-        s = np.append(0.0, np.cumsum(t))
+        top = int(xi.max(initial=0))
+        # One table: the head's k < top and, where the decay bound fits the
+        # tail sum at top in one block of under _SEED_MAX terms, that block,
+        # the seed; else (width 0) _tail_rows grows it for the seed.
+        width = _first_width(r, lq, np.float64(top))
+        if width == _SEED_MAX:
+            width = 0
+        table = _KTable(r, grad).upto(top + max(width, 1))
+        lt = r * lp + np.arange(table.lg.size) * lq + table.lg
+        t = np.exp(lt[:top] - lpmf0)
+        s = np.zeros(top + 1)
+        t.cumsum(out=s[1:])
         head = s[None, xi]
         if grad:  # weighted sums only below the first x that takes the tail
             # (s never falls); later x read a clipped entry they never use
             n = int(np.searchsorted(s, 1.0 - 1.0 / _HEAD_LOSS, side="right"))
-            w = table.weights(np.arange(n - 1), 0)[1:]
-            acc = np.append(np.zeros((5, 1)), np.cumsum(w * t[:n - 1], axis=1), axis=1)
-            head = np.append(head, acc[:, np.minimum(xi, n - 1)], axis=0)
+            acc = np.zeros((5, n))
+            np.cumsum(table.weights(np.arange(n - 1), 0)[1:] * t[:n - 1], axis=1,
+                      out=acc[:, 1:])
+            head = np.concatenate((head, acc[:, np.minimum(xi, n - 1)]))
     else:
         p, q, x = np.broadcast_arrays(p, q, x)
         shape = x.shape
         p, q, x = p.ravel(), q.ravel(), x.ravel()
-        with np.errstate(divide="ignore"):
-            lp = np.where(q < p, np.log1p(-q), np.log(p))
+        lp = np.where(q < p, np.log1p(-q), np.log(p))
         lq = np.log(q)
         lpmf0 = _log_pmf0(r, lp, lq)
         table = _KTable(r, grad).upto(int(np.max(x, initial=0.0)) + 1)
@@ -557,18 +598,22 @@ def _unb_logpmf(r: float, p, x, grad: bool = False, q=None):
         # sum k H t, sum (H^2 + H') t from pmf(0)'s r-derivatives d1, d2
         d1, d2 = _dlog_pmf0_dr(r, lp)
         f1 = np.expm1(-lpmf0)  # over pmf(0), as head is
-        with np.errstate(over="ignore"):  # E[N] past 1.8e308 at p near 0
-            f2 = r * np.exp(lq - lp - lpmf0) - f1
-        total = np.array([f1, f2, d1 - lp, -d1 - lp * f1, d2 + (d1 - lp) ** 2])
+        f2 = r * np.exp(lq - lp - lpmf0) - f1  # inf: E[N] past 1.8e308 at p near 0
+        total = np.array([f1, d1 - lp, f2, -d1 - lp * f1, d2 + (d1 - lp) ** 2])
         means = (total.reshape(5, -1) - head[1:]) / (1.0 - h)
         centre = np.zeros_like(ls)
-    if np.any(tail):
-        if np.ndim(lp) == 0:
+    if tail.any():
+        if shared:  # the tail x are the largest, top among them
             xt = xi[tail]
-            lo, hi = int(xt.min()), int(xt.max())
-            seed = _tail_rows(r, np.array([lp]), np.array([lq]), np.array([float(hi)]), grad,
-                              table)
-            sums = _shared_tail(r, lt[lo:hi], k[lo:hi], seed[:, 0], grad)[:, xt - lo]
+            lo = int(xt.min())
+            if width:  # one block: the bound puts its rest below _TAIL_TOL
+                k = top + np.arange(width)[None]
+                seed = np.logaddexp(*_tail_block(r, lq, lt[None, top:], k, k[:, 0], table,
+                                                 grad)[:2])[:, 0]
+            else:
+                seed = _tail_rows(r, np.array([lp]), np.array([lq]), np.array([float(top)]),
+                                  grad, table)[:, 0]
+            sums = _shared_tail(r, lt[lo:top], np.arange(lo, top), seed, grad)[:, xt - lo]
         else:
             sums = _tail_rows(r, lp[tail], lq[tail], x[tail], grad, table)
         ls[tail] = sums[0]
@@ -577,13 +622,12 @@ def _unb_logpmf(r: float, p, x, grad: bool = False, q=None):
             centre[tail] = x[tail]
     if not grad:
         return ls.reshape(shape)
-    e_j, e_jj, e_g, e_jg, e_gg = means
+    e_j, e_g, e_jj, e_jg, e_gg = means
     m = centre + e_j
     c = centre.astype(np.intp)  # table entries <= max(x): 0 or x
     d_r = lp + table.psi[c] - table.psi[0] + e_g  # H_centre + E[G]
     d_logit = r * q - p * m
-    with np.errstate(over="ignore", invalid="ignore"):  # nan where E[N] overflows
-        d_ll = -p * q * (r + m) + p * p * (e_jj - e_j * e_j)
+    d_ll = -p * q * (r + m) + p * p * (e_jj - e_j * e_j)  # nan where E[N] overflows
     d_lr = q - p * (e_jg - e_j * e_g)
     d_rr = table.tri[c] - table.tri[0] + e_gg - e_g * e_g
     return tuple(v.reshape(shape) for v in (ls, d_logit, d_r, d_ll, d_lr, d_rr))

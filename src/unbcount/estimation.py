@@ -353,7 +353,7 @@ def _eta(beta, design):
 
 
 def _finite(*arrays) -> bool:
-    return all(np.all(np.isfinite(a)) for a in arrays)
+    return all(np.isfinite(a).all() for a in arrays)
 
 
 def _poisson_beta(design, y, w, m1):
@@ -485,6 +485,7 @@ def _fit(family, design, y, weights, theta0=None):
     if theta0 is not None:
         start, steps = np.array(theta0, dtype=float), 0
     n, k = float(np.sum(weights)), design.shape[1]
+    dim = k + family.n_shape
     tally = {"pmf_floored": 0, "eta_clamped": 0}
 
     def value_grad_hess(theta):
@@ -495,16 +496,16 @@ def _fit(family, design, y, weights, theta0=None):
         lp, floored, g_eta, g_s, h_ee, h_es, h_ss = family.logpmf_grad(eta, r, y)
         tally["pmf_floored"] += floored
         w = np.where(np.abs(eta) >= _ETA_CLAMP, 0.0, weights)  # clamped: flat in beta
-        grad, hess = design.T @ (w * g_eta), design.T @ (design * (w * h_ee)[:, None])
+        grad, hess = np.empty(dim), np.empty((dim, dim))
+        grad[:k], hess[:k, :k] = design.T @ (w * g_eta), design.T @ (design * (w * h_ee)[:, None])
         if family.n_shape:
-            cross = design.T @ (w * h_es)
-            grad = np.append(grad, np.dot(weights, g_s))
-            hess = np.block([[hess, cross[:, None]], [cross, np.dot(weights, h_ss)]])
+            hess[k, :k] = hess[:k, k] = design.T @ (w * h_es)
+            grad[k], hess[k, k] = np.dot(weights, g_s), np.dot(weights, h_ss)
         return -float(np.dot(weights, lp)) / n, -grad / n, -hess / n, lp
 
     def span(d):
         """The largest change of a linear predictor or of log r."""
-        return max(np.max(np.abs(design @ d[:k])), np.max(np.abs(d[k:]), initial=0.0))
+        return max(np.abs(design @ d[:k]).max(), np.abs(d[k:]).max(initial=0.0))
 
     # Past +-_ETA_CLAMP every eta of a design of ones is clamped and the
     # objective is flat, so there that bound is exact.

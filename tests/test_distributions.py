@@ -490,6 +490,15 @@ class TestKernels:
         x = np.exp(np.linspace(-9.0, 14.0, 400))
         assert np.max(np.abs(_trigamma(x) / ssp.zeta(2.0, x) - 1.0)) <= 2e-15
 
+    @pytest.mark.parametrize("r", [math.exp(-8.0), 1.0, math.exp(8.0)])
+    def test_table_trigamma_against_scipy_zeta(self, r):
+        # The k-table's psi' comes from the recurrence down each block, not
+        # from _trigamma: a first block, then a grow over a full block and
+        # across the next block boundary.
+        table = _dist._KTable(r, True).upto(1000).upto(_dist._BLOCK_MAX + 3000)
+        ref = ssp.zeta(2.0, r + np.arange(table.tri.size))
+        assert np.max(np.abs(table.tri / ref - 1.0)) <= 2e-14
+
     @pytest.mark.parametrize("r", [0.7, 1.0, 2.5, 6.0])
     def test_logpmf_kernel_matches_scalar(self, r, rng):
         ps = rng.uniform(0.05, 0.95, 50)

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +338,30 @@ class TestPassBudget:
             result = fit(data, RegressionSpec("y", ("a", "b")))
             assert result.converged, result.diagnostics["messages"]
             assert result.diagnostics["evaluations"] <= 8
+
+
+# tracemalloc peak of one per-row pass with derivatives at the UNB and NB
+# fits of gen.nmes_dataset(0), before the shared-p pass took one k-table:
+# helpers the two passes share must bring no larger temporaries in here.
+PER_ROW_PEAK_KB = {"unb": 1704, "nb": 483}
+
+
+@pytest.mark.parametrize("model", list(PER_ROW_PEAK_KB))
+def test_per_row_pass_working_set(model):
+    covs, y = gen.nmes_dataset(0)
+    data = make_dataset(y, **{c: covs[:, j] for j, c in enumerate(gen.COVARIATES)})
+    spec = RegressionSpec("y", gen.COVARIATES)
+    fit = REGRESSION_FITS[model](data, spec)
+    design, counts, _ = build_design(data, spec)
+    eta, family = design @ fit.beta, _FAMILIES[model]
+    family.logpmf_grad(eta, fit.r, counts)  # scipy's import and first-call caches
+    tracemalloc.start()
+    try:
+        family.logpmf_grad(eta, fit.r, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * PER_ROW_PEAK_KB[model] * 1024, peak / 1024
 
 
 class TestObservedInformation:
