@@ -77,12 +77,20 @@ def _counts(values, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable column store; all columns share length n."""
+    """Immutable column store; all columns share length n.
+
+    The regression fitters keep the setup of their last (response,
+    covariates) spec on the dataset, one design, and every family's fit of
+    that spec reuses it while each column it was built from is the same
+    object.  A column replaced in ``columns`` is read afresh; a column
+    written in place after a fit is not, so columns are not written in
+    place once a fit has read them."""
 
     column_names: tuple
     columns: dict
     n: int
     dropped_rows: tuple = field(default_factory=tuple)
+    _regression_setup: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:

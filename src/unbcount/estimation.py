@@ -6,9 +6,9 @@ maximum-likelihood fit, marginal or regression, runs on ``_fit``: a
 family (UNB, negative binomial, uniform-Poisson, geometric) with log-link
 mean mu = exp(eta), eta = design @ beta, fitted over (beta, log r) by one
 run of ``_newton``, the package's own damped Newton method, from the
-family's ``start`` (the Poisson quasi-likelihood beta, log mean count for
-the intercept alone, and log of the family's moment r at its means;
-all-zero counts raise DegenerateDataError) on the log-likelihood, its
+family's ``start`` (the _Setup's Poisson quasi-likelihood beta, log mean
+count for the intercept alone, and log of the family's moment r at its
+means; all-zero counts raise DegenerateDataError) on the log-likelihood, its
 gradient and its Hessian, all three from one kernel pass per evaluation;
 a start where they are not finite raises NonConvergenceError.  A marginal fit is the
 intercept-only fit on the distinct counts with their frequencies as
@@ -216,14 +216,16 @@ _START_STEPS = 50
 class _Family:
     """A law of the table above.  ``n_shape`` is 1 when r is free (fitted as
     log r after the coefficients), 0 otherwise; ``fixed_r`` is the r of a
-    law that fixes it.  ``logpmf_grad(eta, r, y)`` gives the log pmf at
-    the counts y floored at log PMF_FLOOR, the number of entries floored
-    and, in the same pass, the unfloored log pmf's derivatives d/d eta,
-    d/d log r, d2/d eta^2, d2/d eta d log r and d2/d log r^2 (None for
-    those in log r of a law without r).  ``law(theta)`` gives the law at
-    theta = (eta[, r]) with the Jacobian of its parameters in theta, and,
-    for a law of p, ``eta_of(params)`` the inverse, (eta, r).
-    ``start(design, y, w)`` gives every fit's start and ``moment_r`` its r."""
+    law that fixes it.  ``logpmf_grad(eta, r, y, distinct=None)`` gives
+    the log pmf at the counts y floored at log PMF_FLOOR, the number of
+    entries floored and, in the same pass, the unfloored log pmf's
+    derivatives d/d eta, d/d log r, d2/d eta^2, d2/d eta d log r and
+    d2/d log r^2 (None for those in log r of a law without r); its factors
+    of the count alone it takes once per distinct count (_per_count, with
+    the _Setup's ``distinct``).  ``law(theta)`` gives the law at theta =
+    (eta[, r]) with the Jacobian of its parameters in theta, and, for a
+    law of p, ``eta_of(params)`` the inverse, (eta, r).  ``start(setup)``
+    gives every fit's start and ``moment_r`` its r."""
 
     def __init__(self, name: str, params_type, kappa: float = 1.0, fixed_r=None):
         self.name, self.params_type = name, params_type
@@ -251,25 +253,24 @@ class _Family:
         r = params.r if self.n_shape else self.fixed_r
         return math.log(r * (1.0 - params.p) / (self.kappa * params.p)), r
 
-    def start(self, design, y, w):
-        """(theta0, steps): the Poisson quasi-likelihood beta of the counts y
-        with frequency weights w on the design (_poisson_beta, which took
-        ``steps`` Newton steps), then log of the family's moment r at its
-        means mu = exp(design @ beta).  All-zero counts raise
-        DegenerateDataError."""
-        n = np.sum(w)
-        m1 = float(np.dot(w, y)) / n
-        if m1 == 0.0:
-            raise DegenerateDataError("all responses are zero: the likelihood increases "
-                                      "as the mean goes to 0 and no maximum exists")
-        beta, steps = _poisson_beta(design, y, w, m1)
+    def start(self, setup):
+        """The engine's start from the _Setup shared by every family: its
+        Poisson beta, then, for a law with r, log of the family's moment r
+        at its means mu = exp(design @ beta)."""
         if not self.n_shape:
-            return beta, steps
-        # The intercept's Poisson score makes sum w mu = sum w y: the means
-        # enter the moment equation through the mean of mu^2 alone, None
-        # where no step moved beta from (log m1, 0, ..., 0) and mu = m1.
-        mu2 = float(np.dot(w, np.exp(2.0 * (design @ beta)))) / n if steps else None
-        return np.append(beta, math.log(self.moment_r(y, w, n, m1, mu2))), steps
+            return setup.beta.copy()
+        r = self.moment_r(setup.y, setup.w, setup.n, setup.m1, setup.mu2)
+        return np.append(setup.beta, math.log(r))
+
+
+def _per_count(f, y, distinct):
+    """f(y) for a function f of the counts alone, elementwise, or a tuple of
+    such: evaluated at the distinct counts and gathered where ``distinct``
+    is (values, inverse) with y = values[inverse], on y where it is None."""
+    if distinct is None:
+        return f(y)
+    values, inverse = distinct
+    return np.take(f(values), inverse, axis=-1)
 
 
 def _eta_logr(r, d_l, d_r, d_ll, d_lr, d_rr):
@@ -288,7 +289,7 @@ class _Unb(_Family):
         except UnderDispersionError:
             return 2.0
 
-    def logpmf_grad(self, eta, r, y):
+    def logpmf_grad(self, eta, r, y, distinct=None):
         p, q = self.link(eta, r)
         lp, floored, *derivs = _dist.unb_logpmf_kernel(r, p, y, q=q, grad=True)
         return (lp, floored, *_eta_logr(r, *derivs))
@@ -305,12 +306,16 @@ class _Nb(_Family):
             var = float(np.dot(w, y * y)) / n - mu2
         return min(max(mu2 / (var - m1), 1e-2), 1e3) if var > m1 else 2.0
 
-    def logpmf_grad(self, eta, r, y):
-        """The UNB sums collapsed to their one term k = y."""
+    def logpmf_grad(self, eta, r, y, distinct=None):
+        """The UNB sums collapsed to their one term k = y; log C(r+y-1, y),
+        psi(r+y) - psi(r) and psi'(r+y) - psi'(r) per distinct count."""
         p, q = self.link(eta, r)
-        lp = _dist._nb_logpmf(r, p, y, q)
-        derivs = (r * q - y * p, _sps.digamma(r + y) - _sps.digamma(r) + np.log(p),
-                  -p * q * (r + y), q, _dist._trigamma(r + y) - _dist._trigamma(r))
+        lp, d_r, d_rr = _per_count(lambda c: (
+            _dist._nb_log_binom(r, c), _sps.digamma(r + c) - _sps.digamma(r),
+            _dist._trigamma(r + c) - _dist._trigamma(r)), y, distinct)
+        _dist._nb_logpmf(r, p, y, q, out=lp)
+        d_r += np.log(p)
+        derivs = (r * q - y * p, d_r, -p * q * (r + y), q, d_rr)
         return (np.maximum(lp, _LOG_FLOOR), int(np.count_nonzero(lp < _LOG_FLOOR)),
                 *_eta_logr(r, *derivs))
 
@@ -322,11 +327,12 @@ class _Up(_Family):
 
     n_shape = 0
 
-    def logpmf_grad(self, eta, r, y):
+    def logpmf_grad(self, eta, r, y, distinct=None):
         lam = 2.0 * np.exp(eta)
         lp, surv = _dist._up_logpmf(lam, y)
         kept = np.maximum(surv, _dist.PMF_FLOOR)
-        log_pois = y * np.log(lam) - lam - _sps.gammaln(y + 1.0)
+        log_pois = (y * np.log(lam) - lam
+                    - _per_count(lambda c: _sps.gammaln(c + 1.0), y, distinct))
         a = lam * np.exp(log_pois) / kept
         return (np.maximum(lp, _LOG_FLOOR - np.log(lam)),
                 int(np.count_nonzero(surv < _dist.PMF_FLOOR)),
@@ -388,6 +394,41 @@ def _poisson_beta(design, y, w, m1):
         if reach < 1e-8:
             return beta, steps + 1
     return beta, _START_STEPS
+
+
+def _read_only(a):
+    a = np.asarray(a).view()
+    a.flags.writeable = False
+    return a
+
+
+class _Setup:
+    """What the fits of every family to the counts y with frequency weights
+    w on one design share, all of it read-only: the design, y and w; n =
+    sum w and the mean count m1 (all-zero counts, which have no
+    maximum-likelihood estimate, raise DegenerateDataError); the Poisson
+    quasi-likelihood beta after ``steps`` Newton steps (_poisson_beta); mu2,
+    the mean of the squared means exp(2 design @ beta), None where no step
+    moved beta from (log m1, 0, ..., 0) and every mean is m1; and
+    ``distinct``, y's distinct counts with the index of each count among
+    them, or None where ``unique`` says that y holds each count once.  No
+    kernel pass."""
+
+    def __init__(self, design, y, w, unique=False):
+        self.design, self.y, self.w = _read_only(design), _read_only(y), _read_only(w)
+        self.n = np.sum(w)
+        self.m1 = float(np.dot(w, y)) / self.n
+        if self.m1 == 0.0:
+            raise DegenerateDataError("all responses are zero: the likelihood increases "
+                                      "as the mean goes to 0 and no maximum exists")
+        beta, self.steps = _poisson_beta(self.design, self.y, self.w, self.m1)
+        self.beta = _read_only(beta)
+        # The intercept's Poisson score makes sum w mu = sum w y: the means
+        # enter each family's moment equation through the mean of mu^2 alone.
+        self.mu2 = (float(np.dot(w, np.exp(2.0 * (design @ beta)))) / self.n
+                    if self.steps else None)
+        self.distinct = None if unique else tuple(
+            map(_read_only, np.unique(self.y, return_inverse=True)))
 
 
 def _newton(fun, x0, *, lo, hi, span):
@@ -466,11 +507,10 @@ def _newton(fun, x0, *, lo, hi, span):
 _opt = types.SimpleNamespace(minimize=_newton, minimize_scalar=None)
 
 
-def _fit(family, design, y, weights, theta0=None):
+def _fit(family, setup, theta0=None):
     """Maximum likelihood of ``family`` with eta = design @ beta over the
-    counts y with frequency weights, from theta0 = (beta[, log r]) if given,
-    else from family.start (which raises DegenerateDataError for all-zero
-    counts either way).
+    counts y with frequency weights of the _Setup ``setup``, from theta0 =
+    (beta[, log r]) if given, else from family.start.
 
     One _newton run on the mean log-likelihood, its gradient and its
     Hessian in (beta, log r), all from one pass of the family's kernel.
@@ -481,10 +521,12 @@ def _fit(family, design, y, weights, theta0=None):
     where the log-likelihood or its Hessian is not finite raises
     NonConvergenceError; ``converged`` is the full gradient's norm below _GRAD_GATE.
     """
-    start, steps = family.start(design, y, weights)
-    if theta0 is not None:
+    design, y, weights = setup.design, setup.y, setup.w
+    if theta0 is None:
+        start, steps = family.start(setup), setup.steps
+    else:
         start, steps = np.array(theta0, dtype=float), 0
-    n, k = float(np.sum(weights)), design.shape[1]
+    n, k = float(setup.n), design.shape[1]
     dim = k + family.n_shape
     tally = {"pmf_floored": 0, "eta_clamped": 0}
 
@@ -493,7 +535,7 @@ def _fit(family, design, y, weights, theta0=None):
         eta, clipped = _eta(theta[:k], design)
         tally["eta_clamped"] += clipped
         r = math.exp(theta[k]) if family.n_shape else family.fixed_r
-        lp, floored, g_eta, g_s, h_ee, h_es, h_ss = family.logpmf_grad(eta, r, y)
+        lp, floored, g_eta, g_s, h_ee, h_es, h_ss = family.logpmf_grad(eta, r, y, setup.distinct)
         tally["pmf_floored"] += floored
         w = np.where(np.abs(eta) >= _ETA_CLAMP, 0.0, weights)  # clamped: flat in beta
         grad, hess = np.empty(dim), np.empty((dim, dim))
@@ -562,7 +604,7 @@ def _fit_marginal(family, data, level: float, init=None) -> FitResult:
     xs, w = _compress(data)
     theta0 = None if init is None else [family.eta_of(init)[0], math.log(init.r)]
     theta, cov, ll, converged, iterations, diagnostics, log_pmf = _fit(
-        family, np.ones((xs.size, 1)), xs, w, theta0)
+        family, _Setup(np.ones((xs.size, 1)), xs, w, unique=True), theta0)
     params, jac = family.law(theta)
     cov = jac @ cov @ jac.T
     se = tuple(math.sqrt(max(v, 0.0)) for v in np.diag(cov))

@@ -8,13 +8,16 @@ one, whose mean is lam / 2, so all three models share the same
 conditional-mean scale.  q_i is computed from mu_i, never as 1 - p_i,
 which rounds to 0 once eta is below about log r - 37.
 
-Each fit is build_design, a rank check and the engine of
-``estimation._fit`` with unit weights from the family's start: beta at
-the Poisson quasi-likelihood estimate, consistent under all three laws
-since they share the mean exp(eta), and log r from the family's moment
-equation at its means, with no kernel pass (all-zero responses, which
-have no maximum-likelihood estimate, raise DegenerateDataError there,
-before any step).  The engine is Newton's method over (beta, log r) on
+Each fit is the engine of ``estimation._fit`` on the dataset's setup for
+its spec (``_setup``), from the family's start.  The setup is
+build_design, the row and rank checks and, with unit weights, the
+Poisson quasi-likelihood beta, consistent under all three laws since
+they share the mean exp(eta), and the distinct counts; the dataset keeps
+it for its last spec, so the fits of every family on one dataset run it
+once.  All-zero responses, which have no maximum-likelihood estimate,
+raise DegenerateDataError there, before any step.  The start adds log r
+from the family's moment equation at the setup's means, with no kernel
+pass.  The engine is Newton's method over (beta, log r) on
 the log-likelihood, its gradient and its Hessian from one kernel pass
 (for UNB, means and variances of k and H_k = psi(r+k) - psi(r) over the
 terms nb(k)/(k+1) whose sum is the pmf).  Standard errors invert
@@ -37,7 +40,7 @@ from . import distributions as _dist
 from .datasets import Dataset, _counts, response_counts
 from .errors import DataError, DegenerateVuongError, DomainError, RankDeficientError
 # Unused here; perfbench/tracing.py wraps regression._opt and regression.fit_mm.
-from .estimation import _FAMILIES, _eta, _fit, _opt, fit_mm  # noqa: F401
+from .estimation import _FAMILIES, _eta, _fit, _opt, _Setup, fit_mm  # noqa: F401
 
 __all__ = [
     "RegressionSpec",
@@ -151,8 +154,17 @@ def unb_reg_loglik(beta, r: float, design: np.ndarray, y) -> float:
     return float(np.sum(_dist.unb_logpmf_kernel(r, p, y, q=q)[0]))
 
 
-def _regress(family, dataset, spec: RegressionSpec) -> RegressionFit:
-    """The design and rank checks, the family's start and the engine."""
+def _setup(dataset: Dataset, spec: RegressionSpec):
+    """(names, the estimation._Setup of every family's fit on dataset and
+    spec): build_design, the row and rank checks and the shared Poisson
+    start, with unit weights.  The dataset keeps the last spec's, reused
+    while each column it was built from is the same object; a failed check
+    keeps nothing and raises on every call."""
+    columns = tuple(dataset.columns.get(c) for c in (spec.response, *spec.covariates))
+    held = dataset._regression_setup
+    if held is not None and held[0] == spec and all(
+            a is b for a, b in zip(held[1], columns)):
+        return held[2:]
     design, y, names = build_design(dataset, spec)
     n, k = design.shape
     if n <= k + 1:
@@ -161,8 +173,16 @@ def _regress(family, dataset, spec: RegressionSpec) -> RegressionFit:
     if rank < k:
         raise RankDeficientError(
             f"design matrix is rank deficient ({k} columns, rank {rank})")
-    theta, cov, ll, converged, iterations, diagnostics, log_pmf = _fit(
-        family, design, y, np.ones(n))
+    setup = _Setup(design, y, np.ones(n))
+    object.__setattr__(dataset, "_regression_setup", (spec, columns, names, setup))
+    return names, setup
+
+
+def _regress(family, dataset, spec: RegressionSpec) -> RegressionFit:
+    """The dataset's setup for spec, the family's start and the engine."""
+    names, setup = _setup(dataset, spec)
+    k = setup.design.shape[1]
+    theta, cov, ll, converged, iterations, diagnostics, log_pmf = _fit(family, setup)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     # beta only: r = 0 lies outside the parameter space
     with np.errstate(divide="ignore", invalid="ignore"):

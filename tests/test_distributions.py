@@ -548,6 +548,31 @@ class TestKernels:
             for d, (got, want) in enumerate(zip(rows, one)):
                 assert abs(got[i] - want[0]) <= 1e-12 * abs(want[0]), (i, d)
 
+    @pytest.mark.parametrize("r", [0.5, 2.0, 20.0])
+    def test_per_row_zeros_under_the_q_to_0_rule_take_the_tail(self, r, monkeypatch):
+        # Rows at x = 0 are pmf(0) in closed form and take no sums, but
+        # where 1 - pmf(0) < 2^-10 (q near 0) they still take the tail sum:
+        # there the closed-form totals lose the p-derivative's digits.
+        seen = {}
+        for name, at in (("_head_rows", 4), ("_tail_rows", 3)):  # x's place
+            def record(*args, real=getattr(_dist, name), name=name, at=at):
+                seen[name] = args[at]
+                return real(*args)
+
+            monkeypatch.setattr(_dist, name, record)
+        q = np.array([1e-5, 1e-7, 1e-12, 0.3, 0.6, 1e-6, 0.5, 0.2])
+        x = np.array([0, 0, 0, 0, 0, 3, 7, 40])
+        rows = _unb_logpmf(r, 1.0 - q, x, grad=True, q=q)
+        near = _dist._log_pmf0(r, np.log1p(-q), np.log(q)) > _dist._LOG_PMF0_MAX
+        assert near[:3].all() and not near[3:5].any()
+        assert [np.count_nonzero(seen[f] == 0) for f in seen] == [3, 3]
+        for i, (xi, qi) in enumerate(zip(x, q)):
+            assert rows[0][i] == pytest.approx(mp_logpmf(r, 1.0 - qi, int(xi), q=qi),
+                                               abs=1e-10)
+            one = _unb_logpmf(r, 1.0 - qi, np.array([xi]), grad=True, q=qi)
+            for d, (got, want) in enumerate(zip(rows, one)):
+                assert abs(got[i] - want[0]) <= 1e-12 * abs(want[0]), (i, d)
+
     def test_per_row_head_ends_where_the_tail_takes_over(self):
         # A count of 10^6 among 999 small ones: its head sum passes
         # 1 - 1/_HEAD_LOSS within a few dozen terms, where the row takes the

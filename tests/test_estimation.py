@@ -22,6 +22,7 @@ from unbcount.errors import (
 from unbcount.estimation import (
     _FAMILIES,
     _fit,
+    _Setup,
     fit_geometric,
     fit_mle,
     fit_mm,
@@ -274,8 +275,8 @@ class TestFitMle:
             fit, fitted = fit_mle(y), fitted + 1
             xs, w = np.unique(y, return_counts=True)
             start = np.array([math.log(np.mean(y)), math.log(2.0)])
-            _, _, loglik, *_ = _fit(_FAMILIES["unb"], np.ones((xs.size, 1)),
-                                    xs.astype(float), w.astype(float), start)
+            _, _, loglik, *_ = _fit(_FAMILIES["unb"], _Setup(
+                np.ones((xs.size, 1)), xs.astype(float), w.astype(float), unique=True), start)
             assert fit.log_likelihood >= loglik - 1e-12 * abs(loglik), (r, p, k)
         assert fitted >= 50
 
@@ -514,7 +515,7 @@ class TestOneEngine:
         family = _FAMILIES[model]
         if model == "geometric":
             theta, _, loglik, converged, _, _, _ = _fit(
-                family, np.ones((y.size, 1)), y, np.ones(y.size),
+                family, _Setup(np.ones((y.size, 1)), y, np.ones(y.size)),
                 np.array([math.log(np.mean(y))]))
         else:
             data = Dataset(column_names=("y",), columns={"y": y.astype(float)},

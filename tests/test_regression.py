@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 import sys
 import tracemalloc
@@ -7,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as ssp
 
 from unbcount.datasets import Dataset, write_counts
 from unbcount.distributions import UnbParams, unb_dlogpmf_dp_kernel, unb_pmf, unb_sample
 from unbcount.errors import (DataError, DegenerateDataError, DegenerateVuongError,
                              DomainError, RankDeficientError)
-from unbcount import cli, distributions, estimation
+from unbcount import cli, distributions, estimation, regression
 from unbcount.estimation import _FAMILIES, fit_mle, unb_loglik
 from unbcount.regression import (
     RegressionSpec,
@@ -200,7 +203,7 @@ class TestUnbRegressionFit:
                          [cross[None, :], np.sum(h_ss)]])
         assert np.max(np.linalg.eigvalsh(hess)) > 0.0
         theta, _, loglik, converged, _, diag, _ = estimation._fit(
-            family, design, y, np.ones(y.size), start)
+            family, estimation._Setup(design, y, np.ones(y.size)), start)
         assert converged and diag["hessian_shifts"] > 0
         fit = fit_unb_regression(data, spec)
         assert loglik == pytest.approx(fit.log_likelihood, rel=1e-12)
@@ -362,6 +365,140 @@ def test_per_row_pass_working_set(model):
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * PER_ROW_PEAK_KB[model] * 1024, peak / 1024
+
+
+@pytest.mark.parametrize("model", ["nb", "up", "geometric"])
+def test_per_count_factors_match_the_elementwise_formulas(model):
+    # The factors of the count alone are taken once per distinct count and
+    # gathered: the pass must equal the formulas evaluated row by row.
+    rng = np.random.default_rng(30)
+    y = rng.integers(0, 60, 3000) * (rng.random(3000) < 0.4)
+    eta = rng.normal(0.0, 1.5, y.size)
+    family = _FAMILIES[model]
+    r = 1.7 if family.n_shape else family.fixed_r
+    if model == "up":
+        lam = 2.0 * np.exp(eta)
+        surv = ssp.gammainc(y + 1.0, lam)
+        a = lam * np.exp(y * np.log(lam) - lam - ssp.gammaln(y + 1.0)) / np.maximum(
+            surv, distributions.PMF_FLOOR)
+        want = (np.maximum(np.log(surv) - np.log(lam), distributions._LOG_FLOOR - np.log(lam)),
+                int(np.count_nonzero(surv < distributions.PMF_FLOOR)),
+                a - 1.0, None, a * (1.0 + y - lam - a), None, None)
+    else:
+        p, q = family.link(eta, r)
+        lp = (ssp.gammaln(r + y) - math.lgamma(r) - ssp.gammaln(y + 1.0)
+              + r * np.log(p) + y * np.log(q))
+        want = (np.maximum(lp, distributions._LOG_FLOOR),
+                int(np.count_nonzero(lp < distributions._LOG_FLOOR)),
+                *estimation._eta_logr(r, r * q - y * p,
+                                      ssp.digamma(r + y) - ssp.digamma(r) + np.log(p),
+                                      -p * q * (r + y), q,
+                                      distributions._trigamma(r + y)
+                                      - distributions._trigamma(r)))
+    setup = estimation._Setup(np.ones((y.size, 1)), y, np.ones(y.size))
+    assert setup.distinct[0].size == 60
+    for distinct in (None, setup.distinct):
+        got = family.logpmf_grad(eta, r, y, distinct)
+        for d, (g, w) in enumerate(zip(got, want)):
+            assert (g is None and w is None) or np.array_equal(g, w), (d, distinct is None)
+
+
+def test_nb_pass_memory_is_linear_in_rows():
+    # 999 small counts and one of 10^7: the factors are taken at the
+    # distinct counts, never from a table over 0..max(y) (80 MB a column).
+    y = np.append(np.random.default_rng(4).integers(0, 5, 999), 10 ** 7)
+    setup = estimation._Setup(np.ones((y.size, 1)), y, np.ones(y.size))
+    eta, family = np.full(y.size, 0.3), _FAMILIES["nb"]
+    family.logpmf_grad(eta, 1.5, setup.y, setup.distinct)
+    tracemalloc.start()
+    try:
+        lp = family.logpmf_grad(eta, 1.5, setup.y, setup.distinct)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 ** 2, peak
+    assert np.all(np.isfinite(lp))
+
+
+def nmes_columns(index=0):
+    covs, y = gen.nmes_dataset(index)
+    return {"y": y.astype(float), **{c: covs[:, j] for j, c in enumerate(gen.COVARIATES)}}
+
+
+def dataset_of(columns):
+    """A fresh dataset over copies of the columns."""
+    return make_dataset(columns["y"], **{c: columns[c] for c in gen.COVARIATES})
+
+
+def assert_same_fit(got, want):
+    for name in ("beta", "r", "std_errors", "log_likelihood", "log_pmf", "coef_names"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for key in ("start", "start_steps", "evaluations", "hessian", "grad_norm"):
+        assert np.array_equal(got.diagnostics[key], want.diagnostics[key]), key
+
+
+class TestSharedSetup:
+    """The fits of every family on one dataset and spec share one setup:
+    the design, its checks and the Poisson start."""
+
+    SPEC = RegressionSpec("y", gen.COVARIATES)
+
+    def test_setup_runs_once_per_dataset(self, monkeypatch):
+        calls = collections.Counter()
+        for module, name in ((regression, "build_design"), (np.linalg, "matrix_rank"),
+                             (estimation, "_poisson_beta")):
+            def counted(*args, real=getattr(module, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        data = dataset_of(nmes_columns())
+        for fit in REGRESSION_FITS.values():
+            fit(data, self.SPEC)
+        assert calls == {"build_design": 1, "matrix_rank": 1, "_poisson_beta": 1}
+        setup = regression._setup(data, self.SPEC)[1]
+        for a in (setup.design, setup.y, setup.w, setup.beta, *setup.distinct):
+            assert not a.flags.writeable
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(REGRESSION_FITS)))
+    def test_any_family_order_fits_as_on_fresh_data(self, order):
+        columns = nmes_columns()
+        data = dataset_of(columns)
+        for model in order:
+            assert_same_fit(REGRESSION_FITS[model](data, self.SPEC),
+                            REGRESSION_FITS[model](dataset_of(columns), self.SPEC))
+
+    def test_a_replaced_column_is_read_afresh(self):
+        columns = nmes_columns()
+        data = dataset_of(columns)
+        before = fit_nb_regression(data, self.SPEC)
+        columns["AGE"] = columns["AGE"] * 2.0
+        data.columns["AGE"] = columns["AGE"]
+        after = fit_nb_regression(data, self.SPEC)
+        assert_same_fit(after, fit_nb_regression(dataset_of(columns), self.SPEC))
+        assert not np.array_equal(after.beta, before.beta)
+
+    @pytest.mark.parametrize("model", list(REGRESSION_FITS))
+    def test_writing_into_a_fit_leaves_the_next_unchanged(self, model):
+        columns = nmes_columns()
+        data = dataset_of(columns)
+        first = REGRESSION_FITS[model](data, self.SPEC)
+        for a in (first.beta, first.diagnostics["start"], first.log_pmf):
+            a[:] = 0.0
+        assert_same_fit(REGRESSION_FITS[model](data, self.SPEC),
+                        REGRESSION_FITS[model](dataset_of(columns), self.SPEC))
+
+    def test_failed_checks_raise_on_every_call(self):
+        deficient = make_dataset([0, 1, 2, 0, 1, 3, 0, 2], ones=[1.0] * 8)
+        z = np.random.default_rng(3).normal(0.0, 1.0, 500)
+        zero = make_dataset(np.zeros(500), z=z)
+        for fit in [*REGRESSION_FITS.values()] * 2:
+            with pytest.raises(RankDeficientError):
+                fit(deficient, RegressionSpec("y", ("ones",)))
+            with pytest.raises(DegenerateDataError) as err:
+                fit(zero, RegressionSpec("y", ("z",)))
+            assert str(err.value) == ("all responses are zero: the likelihood increases "
+                                      "as the mean goes to 0 and no maximum exists")
 
 
 class TestObservedInformation:
