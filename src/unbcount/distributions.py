@@ -592,7 +592,7 @@ def _unb_logpmf(r: float, p, x, grad: bool = False, q=None):
             np.cumsum(table.weights(np.arange(n - 1), 0)[1:] * t[:n - 1], axis=1,
                       out=acc[:, 1:])
             head = np.concatenate((head, acc[:, np.minimum(xi, n - 1)]))
-        rows, l0 = slice(None), lpmf0
+        rows, xr, l0 = slice(None), x, lpmf0
     else:
         p, q, x = np.broadcast_arrays(p, q, x)
         shape = x.shape
@@ -602,27 +602,23 @@ def _unb_logpmf(r: float, p, x, grad: bool = False, q=None):
         lpmf0 = _log_pmf0(r, lp, lq)
         table = _KTable(r, grad).upto(int(np.max(x, initial=0.0)) + 1)
         # A row at 0 is pmf(0), its means about 0 the totals below, except
-        # under the q -> 0 rule: only the other rows take sums.
+        # under the q -> 0 rule: the sums run on the other rows alone.
         rows = np.flatnonzero((x > 0.0) | (lpmf0 > _LOG_PMF0_MAX))
-        l0 = lpmf0[rows]
-        head = _head_rows(r, lp[rows], lq[rows], l0, x[rows], table, grad)
+        xr, l0 = x[rows], lpmf0[rows]
+        head = _head_rows(r, lp[rows], lq[rows], l0, xr, table, grad)
     tail = (head[0] > 1.0 - 1.0 / _HEAD_LOSS) | (l0 > _LOG_PMF0_MAX)
     h = np.where(tail, 0.0, head[0])
-    ls = np.full(x.size, lpmf0)
-    ls[rows] = l0 + np.log1p(-h)
+    ls = l0 + np.log1p(-h)
     if grad:  # the means about 0 in the head, from the sums over all k,
         # sum k t = 1 - pmf(0), sum k^2 t = E[N] - 1 + pmf(0), and sum H t,
         # sum k H t, sum (H^2 + H') t from pmf(0)'s r-derivatives d1, d2
         d1, d2 = _dlog_pmf0_dr(r, lp)
         f1 = np.expm1(-lpmf0)  # over pmf(0), as head is
         f2 = r * np.exp(lq - lp - lpmf0) - f1  # inf: E[N] past 1.8e308 at p near 0
-        means = np.empty((5, x.size))
-        means[0], means[1], means[2], means[3], means[4] = (
-            f1, d1 - lp, f2, -d1 - lp * f1, d2 + (d1 - lp) ** 2)
-        means[:, rows] = (means[:, rows] - head[1:]) / (1.0 - h)
+        total = np.array([f1, d1 - lp, f2, -d1 - lp * f1, d2 + (d1 - lp) ** 2]).reshape(5, -1)
+        means = (total[:, rows] - head[1:]) / (1.0 - h)
         centre = np.zeros_like(ls)
     if tail.any():
-        at = tail if shared else rows[tail]
         if shared:  # the tail x are the largest, top among them
             xt = xi[tail]
             lo = int(xt.min())
@@ -635,11 +631,20 @@ def _unb_logpmf(r: float, p, x, grad: bool = False, q=None):
                                   grad, table)[:, 0]
             sums = _shared_tail(r, lt[lo:top], np.arange(lo, top), seed, grad)[:, xt - lo]
         else:
-            sums = _tail_rows(r, lp[at], lq[at], x[at], grad, table)
-        ls[at] = sums[0]
+            at = rows[tail]
+            sums = _tail_rows(r, lp[at], lq[at], xr[tail], grad, table)
+        ls[tail] = sums[0]
         if grad:  # and about x in the tail
-            means[:, at] = np.exp(sums[1:] - sums[0])
-            centre[at] = x[at]
+            means[:, tail] = np.exp(sums[1:] - sums[0])
+            centre[tail] = xr[tail]
+    if not shared:  # every row: pmf(0) and the totals where no sum ran
+        lpmf0[rows] = ls
+        ls = lpmf0
+        if grad:
+            total[:, rows] = means
+            full = np.zeros(x.size)
+            full[rows] = centre
+            means, centre = total, full
     if not grad:
         return ls.reshape(shape)
     e_j, e_g, e_jj, e_jg, e_gg = means
