@@ -82,9 +82,9 @@ class Dataset:
     The regression fitters keep the setup of their last (response,
     covariates) spec on the dataset, one design, and every family's fit of
     that spec reuses it while each column it was built from is the same
-    object.  A column replaced in ``columns`` is read afresh; a column
-    written in place after a fit is not, so columns are not written in
-    place once a fit has read them."""
+    object.  Those columns become read-only views in ``columns``, so a
+    write into one after a fit raises ValueError; a column replaced in
+    ``columns`` is read afresh."""
 
     column_names: tuple
     columns: dict

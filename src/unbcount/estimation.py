@@ -6,9 +6,10 @@ maximum-likelihood fit, marginal or regression, runs on ``_fit``: a
 family (UNB, negative binomial, uniform-Poisson, geometric) with log-link
 mean mu = exp(eta), eta = design @ beta, fitted over (beta, log r) by one
 run of ``_newton``, the package's own damped Newton method, from the
-family's ``start`` (the _Setup's Poisson quasi-likelihood beta, log mean
-count for the intercept alone, and log of the family's moment r at its
-means; all-zero counts raise DegenerateDataError) on the log-likelihood, its
+family's ``start`` (the _Setup's Poisson quasi-likelihood beta: log m1, m1
+the mean count, for the intercept alone, else a ``_newton`` run of the
+internal Poisson family from (log m1, 0, ..., 0); then log of the family's
+moment r at its means; all-zero counts raise DegenerateDataError) on the log-likelihood, its
 gradient and its Hessian, all three from one kernel pass per evaluation;
 a start where they are not finite raises NonConvergenceError.  A marginal fit is the
 intercept-only fit on the distinct counts with their frequencies as
@@ -83,8 +84,8 @@ class FitResult:
     hold ``grad_norm``, ``messages`` (the one run's), ``evaluations``
     (kernel passes), ``hessian_shifts`` (steps whose Hessian was not
     negative definite), ``step_halvings``, ``start`` (the start in the
-    engine's (intercept[, log r])), ``start_steps`` (the Poisson steps
-    before it, 0 for the intercept alone), ``pmf_floored``,
+    engine's (intercept[, log r])), ``start_steps`` (the Newton steps of
+    the Poisson fit that gave its beta, 0 for the intercept alone), ``pmf_floored``,
     ``eta_clamped`` (both summed over evaluations), ``hessian`` in the
     engine's (intercept, r) coordinates and its 2-norm ``condition``.
     ``log_pmf``, None for the method-of-moments fit, is the last kernel
@@ -191,6 +192,7 @@ def unb_score_r(params: UnbParams, data) -> float:
 #   NB         p = r/(mu + r),   q = mu/(mu + r)       (mean r q / p)
 #   geometric  NB with r fixed at 1
 #   UP         lam = 2 mu                              (mean lam / 2)
+#   Poisson    mean mu; internal, the start of every regression
 # The kernels are looked up on their module at each call, where
 # perfbench/tracing.py wraps them.
 
@@ -205,12 +207,6 @@ _GRAD_GATE = 1e-6  # on the gradient of the mean log-likelihood
 # jumped to +329, where p is near 0, and took 200 times as long as with it.
 _MAX_SPAN = 4.0
 _MAX_RADIUS = 16.0
-# A cap on the start's Poisson steps.  They take 5-6 on the NMES-shaped
-# panel and on a covariate over [0, 1000]; where the Poisson maximum does
-# not exist (zero counts wherever a binary covariate is 1) a linear
-# predictor falls by about 1 a step, and 50 steps stay far inside
-# _ETA_CLAMP.
-_START_STEPS = 50
 
 
 class _Family:
@@ -343,11 +339,27 @@ class _Up(_Family):
         return self.params_type(lam), np.array([[lam]])
 
 
+class _Poisson(_Family):
+    """log pmf y eta - mu - log y!, with d/d eta = y - mu and d2/d eta^2 =
+    -mu: the start of every regression, whose beta gives each law's mean
+    consistently (Gourieroux, Monfort & Trognon 1984; Cameron & Trivedi,
+    ch. 3)."""
+
+    n_shape = 0
+
+    def logpmf_grad(self, eta, r, y, distinct=None):
+        mu = np.exp(eta)
+        lp = y * eta - mu - _per_count(lambda c: _sps.gammaln(c + 1.0), y, distinct)
+        return (np.maximum(lp, _LOG_FLOOR), int(np.count_nonzero(lp < _LOG_FLOOR)),
+                y - mu, None, -mu, None, None)
+
+
 _FAMILIES = {
     "unb": _Unb("unb", UnbParams, kappa=2.0),
     "nb": _Nb("nb", NbParams),
     "up": _Up("up", UpParams),
     "geometric": _Nb("geometric", GeomParams, fixed_r=1.0),
+    "poisson": _Poisson("poisson", None),
 }
 
 
@@ -362,40 +374,6 @@ def _finite(*arrays) -> bool:
     return all(np.isfinite(a).all() for a in arrays)
 
 
-def _poisson_beta(design, y, w, m1):
-    """(beta, steps): the maximiser of the weighted Poisson log-likelihood
-    sum w (y eta - e^eta), eta = design @ beta, whose mean exp(eta) is each
-    family's (Gourieroux, Monfort & Trognon 1984; Cameron & Trivedi, ch. 3).
-    For the intercept column alone it is log m1, m1 the mean count, with no
-    step.  Otherwise Newton steps from (log m1, 0, ..., 0), each scaled so
-    that no linear predictor changes by more than _MAX_SPAN, until the
-    largest change is below 1e-8 or after _START_STEPS steps; a step that is
-    not finite is not taken.  No kernel pass."""
-    beta = np.zeros(design.shape[1])
-    beta[0] = math.log(m1)
-    if design.shape[1] == 1:
-        return beta, 0
-    # With build_design's column-major design, design.T is contiguous and
-    # the weighted Gram takes 70 us, against 255 us for a row-major one's
-    # design.T @ (design * wmu[:, None]) (4406 x 11, one thread).
-    wy, eta = w * y, design @ beta
-    for steps in range(_START_STEPS):
-        wmu = w * np.exp(eta)
-        try:
-            d = np.linalg.solve((design.T * wmu) @ design, design.T @ (wy - wmu))
-        except np.linalg.LinAlgError:
-            return beta, steps
-        change = design @ d
-        reach = np.max(np.abs(change))
-        if not np.isfinite(reach):
-            return beta, steps
-        scale = min(1.0, _MAX_SPAN / reach) if reach > 0.0 else 1.0
-        beta, eta = beta + scale * d, eta + scale * change
-        if reach < 1e-8:
-            return beta, steps + 1
-    return beta, _START_STEPS
-
-
 def _read_only(a):
     a = np.asarray(a).view()
     a.flags.writeable = False
@@ -406,13 +384,15 @@ class _Setup:
     """What the fits of every family to the counts y with frequency weights
     w on one design share, all of it read-only: the design, y and w; n =
     sum w and the mean count m1 (all-zero counts, which have no
-    maximum-likelihood estimate, raise DegenerateDataError); the Poisson
-    quasi-likelihood beta after ``steps`` Newton steps (_poisson_beta); mu2,
-    the mean of the squared means exp(2 design @ beta), None where no step
-    moved beta from (log m1, 0, ..., 0) and every mean is m1; and
-    ``distinct``, y's distinct counts with the index of each count among
-    them, or None where ``unique`` says that y holds each count once.  No
-    kernel pass."""
+    maximum-likelihood estimate, raise DegenerateDataError); ``distinct``,
+    y's distinct counts with the index of each count among them, or None
+    where ``unique`` says that y holds each count once; the Poisson
+    quasi-likelihood beta, log m1 for the intercept alone, else the
+    _newton run of the Poisson family from (log m1, 0, ..., 0), which took
+    ``steps`` steps; and mu2, the mean of the squared means
+    exp(2 design @ beta), None where no step moved beta from
+    (log m1, 0, ..., 0) and every mean is m1.  No pass of a fitted
+    family's kernel."""
 
     def __init__(self, design, y, w, unique=False):
         self.design, self.y, self.w = _read_only(design), _read_only(y), _read_only(w)
@@ -421,14 +401,19 @@ class _Setup:
         if self.m1 == 0.0:
             raise DegenerateDataError("all responses are zero: the likelihood increases "
                                       "as the mean goes to 0 and no maximum exists")
-        beta, self.steps = _poisson_beta(self.design, self.y, self.w, self.m1)
+        self.distinct = None if unique else tuple(
+            map(_read_only, np.unique(self.y, return_inverse=True)))
+        beta = np.zeros(self.design.shape[1])
+        beta[0], self.steps = math.log(self.m1), 0
+        if beta.size > 1:  # _newton itself: the _opt seam counts the fitted laws' runs
+            fun, _, bounds = _objective(_FAMILIES["poisson"], self)
+            res = _newton(fun, beta, **bounds)
+            beta, self.steps = res.x, res.nit
         self.beta = _read_only(beta)
         # The intercept's Poisson score makes sum w mu = sum w y: the means
         # enter each family's moment equation through the mean of mu^2 alone.
         self.mu2 = (float(np.dot(w, np.exp(2.0 * (design @ beta)))) / self.n
                     if self.steps else None)
-        self.distinct = None if unique else tuple(
-            map(_read_only, np.unique(self.y, return_inverse=True)))
 
 
 def _newton(fun, x0, *, lo, hi, span):
@@ -507,31 +492,18 @@ def _newton(fun, x0, *, lo, hi, span):
 _opt = types.SimpleNamespace(minimize=_newton, minimize_scalar=None)
 
 
-def _fit(family, setup, theta0=None):
-    """Maximum likelihood of ``family`` with eta = design @ beta over the
-    counts y with frequency weights of the _Setup ``setup``, from theta0 =
-    (beta[, log r]) if given, else from family.start.
-
-    One _newton run on the mean log-likelihood, its gradient and its
-    Hessian in (beta, log r), all from one pass of the family's kernel.
-    Returns (theta, cov, log-likelihood, converged, iterations, diagnostics,
-    log_pmf) with theta = (beta[, r]), cov the inverse observed information,
-    the last pass's Hessian mapped to r by H_rr = (H_ll - g_l)/r^2, H_beta,r
-    = H_beta,l / r, and log_pmf that pass's floored log pmf at y.  A start
-    where the log-likelihood or its Hessian is not finite raises
-    NonConvergenceError; ``converged`` is the full gradient's norm below _GRAD_GATE.
-    """
+def _objective(family, setup):
+    """(value_grad_hess, tally, bounds) of ``family`` with eta = design @ beta
+    on the _Setup ``setup``: the negative mean log-likelihood over (beta[,
+    log r]), its gradient, Hessian and log pmf at y from one pass of the
+    family's kernel; the floored and clamped entries it has counted; and
+    _newton's box and ``span``."""
     design, y, weights = setup.design, setup.y, setup.w
-    if theta0 is None:
-        start, steps = family.start(setup), setup.steps
-    else:
-        start, steps = np.array(theta0, dtype=float), 0
     n, k = float(setup.n), design.shape[1]
     dim = k + family.n_shape
     tally = {"pmf_floored": 0, "eta_clamped": 0}
 
     def value_grad_hess(theta):
-        """The negative mean log-likelihood, its gradient, Hessian and log pmf at y."""
         eta, clipped = _eta(theta[:k], design)
         tally["eta_clamped"] += clipped
         r = math.exp(theta[k]) if family.n_shape else family.fixed_r
@@ -553,7 +525,30 @@ def _fit(family, setup, theta0=None):
     # objective is flat, so there that bound is exact.
     beta_bound = _ETA_CLAMP if k == 1 and np.all(design == 1.0) else np.inf
     hi = np.array([beta_bound] * k + [_LOGR_BOUND] * family.n_shape)
-    res = _opt.minimize(value_grad_hess, start, lo=-hi, hi=hi, span=span)
+    return value_grad_hess, tally, dict(lo=-hi, hi=hi, span=span)
+
+
+def _fit(family, setup, theta0=None):
+    """Maximum likelihood of ``family`` with eta = design @ beta over the
+    counts y with frequency weights of the _Setup ``setup``, from theta0 =
+    (beta[, log r]) if given, else from family.start.
+
+    One _newton run on _objective: the mean log-likelihood, its gradient and
+    its Hessian in (beta, log r), all from one pass of the family's kernel.
+    Returns (theta, cov, log-likelihood, converged, iterations, diagnostics,
+    log_pmf) with theta = (beta[, r]), cov the inverse observed information,
+    the last pass's Hessian mapped to r by H_rr = (H_ll - g_l)/r^2, H_beta,r
+    = H_beta,l / r, and log_pmf that pass's floored log pmf at y.  A start
+    where the log-likelihood or its Hessian is not finite raises
+    NonConvergenceError; ``converged`` is the full gradient's norm below _GRAD_GATE.
+    """
+    if theta0 is None:
+        start, steps = family.start(setup), setup.steps
+    else:
+        start, steps = np.array(theta0, dtype=float), 0
+    n, k = float(setup.n), setup.design.shape[1]
+    fun, tally, bounds = _objective(family, setup)
+    res = _opt.minimize(fun, start, **bounds)
     if not _finite(res.fun, res.hess):
         raise NonConvergenceError(
             f"{family.name} fit: {res.message} at theta = {start.tolist()}")

@@ -10,19 +10,20 @@ which rounds to 0 once eta is below about log r - 37.
 
 Each fit is the engine of ``estimation._fit`` on the dataset's setup for
 its spec (``_setup``), from the family's start.  The setup is
-build_design, the row and rank checks and, with unit weights, the
-Poisson quasi-likelihood beta, consistent under all three laws since
-they share the mean exp(eta), and the distinct counts; the dataset keeps
-it for its last spec, so the fits of every family on one dataset run it
-once.  All-zero responses, which have no maximum-likelihood estimate,
-raise DegenerateDataError there, before any step.  The start adds log r
-from the family's moment equation at the setup's means, with no kernel
-pass.  The engine is Newton's method over (beta, log r) on
-the log-likelihood, its gradient and its Hessian from one kernel pass
-(for UNB, means and variances of k and H_k = psi(r+k) - psi(r) over the
-terms nb(k)/(k+1) whose sum is the pmf).  Standard errors invert
-the last pass's observed information in (beta, r), and the fit keeps that
-pass's log pmf at each observation.  Linear predictors are clamped to
+build_design, the row and rank checks, the distinct counts and, with
+unit weights, the Poisson quasi-likelihood beta, consistent under all
+three laws since they share the mean exp(eta), fitted by the same engine
+on the internal Poisson family; the dataset keeps it for its last spec,
+so the fits of every family on one dataset run it once, and makes the
+columns it was built from read-only.  All-zero responses, which have no
+maximum-likelihood estimate, raise DegenerateDataError there, before any
+step.  The start adds log r from the family's moment equation at the
+setup's means, with no kernel pass.  The engine is Newton's method over
+(beta, log r) on the log-likelihood, its gradient and its Hessian from
+one kernel pass (for UNB, means and variances of k and H_k = psi(r+k) -
+psi(r) over the terms nb(k)/(k+1) whose sum is the pmf).  Standard errors
+invert the last pass's observed information in (beta, r), and the fit
+keeps that pass's log pmf at each observation.  Linear predictors are clamped to
 |eta| <= 700 and per-observation probabilities floored at 1e-300, both
 counted in the fit diagnostics.
 """
@@ -40,7 +41,7 @@ from . import distributions as _dist
 from .datasets import Dataset, _counts, response_counts
 from .errors import DataError, DegenerateVuongError, DomainError, RankDeficientError
 # Unused here; perfbench/tracing.py wraps regression._opt and regression.fit_mm.
-from .estimation import _FAMILIES, _eta, _fit, _opt, _Setup, fit_mm  # noqa: F401
+from .estimation import _FAMILIES, _eta, _fit, _opt, _read_only, _Setup, fit_mm  # noqa: F401
 
 __all__ = [
     "RegressionSpec",
@@ -116,7 +117,7 @@ def build_design(dataset: Dataset, spec: RegressionSpec):
             raise DataError(f"column {name!r} not found in dataset")
     y = response_counts(dataset, spec.response)
     # Column-major: the fit's weighted Gram matrices then read contiguous
-    # columns (estimation._poisson_beta).
+    # columns (estimation._objective).
     x = np.array([np.ones(dataset.n), *(dataset.columns[c] for c in spec.covariates)],
                  dtype=float).T
     names = ("intercept", *spec.covariates)
@@ -158,9 +159,12 @@ def _setup(dataset: Dataset, spec: RegressionSpec):
     """(names, the estimation._Setup of every family's fit on dataset and
     spec): build_design, the row and rank checks and the shared Poisson
     start, with unit weights.  The dataset keeps the last spec's, reused
-    while each column it was built from is the same object; a failed check
+    while each column it was built from is the same object, and those
+    columns become read-only views in ``dataset.columns``, so that a write
+    into one raises rather than leaving the setup stale; a failed check
     keeps nothing and raises on every call."""
-    columns = tuple(dataset.columns.get(c) for c in (spec.response, *spec.covariates))
+    used = (spec.response, *spec.covariates)
+    columns = tuple(dataset.columns.get(c) for c in used)
     held = dataset._regression_setup
     if held is not None and held[0] == spec and all(
             a is b for a, b in zip(held[1], columns)):
@@ -174,6 +178,8 @@ def _setup(dataset: Dataset, spec: RegressionSpec):
         raise RankDeficientError(
             f"design matrix is rank deficient ({k} columns, rank {rank})")
     setup = _Setup(design, y, np.ones(n))
+    columns = tuple(map(_read_only, columns))
+    dataset.columns.update(zip(used, columns))
     object.__setattr__(dataset, "_regression_setup", (spec, columns, names, setup))
     return names, setup
 

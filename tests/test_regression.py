@@ -326,6 +326,23 @@ class TestPassBudget:
             result = fit(data, spec)
             assert result.converged and result.diagnostics["evaluations"] <= 5, model
 
+    def test_design_without_a_poisson_maximum_starts_in_bounded_steps(self):
+        # y = 0 wherever the binary b is 1: no Poisson maximum exists, and
+        # the start runs b's slope down until the gradient test stops it.
+        rng = np.random.default_rng(26)
+        n = 2000
+        b = (rng.random(n) < 0.3).astype(float)
+        z = rng.normal(0.0, 1.0, n)
+        y = rng.poisson(np.exp(0.2 + 0.3 * z) * rng.gamma(1.5, 1 / 1.5, n)) * (b == 0.0)
+        data = make_dataset(y, b=b, z=z)
+        fits = {model: fit(data, RegressionSpec("y", ("b", "z")))
+                for model, fit in REGRESSION_FITS.items()}
+        for model, fit in fits.items():
+            assert fit.diagnostics["start_steps"] <= 50, model
+            assert fit.diagnostics["evaluations"] <= 12, model
+            assert math.isfinite(fit.log_likelihood), model
+        assert fits["up"].converged, fits["up"].diagnostics["messages"]
+
     @pytest.mark.parametrize("seed", range(10))
     def test_covariate_on_a_wide_scale_converges(self, seed):
         # A covariate on [0, 1000]: from slopes 0 the UNB fits of seeds 1
@@ -367,7 +384,7 @@ def test_per_row_pass_working_set(model):
     assert peak <= 1.05 * PER_ROW_PEAK_KB[model] * 1024, peak / 1024
 
 
-@pytest.mark.parametrize("model", ["nb", "up", "geometric"])
+@pytest.mark.parametrize("model", ["nb", "up", "geometric", "poisson"])
 def test_per_count_factors_match_the_elementwise_formulas(model):
     # The factors of the count alone are taken once per distinct count and
     # gathered: the pass must equal the formulas evaluated row by row.
@@ -384,6 +401,12 @@ def test_per_count_factors_match_the_elementwise_formulas(model):
         want = (np.maximum(np.log(surv) - np.log(lam), distributions._LOG_FLOOR - np.log(lam)),
                 int(np.count_nonzero(surv < distributions.PMF_FLOOR)),
                 a - 1.0, None, a * (1.0 + y - lam - a), None, None)
+    elif model == "poisson":
+        mu = np.exp(eta)
+        lp = y * eta - mu - ssp.gammaln(y + 1.0)
+        want = (np.maximum(lp, distributions._LOG_FLOOR),
+                int(np.count_nonzero(lp < distributions._LOG_FLOOR)),
+                y - mu, None, -mu, None, None)
     else:
         p, q = family.link(eta, r)
         lp = (ssp.gammaln(r + y) - math.lgamma(r) - ssp.gammaln(y + 1.0)
@@ -446,16 +469,16 @@ class TestSharedSetup:
     def test_setup_runs_once_per_dataset(self, monkeypatch):
         calls = collections.Counter()
         for module, name in ((regression, "build_design"), (np.linalg, "matrix_rank"),
-                             (estimation, "_poisson_beta")):
-            def counted(*args, real=getattr(module, name), name=name):
+                             (estimation, "_newton")):
+            def counted(*args, real=getattr(module, name), name=name, **kwargs):
                 calls[name] += 1
-                return real(*args)
+                return real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
         data = dataset_of(nmes_columns())
         for fit in REGRESSION_FITS.values():
             fit(data, self.SPEC)
-        assert calls == {"build_design": 1, "matrix_rank": 1, "_poisson_beta": 1}
+        assert calls == {"build_design": 1, "matrix_rank": 1, "_newton": 1}
         setup = regression._setup(data, self.SPEC)[1]
         for a in (setup.design, setup.y, setup.w, setup.beta, *setup.distinct):
             assert not a.flags.writeable
@@ -487,6 +510,16 @@ class TestSharedSetup:
             a[:] = 0.0
         assert_same_fit(REGRESSION_FITS[model](data, self.SPEC),
                         REGRESSION_FITS[model](dataset_of(columns), self.SPEC))
+
+    def test_a_column_a_kept_setup_read_is_read_only(self):
+        # In place, the write would leave the kept setup stale, and the next
+        # fit would silently return the old coefficients.
+        data = dataset_of(nmes_columns())
+        before = fit_nb_regression(data, self.SPEC)
+        for name in ("y", *gen.COVARIATES):
+            with pytest.raises(ValueError, match="read-only"):
+                data.columns[name] *= 10
+        assert_same_fit(fit_nb_regression(data, self.SPEC), before)
 
     def test_failed_checks_raise_on_every_call(self):
         deficient = make_dataset([0, 1, 2, 0, 1, 3, 0, 2], ones=[1.0] * 8)
