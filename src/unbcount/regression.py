@@ -14,11 +14,12 @@ build_design, the row and rank checks, the distinct counts and, with
 unit weights, the Poisson quasi-likelihood beta, consistent under all
 three laws since they share the mean exp(eta), fitted by the same engine
 on the internal Poisson family; the dataset keeps it for its last spec,
-so the fits of every family on one dataset run it once, and makes the
-columns it was built from read-only.  All-zero responses, which have no
-maximum-likelihood estimate, raise DegenerateDataError there, before any
-step.  The start adds log r from the family's moment equation at the
-setup's means, with no kernel pass.  The engine is Newton's method over
+so the fits of every family on one dataset run it once, and puts the
+columns it was built from into the dataset as read-only arrays that no
+caller holds.  All-zero responses, which have no maximum-likelihood
+estimate, raise DegenerateDataError there, before any step.  The start
+adds log r from the family's moment equation at the setup's means, with
+no kernel pass.  The engine is Newton's method over
 (beta, log r) on the log-likelihood, its gradient and its Hessian from
 one kernel pass (for UNB, means and variances of k and H_k = psi(r+k) -
 psi(r) over the terms nb(k)/(k+1) whose sum is the pmf).  Standard errors
@@ -159,10 +160,13 @@ def _setup(dataset: Dataset, spec: RegressionSpec):
     """(names, the estimation._Setup of every family's fit on dataset and
     spec): build_design, the row and rank checks and the shared Poisson
     start, with unit weights.  The dataset keeps the last spec's, reused
-    while each column it was built from is the same object, and those
-    columns become read-only views in ``dataset.columns``, so that a write
-    into one raises rather than leaving the setup stale; a failed check
-    keeps nothing and raises on every call."""
+    while each column it was built from is the same object.  Those columns
+    are replaced in ``dataset.columns`` by read-only arrays that no caller
+    holds: the design's own columns where a covariate is float64, else a
+    copy, as of the response.  So ``dataset.columns`` always shows what the
+    kept setup was built from, and a write into it raises.  Columns that a
+    new spec drops become copies, so that one design is kept; a failed
+    check keeps nothing and raises on every call."""
     used = (spec.response, *spec.covariates)
     columns = tuple(dataset.columns.get(c) for c in used)
     held = dataset._regression_setup
@@ -177,8 +181,17 @@ def _setup(dataset: Dataset, spec: RegressionSpec):
     if rank < k:
         raise RankDeficientError(
             f"design matrix is rank deficient ({k} columns, rank {rank})")
+    if held is not None:  # copies of the columns it drops free the old design
+        for c, a in zip(held[0].covariates, held[1][1:]):
+            if c not in used and dataset.columns.get(c) is a:
+                dataset.columns[c] = _read_only(np.array(a))
+    response = _read_only(np.array(columns[0]))
+    if np.may_share_memory(y, columns[0]):  # int64 counts are the column itself
+        y = response
     setup = _Setup(design, y, np.ones(n))
-    columns = tuple(map(_read_only, columns))
+    columns = (response, *(setup.design[:, j] if getattr(c, "dtype", None) == np.float64
+                           else _read_only(np.array(c))
+                           for j, c in enumerate(columns[1:], 1)))
     dataset.columns.update(zip(used, columns))
     object.__setattr__(dataset, "_regression_setup", (spec, columns, names, setup))
     return names, setup

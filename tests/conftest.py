@@ -89,7 +89,12 @@ def score_r_theta(params, data) -> float:
 def mp_logpmf(r, p, x, q=None):
     """log pmf through mpmath's hyp2f1, at 30 digits, or enough more that
     q = 1 - p is not rounded to 1.  ``q``, when given, is 1 - p to more
-    digits than p carries (p near 1)."""
+    digits than p carries (p near 1).
+
+    A float ``q`` must be 1 - p to p's own relative digits, because
+    hyp2f1(1, r+x, 2+x, q) reads p from 1 - q: at p near 1e-15, a float
+    q = 1/(1 + e^logit) put the result 2.8 nats off.  Where p is small,
+    leave q out, so that it is formed from p in mpmath."""
     return float(mp_logpmf_mpf(r, p, x, q))
 
 

@@ -521,6 +521,28 @@ class TestSharedSetup:
                 data.columns[name] *= 10
         assert_same_fit(fit_nb_regression(data, self.SPEC), before)
 
+    @pytest.mark.parametrize("response", [np.float64, np.int64])
+    def test_a_write_through_the_callers_array_reaches_neither_columns_nor_fit(
+            self, response):
+        # After a fit, the dataset's columns and its kept setup stay one: a
+        # write through an array passed in as a column changes neither, so
+        # the next fit is the fit of what data.columns shows.
+        cols = nmes_columns()
+        cols["y"] = cols["y"].astype(response)
+        data = Dataset(column_names=tuple(cols), columns=dict(cols), n=cols["y"].size)
+        before = fit_nb_regression(data, self.SPEC)
+        cols["y"] *= 10
+        cols["AGE"] *= 10
+        after = fit_nb_regression(data, self.SPEC)
+        assert_same_fit(after, fit_nb_regression(dataset_of(data.columns), self.SPEC))
+        assert_same_fit(after, before)
+
+    def test_a_new_spec_keeps_one_design(self):
+        data = dataset_of(nmes_columns())
+        old = regression._setup(data, self.SPEC)[1].design
+        regression._setup(data, RegressionSpec("y", ("AGE",)))
+        assert not any(np.shares_memory(a, old) for a in data.columns.values())
+
     def test_failed_checks_raise_on_every_call(self):
         deficient = make_dataset([0, 1, 2, 0, 1, 3, 0, 2], ones=[1.0] * 8)
         z = np.random.default_rng(3).normal(0.0, 1.0, 500)

@@ -2,6 +2,7 @@
 stdout is the covariate table and then the output of six CLI runs, byte for
 byte; a row with a missing cell exits 2 and a fit that does not converge 3."""
 
+import csv
 import importlib.util
 import os
 import subprocess
@@ -87,10 +88,16 @@ def test_missing_cell_exits_2_naming_its_line(panel, tmp_path):
     assert "row 42: column 'AGE' is missing" in proc.stderr.decode()
 
 
-def test_a_fit_not_converged_exits_3(panel, monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location("reproduce_tables", SCRIPT)
+def load_script(name):
+    """scripts/<name>.py, imported into this process."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_a_fit_not_converged_exits_3(panel, monkeypatch, capsys):
+    script = load_script("reproduce_tables")
     fit_nb = reg.fit_nb_regression
 
     def not_converged(*args):
@@ -123,3 +130,29 @@ def test_a_missing_survey_file_is_named(tmp_path):
              "tests/test_datasets.py::TestNmesConditional::test_row_count"],
             cwd=ROOT, env=env, capture_output=True, timeout=300)
         assert proc.returncode == 0 and b"2 skipped" in proc.stdout, proc.stdout
+
+
+def test_an_r_export_twin_reproduces_alike(panel, tmp_path, monkeypatch, capsys):
+    # The panel as an R export: lower-case names, a health factor, gender
+    # and yes/no flags and one unselected column, for fetch_nmes.py to convert.
+    with open(panel / "nmes.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    flag = {"0.0": "no", "1.0": "yes"}
+    export = [["ofp", "hosp", "health", "numchron", "age", "gender", "married",
+               "faminc", "employed", "privins", "medicaid"]]
+    for (hosp, excel, poor, numchron, age, male, married, faminc, employed,
+         privins, medicaid) in rows:
+        health = "excellent" if excel == "1.0" else "poor" if poor == "1.0" else "average"
+        export.append(["3", hosp, health, numchron, age, "male" if male == "1.0" else "female",
+                       flag[married], faminc, flag[employed], flag[privins], flag[medicaid]])
+    with open(tmp_path / "export.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(export)
+    monkeypatch.setattr(sys, "argv", ["fetch_nmes.py", "--from-csv",
+                                      str(tmp_path / "export.csv"), "--dest", str(tmp_path)])
+    assert load_script("fetch_nmes").main() == 0
+    capsys.readouterr()
+    outs = []
+    for directory in (panel, tmp_path):
+        assert load_script("reproduce_tables").main(["--nmes-dir", str(directory)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
