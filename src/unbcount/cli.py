@@ -107,10 +107,8 @@ def _fit_models(config: argparse.Namespace, *, pmfs: bool = False, **options):
     if regression:
         return data, fits, [reg.per_observation_pmf(fit, data, spec) for fit in fits]
     # The fits' log pmfs at the distinct counts, spread to the observations
-    # through their places among those counts.  return_counts keeps numpy
-    # 2 on its sort path, ten times faster on int64 counts than its hash.
-    values = np.unique(counts, return_counts=True)[0]
-    inverse = np.searchsorted(values, counts)
+    # through their places among those counts.
+    inverse = est._distinct(counts)[1]
     return data, fits, [np.exp(fit.log_pmf)[inverse] for fit in fits]
 
 

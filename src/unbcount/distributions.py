@@ -210,10 +210,44 @@ def unb_sample(params: UnbParams, n: int, seed: int) -> np.ndarray:
 def _up_logpmf(lam, x):
     """Uniform-Poisson log pmf at the counts x, elementwise, from the
     Poisson survival identity pmf(x) = P(N > x) / lam with N ~ Poisson(lam),
-    -inf where P(N > x) underflows; also P(N > x)."""
-    surv = _sps.gammainc(x + 1.0, lam)
+    -inf where P(N > x) underflows; also P(N > x).  P(N > 0) is -expm1(-lam)
+    in closed form, so gammainc runs on the counts >= 1 alone; the log pmf
+    at 0 below lam = _UP_SERIES is its series (_up_zero_series)."""
+    lam, x = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(x, dtype=float))
+    shape, lam, x = lam.shape, lam.ravel(), x.ravel()
+    surv = np.expm1(-lam)
+    np.negative(surv, out=surv)
+    pos = np.flatnonzero(x)
+    if pos.size:
+        surv[pos] = _sps.gammainc(x[pos] + 1.0, lam[pos])
     with np.errstate(divide="ignore"):
-        return np.log(surv) - np.log(lam), surv
+        lp = np.log(surv) - np.log(lam)
+    series = _up_zero_series(lam, x)
+    if series is not None:
+        lp[series[0]] = series[1]
+    return lp.reshape(shape), surv.reshape(shape)
+
+
+# The rate below which log pmf(0) and its eta-derivatives take their series.
+_UP_SERIES = 0.01
+
+
+def _up_zero_series(lam, x):
+    """None, or where x = 0 and PMF_FLOOR <= lam < _UP_SERIES (1-d lam, x),
+    those places and, there, log pmf(0) = log((1 - e^-lam)/lam) = -h +
+    log(sinh(h)/h), h = lam/2, with its first two derivatives in eta = log
+    lam + const, h coth h - 1 - h and h times its h-derivative, from their
+    series to h^6 (h^8 is below 1e-19 of h).  The closed forms cancel to
+    about 1e-16/h relative there: log pmf(0) reads 0 at lam = 1e-17."""
+    small = lam < _UP_SERIES
+    if not small.any():
+        return None
+    at = np.flatnonzero(small & (x == 0.0) & (lam >= PMF_FLOOR))
+    h = 0.5 * lam[at]
+    w = h * h
+    return (at, -h + w * (1 / 6 - w * (1 / 180 - w / 2835)),
+            -h + w * (1 / 3 - w * (1 / 45 - w * 2 / 945)),
+            -h + w * (2 / 3 - w * (4 / 45 - w * 4 / 315)))
 
 
 def up_logpmf(params: UpParams, x) -> float:
@@ -273,7 +307,10 @@ def geom_pmf(params: GeomParams, x) -> float:
 #         few head terms, not x, and the scalar-p pass forms its weighted
 #         head sums only up to that k;
 #   tail  sum_{k>=x} t_k: it cannot cancel, and runs past x until a
-#         geometric estimate of the rest is below _TAIL_TOL of the sum.
+#         geometric estimate of the rest is below _TAIL_TOL of the sum;
+#         each row first takes the terms its own decay bound asks for
+#         (_first_width), scaled by its largest term and reduced as one
+#         segment, whatever the other rows of its block (_tail_rows).
 # The derivatives come from the same sums: d log t_k / d logit p = r q - p k,
 # d log t_k / dr = log p + H_k at fixed p, H_k = psi(r+k) - psi(r) >= 0 and
 # H'_k = dH_k/dr <= 0, so with E, Var, Cov over the weights t_k on k >= x,
@@ -289,12 +326,15 @@ def geom_pmf(params: GeomParams, x) -> float:
 # psi(r+k) and psi'(r+k), depends on k and on r, which a pass shares.  A
 # pass reads it from one table over k (_KTable), so that the per-row pass
 # takes the special functions once per k, not once per (row, k).  The
-# scalar-p pass sizes its table once, with the tail seed's block at max(x)
-# where one block holds that sum, and reads the head, the seed and the
-# tails below it from it in whole-array calls; the per-row pass builds its
-# table to max(x) and grows it in place as tail blocks run past its end.
-# Each row's head adds its terms in order of k, as the scalar-p pass's
-# cumulative sum does, so both passes give the same head sums.
+# scalar-p pass sizes its table once, with the first tail block at max(x),
+# the seed, which holds that sum where the decay bound fits it in one
+# block, and reads the head, the seed and the tails below it from it in
+# whole-array calls; the per-row pass builds its table to max(x) and grows
+# it in place as tail blocks run past its end.  A table entry is the same
+# float however the table grew.  Each row's head adds its terms in order of
+# k, as the scalar-p pass's cumulative sum does, and a row's tail is summed
+# as the seed at its (p, x) is, so both passes give the same head sums and
+# the same tail sum at max(x).
 
 PMF_FLOOR = 1e-300
 _LOG_FLOOR = math.log(PMF_FLOOR)
@@ -310,6 +350,8 @@ _LOG_PMF0_MAX = math.log1p(-2.0 ** -10)
 _TAIL_MAX = 2 ** 20   # tail terms past x; bounds the work at the box corners
 _BLOCK_MAX = 2 ** 16  # tail terms held at once, over all rows
 _SEED_MAX = 1024      # terms of the first tail block of one row (_first_width)
+_CHUNK = 32           # k-table entries whose psi' share one recurrence (_KTable)
+_CHUNK_DOWN = np.arange(_CHUNK + 9, -1, -1.0)
 
 
 def _log_factors(r, k):
@@ -324,14 +366,16 @@ class _KTable:
     """The factors of t_k and of its weights that depend on k and r alone,
     for one r over k = 0, 1, ...: ``lg`` = log t_k - r log p - k log q and,
     with ``grad``, ``psi`` = psi(r+k) and ``tri`` = psi'(r+k), entry k at
-    index k; ``upto(n)`` appends the k < n it does not yet hold, computed
-    _BLOCK_MAX at a time into the columns grown in place, so that the table
-    takes about three doubles a k (24 MB for the 10^6 entries a regression
-    with a count of 10^6 needs) and a grow copies none of them.  A block's
-    psi' runs down from _trigamma_series past its end by psi'(z) =
-    psi'(z+1) + 1/z^2 (DLMF 5.15.5), one cumulative sum from the smallest
-    term up: within 1e-15 relative of zeta(2, r+k) over 1024 entries, 1e-14
-    over _BLOCK_MAX."""
+    index k; ``upto(n)`` appends the whole _CHUNKs of k that hold the k < n
+    it does not yet hold, computed _BLOCK_MAX at a time into the columns
+    grown in place, so that the table takes about three doubles a k (24 MB
+    for the 10^6 entries a regression with a count of 10^6 needs) and a
+    grow copies none of them.  A chunk's psi' runs down from
+    _trigamma_series past its end by psi'(z) = psi'(z+1) + 1/z^2 (DLMF
+    5.15.5), one cumulative sum from the smallest term up, within 1e-15
+    relative of zeta(2, r+k).  So every entry is the same float however the
+    table grew, and passes whose tables grew differently sum the same
+    weights."""
 
     def __init__(self, r, grad):
         self.r, self.grad = r, grad
@@ -340,19 +384,27 @@ class _KTable:
     def upto(self, n):
         size = self.lg.size
         if n > size:
+            n = -(-n // _CHUNK) * _CHUNK
             # realloc in place, without a copy of the columns: every reader
             # indexes them afresh, so no view of one outlives a grow
             for a in (self.lg, self.psi, self.tri) if self.grad else (self.lg,):
                 a.resize(n, refcheck=False)
-            for a in range(size, n, _BLOCK_MAX):
-                b = min(a + _BLOCK_MAX, n)
+            step = max(_BLOCK_MAX // _CHUNK, 1) * _CHUNK
+            for a in range(size, n, step):
+                b = min(a + step, n)
                 k = np.arange(a, b, dtype=float)
                 self.lg[a:b] = _log_factors(self.r, k)
                 if self.grad:
                     self.psi[a:b] = _sps.digamma(self.r + k)
-                    z = self.r + np.arange(b + 9, a - 1, -1.0)  # r+b+9 down to r+a
-                    self.tri[a:b] = (np.cumsum(1.0 / (z * z))
-                                     + _trigamma_series(z[0] + 1.0))[:9:-1]
+                    # per chunk from s: r+s+_CHUNK+9 down to r+s; the series at
+                    # a few chunk ends on floats, the same arithmetic as on an
+                    # array and a tenth of its cost
+                    z = (self.r + k[::_CHUNK])[:, None] + _CHUNK_DOWN
+                    ends = z[:, 0] + 1.0
+                    series = (_trigamma_series(ends) if ends.size > 16 else
+                              np.array([_trigamma_series(e) for e in ends.tolist()]))
+                    self.tri[a:b] = (np.cumsum(1.0 / (z * z), axis=1)
+                                     + series[:, None])[:, :9:-1].ravel()
         return self
 
     def weights(self, i, c):
@@ -435,66 +487,77 @@ def _tail_rows(r, lp, lq, x, grad, table):
     t_k times each weight about x.  The k-factors come from the _KTable
     ``table`` of r, which grows as the blocks run past its end.
 
-    Blocks of terms (_tail_block) grow until the rest past the last term
-    is below _TAIL_TOL of the sum; its estimate is then added.  The first
-    block is _first_width long.
+    Each row sums its own terms: it first takes _first_width of them, then
+    blocks of twice its last, until the rest past its last term is below
+    _TAIL_TOL of its sum; its estimate is then added.  One ragged block
+    (_tail_block) holds the next terms of as many live rows, in order, as
+    fit in _BLOCK_MAX terms (at least one row); the others wait for the
+    next.
     """
     acc = np.full((6 if grad else 1, x.size), -np.inf)
     centre = x.astype(np.intp)
     start = centre.copy()
-    live = np.arange(x.size)
     width = _first_width(r, lq, x)
+    live = np.arange(x.size)
     while live.size:
-        k = start[live, None] + np.arange(width)
-        start[live] += width
-        table.upto(int(k[:, -1].max()) + 1)
-        lt = r * lp[live, None] + k * lq[live, None] + table.lg[k]
-        block, rest, falling = _tail_block(r, lq[live], lt, k, centre[live], table, grad)
-        acc[:, live] = np.logaddexp(acc[:, live], block)
-        done = (falling & (rest[0] <= acc[0, live] + math.log(_TAIL_TOL))) | (
-            start[live] - centre[live] >= _TAIL_MAX)
-        end = live[done]
-        acc[:, end] = np.logaddexp(acc[:, end], rest[:, done])
-        live = live[~done]
-        width = min(2 * width, max(32, _BLOCK_MAX // max(live.size, 1)))
+        fit = int(np.searchsorted(np.cumsum(width[live]), _BLOCK_MAX, side="right"))
+        rows, live = live[:max(fit, 1)], live[max(fit, 1):]
+        n, first, c = width[rows], start[rows], centre[rows]
+        seg = np.zeros(rows.size, dtype=np.intp)
+        np.cumsum(n[:-1], out=seg[1:])
+        k = np.arange(seg[-1] + n[-1]) + np.repeat(first - seg, n)
+        start[rows] += n
+        table.upto(int(start[rows].max()))
+        lt = np.repeat(r * lp[rows], n) + k * np.repeat(lq[rows], n) + table.lg[k]
+        block, rest, falling = _tail_block(r, lq[rows], lt, k, seg, n, c, table, grad)
+        if (first != c).any():  # else every row's sum so far is this block
+            block = np.logaddexp(acc[:, rows], block)
+        done = (falling & (rest[0] <= block[0] + math.log(_TAIL_TOL))) | (
+            first + n - c >= _TAIL_MAX)
+        block[:, done] = np.logaddexp(block[:, done], rest[:, done])
+        acc[:, rows] = block
+        width[rows] = np.minimum(2 * n, _BLOCK_MAX)
+        live = np.concatenate((live, rows[~done]))
     return acc
 
 
-def _tail_block(r, lq, lt, k, centre, table, grad):
-    """One block of tail terms (logs ``lt`` at the entries ``k``), a row per
-    centre: the logs of its sums of t_k times each weight about the centre,
-    of the rest past its last term K, t_K rho/(1 - rho) with rho =
-    t_{K+1}/t_K, weighted as t_K is (-inf unless rho < 1), and rho < 1.
-    The estimate is exact for geometric tails, and half the true rest for
-    the k^-2 tails of r << 1, p -> 0 that _TAIL_MAX cuts."""
-    top = lt.max(axis=1)
-    t = np.exp(lt - top[:, None])
-    last = k[:, -1]
-    rho = np.exp(lq) * (r + last) / (last + 2.0)
+def _tail_block(r, lq, lt, k, seg, n, centre, table, grad):
+    """One ragged block of tail terms, logs ``lt`` at the entries ``k``: row
+    i's are the n[i] from seg[i], in increasing k, a segment that one
+    reduction sums alone.  Per row, the logs of its sums of t_k times each
+    weight about its centre, scaled by its largest term; of the rest past
+    its last term K, t_K rho/(1 - rho) with rho = t_{K+1}/t_K, weighted as
+    t_K is (-inf unless rho < 1); and rho < 1.  The estimate is exact for
+    geometric tails, and half the true rest for the k^-2 tails of r << 1,
+    p -> 0 that _TAIL_MAX cuts."""
+    top = np.maximum.reduceat(lt, seg)
+    t = np.exp(lt - np.repeat(top, n))
+    last = seg + n - 1
+    kl = k[last]
+    rho = np.exp(lq) * (r + kl) / (kl + 2.0)
     falling = rho < 1.0
     if grad:
-        w = table.weights(k, centre[:, None])
-        sums, lw_last = np.einsum("wik,ik->wi", w, t), np.log(w[:, :, -1])
+        w = table.weights(k, np.repeat(centre, n))
+        lw_last = np.log(w[:, last])
+        sums = np.add.reduceat(np.multiply(w, t, out=w), seg, axis=1)
     else:
-        sums, lw_last = t.sum(axis=1)[None], np.zeros((1, 1))
+        sums, lw_last = np.add.reduceat(t, seg)[None], np.zeros((1, 1))
     return top + np.log(sums), lw_last + np.where(
-        falling, lt[:, -1] + np.log(rho / (1.0 - rho)), -np.inf), falling
+        falling, lt[last] + np.log(rho / (1.0 - rho)), -np.inf), falling
 
 
 def _first_width(r, lq, x):
-    """The first tail block of the rows at x: max(32, _SEED_MAX // rows) terms,
-    or fewer where that is more than the decay needs.  Every ratio
-    q (r+k)/(k+2) at k >= x moves monotonically towards q, so it is at most
-    rho = q max(1, (r+x)/(x+2)), and the rest past n terms of a row is below
-    rho^n / (1 - rho) of its first term: under _TAIL_TOL of the sum once
-    n >= log(_TAIL_TOL (1 - rho)) / log rho, two terms added for rounding."""
-    width = max(32, _SEED_MAX // x.size)
-    if width > 32:
-        lrho = lq + np.log(np.maximum(1.0, (r + x) / (x + 2.0)))
-        if (lrho < 0.0).all():
-            need = (np.log(_TAIL_TOL * -np.expm1(lrho)) / lrho).max()
-            width = min(width, max(32, math.ceil(need) + 2))
-    return width
+    """The first tail block of each row at x: the terms its decay bound asks
+    for.  Every ratio q (r+k)/(k+2) at k >= x moves monotonically towards
+    q, so it is at most rho = q max(1, (r+x)/(x+2)), and the rest past n
+    terms of a row is below rho^n / (1 - rho) of its first term: under
+    _TAIL_TOL of the sum once n >= log(_TAIL_TOL (1 - rho)) / log rho, two
+    terms added for rounding.  A row whose terms do not fall (rho >= 1, log
+    rho taken as -1e-300 there), or whose bound is over _SEED_MAX, takes
+    max(32, _SEED_MAX // rows)."""
+    lrho = np.minimum(lq + np.log(np.maximum(1.0, (r + x) / (x + 2.0))), -1e-300)
+    need = np.ceil(np.log(_TAIL_TOL * -np.expm1(lrho)) / lrho) + 2.0
+    return np.where(need <= _SEED_MAX, need, max(32, _SEED_MAX // np.size(x))).astype(np.intp)
 
 
 def _rev_acc(rows):
@@ -540,10 +603,11 @@ def _unb_logpmf(r: float, p, x, grad: bool = False, q=None):
 
     A p with one value, scalar or an array whose entries are all equal,
     shares one pass over k between all x: the head sums are cumulative
-    sums, the tail at max(x) is one _tail_block (the seed) and the tails
-    below it _shared_tail's reverse sums, all read from one _KTable sized
-    for them up front.  Only a seed that needs more than one block runs
-    _tail_rows, which grows the table.  Other array p are broadcast against
+    sums, the tail at max(x) is a one-row _tail_block (the seed), summed as
+    _tail_rows sums that row, and the tails below it _shared_tail's reverse
+    sums, all read from one _KTable sized for them up front.  Only a seed
+    that needs more than one block runs _tail_rows, which grows the table.
+    Other array p are broadcast against
     x and summed row by row (_head_rows, _tail_rows), except at x = 0 outside
     the q -> 0 rule, where pmf(0) and its derivatives are closed forms.
     Against mpmath the
@@ -577,15 +641,13 @@ def _unb_logpmf(r: float, p, x, grad: bool = False, q=None):
         lpmf0 = _log_pmf0(r, lp, lq)
         xi = x.astype(np.intp)
         top = int(xi.max(initial=0))
-        # One table: the head's k < top and, where the decay bound fits the
-        # tail sum at top in one block of under _SEED_MAX terms, that block,
-        # the seed; else (width 0) _tail_rows grows it for the seed.
-        width = _first_width(r, lq, np.float64(top))
-        if width == _SEED_MAX:
-            width = 0
-        table = _KTable(r, grad).upto(top + max(width, 1))
-        lt = r * lp + np.arange(table.lg.size) * lq + table.lg
-        t = np.exp(lt[:top] - lpmf0)
+        # One table: the head's k < top and the first tail block at top, the
+        # seed, which is the whole tail sum where the decay bound fits it in
+        # one block (under _SEED_MAX terms); else _tail_rows grows the table.
+        width = int(_first_width(r, np.float64(lq), np.float64(top)))
+        table = _KTable(r, grad).upto(top + width)
+        lt = r * lp + np.arange(top) * lq + table.lg[:top]
+        t = np.exp(lt - lpmf0)
         s = np.zeros(top + 1)
         t.cumsum(out=s[1:])
         head = s[None, xi]
@@ -626,14 +688,15 @@ def _unb_logpmf(r: float, p, x, grad: bool = False, q=None):
         if shared:  # the tail x are the largest, top among them
             xt = xi[tail]
             lo = int(xt.min())
-            if width:  # one block: the bound puts its rest below _TAIL_TOL
-                k = top + np.arange(width)[None]
-                seed = np.logaddexp(*_tail_block(r, lq, lt[None, top:], k, k[:, 0], table,
-                                                 grad)[:2])[:, 0]
+            if width < _SEED_MAX:  # as _tail_rows sums a row done in one block
+                k = np.arange(top, top + width)
+                at_top = np.logaddexp(*_tail_block(
+                    r, lq, r * lp + k * lq + table.lg[k], k, np.zeros(1, np.intp),
+                    np.array([width]), top, table, grad)[:2])[:, 0]
             else:
-                seed = _tail_rows(r, np.array([lp]), np.array([lq]), np.array([float(top)]),
-                                  grad, table)[:, 0]
-            sums = _shared_tail(r, lt[lo:top], np.arange(lo, top), seed, grad)[:, xt - lo]
+                at_top = _tail_rows(r, np.array([lp]), np.array([lq]), np.array([top]),
+                                    grad, table)[:, 0]
+            sums = _shared_tail(r, lt[lo:top], np.arange(lo, top), at_top, grad)[:, xt - lo]
         else:
             at = rows[tail]
             sums = _tail_rows(r, lp[at], lq[at], xr[tail], grad, table)

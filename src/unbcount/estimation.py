@@ -319,7 +319,8 @@ class _Nb(_Family):
 class _Up(_Family):
     """pmf(x) = P(N > x) / lam with N ~ Poisson(lam); P(N > x) is floored.
     With a = lam pois(x; lam) / P(N > x), d/d eta = a - 1 and d2/d eta^2 =
-    a (1 + x - lam - a), since d P(N > x) / d lam = pois(x; lam)."""
+    a (1 + x - lam - a), since d P(N > x) / d lam = pois(x; lam); at x = 0
+    below lam = _UP_SERIES, their series (distributions._up_zero_series)."""
 
     n_shape = 0
 
@@ -330,9 +331,13 @@ class _Up(_Family):
         log_pois = (y * np.log(lam) - lam
                     - _per_count(lambda c: _sps.gammaln(c + 1.0), y, distinct))
         a = lam * np.exp(log_pois) / kept
+        d_e, d_ee = a - 1.0, a * (1.0 + y - lam - a)
+        series = _dist._up_zero_series(lam, y)
+        if series is not None:
+            at, _, d_e[at], d_ee[at] = series
         return (np.maximum(lp, _LOG_FLOOR - np.log(lam)),
                 int(np.count_nonzero(surv < _dist.PMF_FLOOR)),
-                a - 1.0, None, a * (1.0 + y - lam - a), None, None)
+                d_e, None, d_ee, None, None)
 
     def law(self, theta):
         lam = 2.0 * math.exp(theta[0])
@@ -364,14 +369,28 @@ _FAMILIES = {
 
 
 def _eta(beta, design):
-    """Linear predictors clamped to +-_ETA_CLAMP, and how many were."""
+    """Linear predictors clamped to +-_ETA_CLAMP, how many were, and where
+    one reaches the clamp (None where none does)."""
     eta = design @ beta
-    clipped = int(np.count_nonzero(np.abs(eta) > _ETA_CLAMP))
-    return (np.clip(eta, -_ETA_CLAMP, _ETA_CLAMP) if clipped else eta), clipped
+    size = np.abs(eta)
+    if not size.max(initial=0.0) >= _ETA_CLAMP:
+        return eta, 0, None
+    clipped = int(np.count_nonzero(size > _ETA_CLAMP))
+    return (np.clip(eta, -_ETA_CLAMP, _ETA_CLAMP) if clipped else eta), clipped, (
+        size >= _ETA_CLAMP)
 
 
 def _finite(*arrays) -> bool:
     return all(np.isfinite(a).all() for a in arrays)
+
+
+def _distinct(y):
+    """y's distinct counts in increasing order and the index of each count
+    among them, np.unique's values and inverse: return_counts keeps numpy 2
+    on its sort path, ten times faster on int64 counts than its hash, and a
+    binary search finds the places, four times faster than the inverse."""
+    values = np.unique(y, return_counts=True)[0]
+    return values, np.searchsorted(values, y)
 
 
 def _read_only(a):
@@ -401,8 +420,7 @@ class _Setup:
         if self.m1 == 0.0:
             raise DegenerateDataError("all responses are zero: the likelihood increases "
                                       "as the mean goes to 0 and no maximum exists")
-        self.distinct = None if unique else tuple(
-            map(_read_only, np.unique(self.y, return_inverse=True)))
+        self.distinct = None if unique else tuple(map(_read_only, _distinct(self.y)))
         beta = np.zeros(self.design.shape[1])
         beta[0], self.steps = math.log(self.m1), 0
         if beta.size > 1:  # _newton itself: the _opt seam counts the fitted laws' runs
@@ -414,6 +432,11 @@ class _Setup:
         # enter each family's moment equation through the mean of mu^2 alone.
         self.mu2 = (float(np.dot(w, np.exp(2.0 * (design @ beta)))) / self.n
                     if self.steps else None)
+
+
+def _norm(v) -> float:
+    """The 2-norm of a vector, the float np.linalg.norm gives."""
+    return math.sqrt(v @ v)
 
 
 def _newton(fun, x0, *, lo, hi, span):
@@ -445,21 +468,27 @@ def _newton(fun, x0, *, lo, hi, span):
     message = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT" if ok else "ABNORMAL: NON-FINITE START"
     while ok and nit < 200:
         free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
-        if np.linalg.norm(g[free]) < 1e-9:
+        held = not free.all()
+        g_free = g[free] if held else g
+        if _norm(g_free) < 1e-9:
             message = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= GTOL"
             break
         nit += 1
-        block, eye = hess[np.ix_(free, free)], np.eye(np.count_nonzero(free))
-        shift = 0.0
+        block = hess[np.ix_(free, free)] if held else hess
+        shifted, shift = block, 0.0
         while True:
             try:
-                np.linalg.cholesky(block + shift * eye)
+                np.linalg.cholesky(shifted)
                 break
             except np.linalg.LinAlgError:
                 shift = max(2.0 * shift, 1e-3 * np.max(np.abs(np.diag(block)), initial=1e-300))
+                shifted = block + shift * np.eye(block.shape[0])
         shifts += shift > 0.0
-        step = np.zeros_like(x)
-        step[free] = -np.linalg.solve(block + shift * eye, g[free])
+        if held:
+            step = np.zeros_like(x)
+            step[free] = -np.linalg.solve(shifted, g_free)
+        else:
+            step = -np.linalg.solve(shifted, g_free)
         reach = span(step)
         step *= min(1.0, radius / reach)
         d = np.clip(x + step, lo, hi) - x
@@ -469,7 +498,7 @@ def _newton(fun, x0, *, lo, hi, span):
             ft, gt, ht, at = fun(trial)
             nfev += 1
             ok = _finite(ft, gt, ht) and (
-                np.linalg.norm(gt[free]) < (np.linalg.norm(g[free]) if exact else 1e-9)
+                _norm(gt[free] if held else gt) < (_norm(g_free) if exact else 1e-9)
                 or not exact and ft <= f + 1e-4 * min(float(g @ (trial - x)), 0.0))
             if ok or exact:
                 break
@@ -504,12 +533,12 @@ def _objective(family, setup):
     tally = {"pmf_floored": 0, "eta_clamped": 0}
 
     def value_grad_hess(theta):
-        eta, clipped = _eta(theta[:k], design)
+        eta, clipped, reach = _eta(theta[:k], design)
         tally["eta_clamped"] += clipped
         r = math.exp(theta[k]) if family.n_shape else family.fixed_r
         lp, floored, g_eta, g_s, h_ee, h_es, h_ss = family.logpmf_grad(eta, r, y, setup.distinct)
         tally["pmf_floored"] += floored
-        w = np.where(np.abs(eta) >= _ETA_CLAMP, 0.0, weights)  # clamped: flat in beta
+        w = weights if reach is None else np.where(reach, 0.0, weights)  # clamped: flat in beta
         grad, hess = np.empty(dim), np.empty((dim, dim))
         grad[:k], hess[:k, :k] = design.T @ (w * g_eta), design.T @ (design * (w * h_ee)[:, None])
         if family.n_shape:

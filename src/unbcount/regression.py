@@ -151,7 +151,7 @@ def unb_reg_loglik(beta, r: float, design: np.ndarray, y) -> float:
                         f"column ({design.shape[1]})")
     if not (r > 0.0 and math.isfinite(r)):
         raise DomainError(f"r must be a positive finite real, got {r}")
-    eta, _ = _eta(beta, design)
+    eta = _eta(beta, design)[0]
     p, q = _FAMILIES["unb"].link(eta, r)
     return float(np.sum(_dist.unb_logpmf_kernel(r, p, y, q=q)[0]))
 

@@ -199,15 +199,22 @@ def test_summarize_group_not_binary_exits_2(tmp_path, capsys, level):
 
 
 def fixed_first_width(r, lq, x):
-    """The fixed first tail block, the reference of the one sized to the decay."""
-    return max(32, 1024 // x.size)
+    """The padded first tail block, the reference of the ragged one sized to
+    each row's decay: max(32, 1024 // rows) terms for every row."""
+    return np.full(np.shape(x), max(32, 1024 // np.size(x)))
 
 
 def test_tail_seed_sized_to_decay_is_shorter_where_the_tail_is_steep():
-    assert dist._first_width(2.0, np.log([0.3]), np.array([10.0])) < 64
-    assert dist._first_width(2.0, np.log([0.999]), np.array([10.0])) == 1024
-    # past 32 rows the block is 32 terms whatever the decay
-    assert dist._first_width(2.0, np.log(np.full(40, 0.3)), np.full(40, 10.0)) == 32
+    assert dist._first_width(2.0, np.log([0.3]), np.array([10.0]))[0] < 64
+    # a bound over 1024 terms, or terms that do not fall from x, take the
+    # padded width
+    assert dist._first_width(2.0, np.log([0.999]), np.array([10.0]))[0] == 1024
+    assert dist._first_width(50.0, np.log([0.999]), np.array([10.0]))[0] == 1024
+    # each row is sized alone, however many rows there are
+    lq, x = np.log(np.append(np.full(39, 0.3), 0.999)), np.append(np.full(39, 1000.0), 10.0)
+    widths = dist._first_width(50.0, lq, x)
+    alone = dist._first_width(50.0, lq[:1], x[:1])[0]
+    assert alone < 64 and np.array_equal(widths, np.append(np.full(39, alone), 32))
 
 
 def test_tail_seed_sized_to_decay_keeps_the_kernel(monkeypatch):

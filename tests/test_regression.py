@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -384,6 +385,44 @@ def test_per_row_pass_working_set(model):
     assert peak <= 1.05 * PER_ROW_PEAK_KB[model] * 1024, peak / 1024
 
 
+def test_per_row_tail_takes_the_terms_each_row_needs(monkeypatch):
+    # At the UNB optimum of gen.nmes_dataset(0), 174 rows take the tail sum.
+    # Each sums the terms its decay bound asks for, 23 to 82 of them, not a
+    # first block of 32 for every row and then 64 more for most (9472 terms).
+    covs, y = gen.nmes_dataset(0)
+    data = make_dataset(y, **{c: covs[:, j] for j, c in enumerate(gen.COVARIATES)})
+    spec = RegressionSpec("y", gen.COVARIATES)
+    fit = fit_unb_regression(data, spec)
+    design, counts, _ = build_design(data, spec)
+    terms = []
+
+    def count(r, lq, lt, *rest, real=distributions._tail_block):
+        terms.append(lt.size)
+        return real(r, lq, lt, *rest)
+
+    monkeypatch.setattr(distributions, "_tail_block", count)
+    _FAMILIES["unb"].logpmf_grad(design @ fit.beta, fit.r, counts)
+    assert 0 < sum(terms) <= 6300, terms
+
+
+def test_up_family_at_count_0_against_mpmath():
+    # pmf(0) = (1 - e^-lam)/lam and its eta-derivatives, lam = 2 e^eta,
+    # within 1e-12 relative; where P(N > 0) underflows PMF_FLOOR, the
+    # family's floored values: log(PMF_FLOOR / lam), with a = lam e^-lam /
+    # PMF_FLOOR in d/d eta = a - 1 and d2/d eta^2 = a (1 - lam - a).
+    eta = np.array([-700.0, -40.0, -5.0, 0.0, 3.0, 6.0])
+    lam = 2.0 * np.exp(eta)
+    lp, floored, d_e, _, d_ee, _, _ = _FAMILIES["up"].logpmf_grad(eta, None, np.zeros(eta.size))
+    assert floored == 1
+    with mp.workdps(50):
+        for i, l in enumerate(map(mp.mpf, lam)):
+            kept = max(-mp.expm1(-l), mp.mpf(distributions.PMF_FLOOR))
+            a = l * mp.exp(-l) / kept
+            for got, want in zip((lp[i], d_e[i], d_ee[i]),
+                                 (mp.log(kept / l), a - 1, a * (1 - l - a))):
+                assert abs(got - float(want)) <= 1e-12 * abs(float(want)), (eta[i], got, want)
+
+
 @pytest.mark.parametrize("model", ["nb", "up", "geometric", "poisson"])
 def test_per_count_factors_match_the_elementwise_formulas(model):
     # The factors of the count alone are taken once per distinct count and
@@ -395,7 +434,7 @@ def test_per_count_factors_match_the_elementwise_formulas(model):
     r = 1.7 if family.n_shape else family.fixed_r
     if model == "up":
         lam = 2.0 * np.exp(eta)
-        surv = ssp.gammainc(y + 1.0, lam)
+        surv = np.where(y == 0, -np.expm1(-lam), ssp.gammainc(y + 1.0, lam))  # P(N > 0) closed
         a = lam * np.exp(y * np.log(lam) - lam - ssp.gammaln(y + 1.0)) / np.maximum(
             surv, distributions.PMF_FLOOR)
         want = (np.maximum(np.log(surv) - np.log(lam), distributions._LOG_FLOOR - np.log(lam)),
