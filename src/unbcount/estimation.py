@@ -388,7 +388,8 @@ def _distinct(y):
     """y's distinct counts in increasing order and the index of each count
     among them, np.unique's values and inverse: return_counts keeps numpy 2
     on its sort path, ten times faster on int64 counts than its hash, and a
-    binary search finds the places, four times faster than the inverse."""
+    binary search finds the places, two to three times faster than
+    return_inverse's argsort."""
     values = np.unique(y, return_counts=True)[0]
     return values, np.searchsorted(values, y)
 
