@@ -210,9 +210,10 @@ def unb_sample(params: UnbParams, n: int, seed: int) -> np.ndarray:
 def _up_logpmf(lam, x):
     """Uniform-Poisson log pmf at the counts x, elementwise, from the
     Poisson survival identity pmf(x) = P(N > x) / lam with N ~ Poisson(lam),
-    -inf where P(N > x) underflows; also P(N > x).  P(N > 0) is -expm1(-lam)
-    in closed form, so gammainc runs on the counts >= 1 alone; the log pmf
-    at 0 below lam = _UP_SERIES is its series (_up_zero_series)."""
+    -inf where P(N > x) underflows; also P(N > x) and _up_zero_series's
+    result.  P(N > 0) is -expm1(-lam) in closed form, so gammainc runs on
+    the counts >= 1 alone; the log pmf at 0 below lam = _UP_SERIES is its
+    series."""
     lam, x = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(x, dtype=float))
     shape, lam, x = lam.shape, lam.ravel(), x.ravel()
     surv = np.expm1(-lam)
@@ -225,7 +226,7 @@ def _up_logpmf(lam, x):
     series = _up_zero_series(lam, x)
     if series is not None:
         lp[series[0]] = series[1]
-    return lp.reshape(shape), surv.reshape(shape)
+    return lp.reshape(shape), surv.reshape(shape), series
 
 
 # The rate below which log pmf(0) and its eta-derivatives take their series.
@@ -389,22 +390,17 @@ class _KTable:
             # indexes them afresh, so no view of one outlives a grow
             for a in (self.lg, self.psi, self.tri) if self.grad else (self.lg,):
                 a.resize(n, refcheck=False)
-            step = max(_BLOCK_MAX // _CHUNK, 1) * _CHUNK
+            step = _BLOCK_MAX // _CHUNK * _CHUNK  # whole chunks, whatever _BLOCK_MAX is
             for a in range(size, n, step):
                 b = min(a + step, n)
                 k = np.arange(a, b, dtype=float)
                 self.lg[a:b] = _log_factors(self.r, k)
                 if self.grad:
                     self.psi[a:b] = _sps.digamma(self.r + k)
-                    # per chunk from s: r+s+_CHUNK+9 down to r+s; the series at
-                    # a few chunk ends on floats, the same arithmetic as on an
-                    # array and a tenth of its cost
+                    # per chunk from s: r+s+_CHUNK+9 down to r+s
                     z = (self.r + k[::_CHUNK])[:, None] + _CHUNK_DOWN
-                    ends = z[:, 0] + 1.0
-                    series = (_trigamma_series(ends) if ends.size > 16 else
-                              np.array([_trigamma_series(e) for e in ends.tolist()]))
                     self.tri[a:b] = (np.cumsum(1.0 / (z * z), axis=1)
-                                     + series[:, None])[:, :9:-1].ravel()
+                                     + _trigamma_series(z[:, :1] + 1.0))[:, :9:-1].ravel()
         return self
 
     def weights(self, i, c):
@@ -510,8 +506,7 @@ def _tail_rows(r, lp, lq, x, grad, table):
         table.upto(int(start[rows].max()))
         lt = np.repeat(r * lp[rows], n) + k * np.repeat(lq[rows], n) + table.lg[k]
         block, rest, falling = _tail_block(r, lq[rows], lt, k, seg, n, c, table, grad)
-        if (first != c).any():  # else every row's sum so far is this block
-            block = np.logaddexp(acc[:, rows], block)
+        block = np.logaddexp(acc[:, rows], block)
         done = (falling & (rest[0] <= block[0] + math.log(_TAIL_TOL))) | (
             first + n - c >= _TAIL_MAX)
         block[:, done] = np.logaddexp(block[:, done], rest[:, done])

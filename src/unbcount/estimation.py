@@ -326,13 +326,12 @@ class _Up(_Family):
 
     def logpmf_grad(self, eta, r, y, distinct=None):
         lam = 2.0 * np.exp(eta)
-        lp, surv = _dist._up_logpmf(lam, y)
+        lp, surv, series = _dist._up_logpmf(lam, y)
         kept = np.maximum(surv, _dist.PMF_FLOOR)
         log_pois = (y * np.log(lam) - lam
                     - _per_count(lambda c: _sps.gammaln(c + 1.0), y, distinct))
         a = lam * np.exp(log_pois) / kept
         d_e, d_ee = a - 1.0, a * (1.0 + y - lam - a)
-        series = _dist._up_zero_series(lam, y)
         if series is not None:
             at, _, d_e[at], d_ee[at] = series
         return (np.maximum(lp, _LOG_FLOOR - np.log(lam)),
