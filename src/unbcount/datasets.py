@@ -16,7 +16,6 @@ from __future__ import annotations
 import codecs
 import contextlib
 import csv
-import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -119,12 +118,24 @@ class GroupSummary:
 _MISSING = ("NA", "NAN", "NULL")
 
 
+def _cell_value(text: str) -> float:
+    """A cell's value, by the one rule of both readers: ``float``'s (`` 3 ``,
+    ``1e5``, ``1_000``, ``inf``), else NaN for a ``_MISSING`` token in any
+    case and padding; ValueError for any other text, a blank one too."""
+    try:
+        return float(text)
+    except ValueError:
+        if text.strip().upper() in _MISSING:
+            return math.nan
+        raise
+
+
 def _parse_cell(token: str, column: str, line_no: int, path) -> float:
     token = token.strip()
-    if token == "" or token.upper() in _MISSING:
+    if token == "":
         return math.nan
     try:
-        return float(token)
+        return _cell_value(token)
     except ValueError:
         raise DataError(f"{path}: line {line_no}: cannot parse {token!r} "
                         f"in column {column!r} as a number") from None
@@ -149,10 +160,10 @@ def _utf8_text(path):
 def load_csv(path, response: Optional[str] = None, covariates=(),
              delimiter: str = ",") -> Dataset:
     """Load a delimited text file with a header row, or a bare count file:
-    one whose first line is a number (``float`` reads it) or a missing
-    value (``NA`` or ``NULL``, dropped as any such row), one count a line
-    and no header, as :func:`write_counts` writes it, whose one column is
-    named ``response``, or ``"count"`` if that is None.
+    one whose first line :func:`_cell_value` reads, a number or a missing
+    value (dropped as any such row), one count a line and no header, as
+    :func:`write_counts` writes it, whose one column is named
+    ``response``, or ``"count"`` if that is None.
 
     Only the selected columns (response plus covariates) are parsed and
     stored, and only they are validated: the response must be
@@ -164,7 +175,8 @@ def load_csv(path, response: Optional[str] = None, covariates=(),
 
     The rows are read by a field reader, or, for a file it declines, such
     as one with quoted cells, blank lines or ragged rows, by a row parser
-    that gives the same results and messages.
+    that gives the same results and messages: both read a cell by
+    :func:`_cell_value`, an empty one as missing, and any other as an error.
     """
     path = Path(path)
     if not path.exists():
@@ -176,8 +188,7 @@ def load_csv(path, response: Optional[str] = None, covariates=(),
         fh.seek(0)
         reader = csv.reader(fh, delimiter=delimiter)
         try:
-            # A missing-value token is a data line, as NaN (a float) is
-            float("nan" if first.strip().upper() in _MISSING else first)
+            _cell_value(first)  # a missing-value token is a data line too
         except ValueError:
             header = [h.strip() for h in next(reader)]
             if len(set(header)) != len(header):
@@ -258,21 +269,21 @@ _WRITE_BLOCK = 1 << 14
 
 def _field_rows(body, delimiter, width, idx, skip):
     """The fields ``idx`` of each line of ``body`` after the first ``skip``,
-    as floats, NaN for a whole ``NA`` or ``NULL`` field; None for a body
-    this reader cannot take exactly as the row parser does.
+    as floats, NaN for a missing value; None for a body this reader cannot
+    take exactly as the row parser does.
 
     Lines are cut at their delimiters, a block of whole lines at a time,
     and each selected field is read by its byte offsets: up to ``_DIGITS``
     bytes of ASCII digits, with at most one decimal point, by digit
-    arithmetic, any other field by numpy's reader, one call per column and
-    block, so numpy's grammar applies to it (``nan`` in any case, `` 3 ``,
-    ``-1``, ``1e5``).  Declined: a delimiter that is not one ASCII byte,
-    or is a quote or a line break, bytes that are not UTF-8, quotes (csv
-    reads them, numpy does not), a carriage return other than before a line
-    feed or at the end, lines of another width than ``width`` (blank lines
-    among them, when ``width`` > 1), an empty selected field (a blank line,
-    when ``width`` is 1) and any field numpy cannot read: among them ``NA``
-    in another case or padded, which the row parser reads as missing.
+    arithmetic, a whole ``NA`` or ``NULL`` field by a byte comparison, and
+    any other by the row parser's rule, :func:`_cell_value`.  Declined: a
+    delimiter that is not one ASCII byte, or is a quote or a line break,
+    bytes that are not UTF-8, quotes, a carriage return other than before a
+    line feed or at the end, lines of another width than ``width`` (blank
+    lines among them, when ``width`` > 1), an empty or blank selected field
+    (the row parser skips a row whose cells are all blank, and this reader
+    sees only the selected ones) and any field that rule rejects, so that
+    the row parser names the first bad line.
     """
     if not delimiter.isascii() or delimiter in '"\r\n' or b'"' in body:
         return None
@@ -332,12 +343,11 @@ def _block_fields(chunk, n, delimiter, width, idx, out):
         col[rest[missing]] = np.nan
         rest = rest[~missing]
         if rest.size:
-            text = _joined_fields(chunk, start[rest], length[rest])
+            text = chunk.tobytes()
             try:
-                col[rest] = np.loadtxt(io.BytesIO(text), delimiter=delimiter,
-                                       comments=None, quotechar=None, ndmin=1,
-                                       encoding="utf-8")
-            except ValueError:  # a field it cannot read
+                col[rest] = [_cell_value(text[a:a + m].decode()) for a, m in
+                             zip(start[rest].tolist(), length[rest].tolist())]
+            except ValueError:  # a field the row parser rejects, or blank
                 return False
     return True
 
@@ -347,7 +357,7 @@ def _decimal_values(chunk, start, length, out):
     bytes, ASCII digits with at most one decimal point among them, and
     return the mask of those fields.  The digits as an integer below 2**53
     over a power of ten up to 10**14, both exact in a float, give the
-    correctly rounded quotient: numpy's value."""
+    correctly rounded quotient: float's value."""
     byte = chunk[start]
     digit = byte - np.uint8(48)
     point = byte == 46
@@ -382,15 +392,6 @@ def _is_token(chunk, start, length, token):
     for k, byte in enumerate(token):
         hit &= chunk[np.where(hit, start + k, 0)] == byte
     return hit
-
-
-def _joined_fields(chunk, start, length):
-    """The fields' bytes, each followed by a line feed."""
-    size = length + 1
-    offset = np.cumsum(size) - size
-    text = chunk[np.arange(size.sum()) + np.repeat(start - offset, size)]
-    text[offset + length] = 10
-    return text.tobytes()
 
 
 def write_counts(path, values):

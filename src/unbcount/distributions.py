@@ -416,14 +416,6 @@ class _KTable:
         return w
 
 
-def _trigamma(x):
-    """psi'(x) for x > 0, elementwise, within 1e-15 relative: sum_{j<10}
-    1/(x+j)^2 plus _trigamma_series at x + 10, for the NB family's rows.
-    scipy's zeta(2, x) takes six times as long."""
-    x = np.asarray(x, dtype=float)
-    return sum(1.0 / (x + j) ** 2 for j in range(10)) + _trigamma_series(x + 10.0)
-
-
 def _trigamma_series(z):
     """psi'(z) from its asymptotic series 1/z + 1/(2 z^2) + sum B_2k / z^(2k+1)
     to k = 7, within 1e-16 relative for z >= 10."""

@@ -304,11 +304,12 @@ class _Nb(_Family):
 
     def logpmf_grad(self, eta, r, y, distinct=None):
         """The UNB sums collapsed to their one term k = y; log C(r+y-1, y),
-        psi(r+y) - psi(r) and psi'(r+y) - psi'(r) per distinct count."""
+        psi(r+y) - psi(r) and psi'(r+y) - psi'(r), by scipy's zeta(2, .), per
+        distinct count."""
         p, q = self.link(eta, r)
         lp, d_r, d_rr = _per_count(lambda c: (
             _dist._nb_log_binom(r, c), _sps.digamma(r + c) - _sps.digamma(r),
-            _dist._trigamma(r + c) - _dist._trigamma(r)), y, distinct)
+            _sps.zeta(2.0, r + c) - _sps.zeta(2.0, r)), y, distinct)
         _dist._nb_logpmf(r, p, y, q, out=lp)
         d_r += np.log(p)
         derivs = (r * q - y * p, d_r, -p * q * (r + y), q, d_rr)
@@ -405,22 +406,22 @@ class _Setup:
     sum w and the mean count m1 (all-zero counts, which have no
     maximum-likelihood estimate, raise DegenerateDataError); ``distinct``,
     y's distinct counts with the index of each count among them, or None
-    where ``unique`` says that y holds each count once; the Poisson
-    quasi-likelihood beta, log m1 for the intercept alone, else the
-    _newton run of the Poisson family from (log m1, 0, ..., 0), which took
-    ``steps`` steps; and mu2, the mean of the squared means
-    exp(2 design @ beta), None where no step moved beta from
-    (log m1, 0, ..., 0) and every mean is m1.  No pass of a fitted
-    family's kernel."""
+    where y holds each count once; the Poisson quasi-likelihood beta, log
+    m1 for the intercept alone, else the _newton run of the Poisson family
+    from (log m1, 0, ..., 0), which took ``steps`` steps; and mu2, the
+    mean of the squared means exp(2 design @ beta), None where no step
+    moved beta from (log m1, 0, ..., 0) and every mean is m1.  No pass of
+    a fitted family's kernel."""
 
-    def __init__(self, design, y, w, unique=False):
+    def __init__(self, design, y, w):
         self.design, self.y, self.w = _read_only(design), _read_only(y), _read_only(w)
         self.n = np.sum(w)
         self.m1 = float(np.dot(w, y)) / self.n
         if self.m1 == 0.0:
             raise DegenerateDataError("all responses are zero: the likelihood increases "
                                       "as the mean goes to 0 and no maximum exists")
-        self.distinct = None if unique else tuple(map(_read_only, _distinct(self.y)))
+        values, index = map(_read_only, _distinct(self.y))
+        self.distinct = None if values.size == index.size else (values, index)
         beta = np.zeros(self.design.shape[1])
         beta[0], self.steps = math.log(self.m1), 0
         if beta.size > 1:  # _newton itself: the _opt seam counts the fitted laws' runs
@@ -628,7 +629,7 @@ def _fit_marginal(family, data, level: float, init=None) -> FitResult:
     xs, w = _compress(data)
     theta0 = None if init is None else [family.eta_of(init)[0], math.log(init.r)]
     theta, cov, ll, converged, iterations, diagnostics, log_pmf = _fit(
-        family, _Setup(np.ones((xs.size, 1)), xs, w, unique=True), theta0)
+        family, _Setup(np.ones((xs.size, 1)), xs, w), theta0)
     params, jac = family.law(theta)
     cov = jac @ cov @ jac.T
     se = tuple(math.sqrt(max(v, 0.0)) for v in np.diag(cov))

@@ -18,7 +18,6 @@ from unbcount.distributions import (
     NbParams,
     UnbParams,
     UpParams,
-    _trigamma,
     _unb_logpmf,
     geom_pmf,
     nb_cdf,
@@ -486,15 +485,11 @@ class TestMonotoneDecrease:
 
 
 class TestKernels:
-    def test_trigamma_against_scipy_zeta(self):
-        x = np.exp(np.linspace(-9.0, 14.0, 400))
-        assert np.max(np.abs(_trigamma(x) / ssp.zeta(2.0, x) - 1.0)) <= 2e-15
-
     @pytest.mark.parametrize("r", [math.exp(-8.0), 1.0, math.exp(8.0)])
     def test_table_trigamma_against_scipy_zeta(self, r):
-        # The k-table's psi' comes from the recurrence down each block, not
-        # from _trigamma: a first block, then a grow over a full block and
-        # across the next block boundary.
+        # The k-table's psi' comes from the recurrence down each chunk: a
+        # first block, then a grow over a full block and across the next
+        # block boundary.
         table = _dist._KTable(r, True).upto(1000).upto(_dist._BLOCK_MAX + 3000)
         ref = ssp.zeta(2.0, r + np.arange(table.tri.size))
         assert np.max(np.abs(table.tri / ref - 1.0)) <= 2e-14

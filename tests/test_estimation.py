@@ -276,7 +276,7 @@ class TestFitMle:
             xs, w = np.unique(y, return_counts=True)
             start = np.array([math.log(np.mean(y)), math.log(2.0)])
             _, _, loglik, *_ = _fit(_FAMILIES["unb"], _Setup(
-                np.ones((xs.size, 1)), xs.astype(float), w.astype(float), unique=True), start)
+                np.ones((xs.size, 1)), xs.astype(float), w.astype(float)), start)
             assert fit.log_likelihood >= loglik - 1e-12 * abs(loglik), (r, p, k)
         assert fitted >= 50
 

@@ -35,11 +35,11 @@ def tiny_blocks():
 
 
 def test_regular_files_across_block_edges(tiny_blocks):
-    ingest.test_numpy_reader_takes_regular_files()
+    ingest.test_field_reader_takes_regular_files()
 
 
 def test_row_parser_agreement_across_block_edges(tiny_blocks):
-    ingest.test_numpy_reader_agrees_with_the_row_parser()
+    ingest.test_field_reader_agrees_with_the_row_parser()
 
 
 @pytest.mark.parametrize("name", ingest.CASES)

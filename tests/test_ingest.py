@@ -63,10 +63,11 @@ def write(directory, text, name="d.csv"):
     return path
 
 
-# Missing tokens numpy's reader takes (after NA and NULL are spelled nan),
-# and those it leaves to the row parser.
-REGULAR = ["NA", "NULL", "nan", "NaN", " nan "]
-IRREGULAR = ["na", "Na", "null", "", " ", " NA", "NA ", "\tnull ", "NAN"]
+# Missing cells the field reader takes, in any case and padding, and the
+# empty or blank ones it leaves to the row parser.
+REGULAR = ["NA", "NULL", "nan", "NaN", " nan ", "na", "Na", "null", " NA", "NA ",
+           "\tnull ", "NAN"]
+IRREGULAR = ["", " "]
 TEXT = st.text("abnNAlLuU_xyz", min_size=1, max_size=6)
 # Delimiters of the agreement tests: ASCII punctuation but the quote, tab
 # and space.
@@ -96,10 +97,10 @@ def tables(draw, missing, delimiters=DELIMITERS):
 
 @settings(max_examples=100, deadline=None)
 @given(tables(REGULAR, [",", ";", "|", "\t", " "]))
-def test_numpy_reader_takes_regular_files(table):
-    # NA, NULL and nan in selected and unselected columns, padded numbers,
-    # and a text column with "NA" in it: the field reader takes every such
-    # file, and agrees with the row parser.  (A delimiter such as "." or
+def test_field_reader_takes_regular_files(table):
+    # Missing tokens in any case and padding in selected and unselected
+    # columns, padded numbers, and a text column with "NA" in it: the
+    # field reader takes every such file, and agrees with the row parser.  (A delimiter such as "." or
     # "-" would split the numbers.)
     text, covariates, delimiter = table
     with tempfile.TemporaryDirectory() as tmp:
@@ -108,9 +109,9 @@ def test_numpy_reader_takes_regular_files(table):
 
 @settings(max_examples=150, deadline=None)
 @given(tables(REGULAR + IRREGULAR))
-def test_numpy_reader_agrees_with_the_row_parser(table):
-    # Empty, padded and lower-case missing cells too: a file the field
-    # reader takes or declines reads as the row parser reads it.
+def test_field_reader_agrees_with_the_row_parser(table):
+    # Empty and blank cells too: a file the field reader takes or declines
+    # reads as the row parser reads it.
     text, covariates, delimiter = table
     with tempfile.TemporaryDirectory() as tmp:
         check(write(tmp, text), "y", covariates, delimiter)
@@ -126,8 +127,8 @@ CASES = {
     "all_empty_cells": ("y,a,b,c\n0,1,2,3\n,,,\n1,2,3,4\n", ["a"], ",", False),
     "empty_cell": ("y,a\n0,1\n3,\n", ["a"], ",", False),
     "empty_unselected_cells": ("y,a,b\n0,,1\n3,,2\n4,na,3\n", ["b"], ",", True),
-    "lower_case_tokens": ("y,a\n0,na\n1,null\nNull,2\n", ["a"], ",", False),
-    "padded_tokens": ("y,a\n0, NA\n1,NULL \n", ["a"], ",", False),
+    "lower_case_tokens": ("y,a\n0,na\n1,null\nNull,2\n", ["a"], ",", True),
+    "padded_tokens": ("y,a\n0, NA\n1,NULL \n", ["a"], ",", True),
     "crlf": ("y,a\r\n0,1\r\nNA,2\r\n3,NULL\r\n4,5\r\n", ["a"], ",", True),
     "crlf_empty_cell": ("y,a\r\n0,1\r\n3,\r\n4,5\r\n", ["a"], ",", False),
     "bare_cr": ("y,a\r0,1\r2,3\r", ["a"], ",", False),
@@ -153,7 +154,11 @@ CASES = {
                           ["a"], ",", True),
     "token_inside_a_cell": ("y,a\n0,1\n1,xNA\n", ["a"], ",", False),
     "signed_token": ("y,a\n0,1\n1,-NA\n", ["a"], ",", False),
-    "underscore_number": ("y,a\n0,1_000\n", ["a"], ",", False),
+    "underscore_number": ("y,a\n0,1_000\n", ["a"], ",", True),
+    "signed_exponent_padded_inf": ("y,a,b\n0,-1.5,+2e3\n1, 3 ,inf\n2,-Infinity,1E-2\n"
+                                   "3,\t.5,-0\n", ["a", "b"], ",", True),
+    "bad_cells_in_two_columns": ("y,a,b\n0,1,2\n1,2,zork\n2,x,3\n", ["a", "b"], ",",
+                                 False),
     "negative_response": ("y,a\n0,NA\n1,1\n-1,2\n", ["a"], ",", True),
     "all_dropped": ("y,a\nNA,1\n2,NULL\n", ["a"], ",", True),
     "header_only": ("y,a\n", ["a"], ",", True),
@@ -162,8 +167,8 @@ CASES = {
 
 @pytest.mark.parametrize("name", CASES)
 def test_irregular_files_match_the_row_parser(tmp_path, name):
-    text, covariates, delimiter, numpy_reader = CASES[name]
-    assert check(write(tmp_path, text), "y", covariates, delimiter) is numpy_reader
+    text, covariates, delimiter, taken = CASES[name]
+    assert check(write(tmp_path, text), "y", covariates, delimiter) is taken
 
 
 def test_byte_order_mark_is_not_part_of_the_header(tmp_path):

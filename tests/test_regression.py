@@ -261,6 +261,39 @@ class TestUnbRegressionFit:
         with pytest.raises(RankDeficientError):
             fit_unb_regression(data, RegressionSpec("y", ("ones",)))
 
+    def test_rank_check_decides_as_matrix_rank(self, monkeypatch):
+        # Designs [1, z0, z1, z2] with planted singular values, the smallest
+        # 1e-18 to 1e-8 of the largest: the setup raises exactly where
+        # numpy's matrix_rank of the design is below k, on both sides of
+        # its tolerance.
+        class Passed(Exception):
+            pass
+
+        def passed(*args):
+            raise Passed
+
+        monkeypatch.setattr(regression, "_Setup", passed)
+        rng = np.random.default_rng(12)
+        n, k = 60, 4
+        y = rng.integers(0, 5, n)
+        decisions = collections.Counter()
+        for _ in range(300):
+            # q's first column is the unit vector along the intercept, and
+            # v keeps the intercept apart, so that the design is q diag(s) v'
+            q = np.linalg.qr(np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))]))[0]
+            q[:, 0] = abs(q[:, 0])
+            v = np.linalg.qr(rng.normal(size=(k - 1, k - 1)))[0]
+            s = math.sqrt(n) * np.r_[10.0 ** rng.uniform(-18.0, -8.0),
+                                     np.linspace(0.5, 2.0, k - 2)]
+            covs = q[:, 1:] @ np.diag(s) @ v.T
+            data = make_dataset(y, **{f"z{j}": covs[:, j] for j in range(k - 1)})
+            spec = RegressionSpec("y", tuple(f"z{j}" for j in range(k - 1)))
+            deficient = np.linalg.matrix_rank(build_design(data, spec)[0]) < k
+            with pytest.raises(RankDeficientError if deficient else Passed):
+                regression._setup(data, spec)
+            decisions[deficient] += 1
+        assert decisions[True] > 50 and decisions[False] > 50
+
     def test_wald_identity(self):
         rng = np.random.default_rng(9)
         data, _ = simulate_reg(
@@ -455,8 +488,7 @@ def test_per_count_factors_match_the_elementwise_formulas(model):
                 *estimation._eta_logr(r, r * q - y * p,
                                       ssp.digamma(r + y) - ssp.digamma(r) + np.log(p),
                                       -p * q * (r + y), q,
-                                      distributions._trigamma(r + y)
-                                      - distributions._trigamma(r)))
+                                      ssp.zeta(2.0, r + y) - ssp.zeta(2.0, r)))
     setup = estimation._Setup(np.ones((y.size, 1)), y, np.ones(y.size))
     assert setup.distinct[0].size == 60
     for distinct in (None, setup.distinct):

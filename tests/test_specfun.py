@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unbcount import specfun
-from unbcount.distributions import _trigamma
+from unbcount.distributions import _KTable
 from unbcount.errors import DomainError, NonConvergenceError
 from unbcount.specfun import (
     ThetaArgs,
@@ -46,13 +46,17 @@ class TestDigamma:
             digamma(-2.0)
 
 
+def _trigamma(x):
+    """psi'(x) as the k-table's first entry at r = x."""
+    return float(_KTable(x, True).upto(1).tri[0])
+
+
 class TestTrigamma:
-    """The package's one trigamma, distributions._trigamma, against digamma."""
+    """The package's own trigamma, the k-table's psi'(r + k), against digamma."""
 
     def test_recurrence(self):
-        x = 2.0
-        assert _trigamma(x + 1.0) - _trigamma(x) == pytest.approx(-1.0 / x ** 2,
-                                                                  abs=1e-12)
+        tri = _KTable(2.0, True).upto(2).tri
+        assert tri[1] - tri[0] == pytest.approx(-1.0 / 2.0 ** 2, abs=1e-12)
 
     def test_at_one_vs_finite_difference(self):
         h = 1e-4
