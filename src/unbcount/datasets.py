@@ -81,11 +81,11 @@ class Dataset:
     The regression fitters keep the setup of their last (response,
     covariates) spec on the dataset, one design, and every family's fit of
     that spec reuses it while each column it was built from is the same
-    object.  Those columns are replaced in ``columns`` by read-only arrays
-    that no caller holds, so ``columns`` shows what the setup was built
-    from: a write into one after a fit raises ValueError, a write through
-    an array passed in as a column does not reach the dataset, and a
-    column replaced in ``columns`` is read afresh."""
+    object.  After a fit those columns are the setup's own read-only arrays
+    in ``columns``, of any dtype passed: its int64 counts and the design's
+    float64 columns.  So a write into one raises ValueError, a write through
+    an array passed in as a column does not reach the dataset, and a column
+    replaced in ``columns`` is read afresh."""
 
     column_names: tuple
     columns: dict

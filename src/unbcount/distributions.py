@@ -234,7 +234,7 @@ _UP_SERIES = 0.01
 
 
 def _up_zero_series(lam, x):
-    """None, or where x = 0 and PMF_FLOOR <= lam < _UP_SERIES (1-d lam, x),
+    """None, or where x = 0 and lam < _UP_SERIES (1-d lam, x),
     those places and, there, log pmf(0) = log((1 - e^-lam)/lam) = -h +
     log(sinh(h)/h), h = lam/2, with its first two derivatives in eta = log
     lam + const, h coth h - 1 - h and h times its h-derivative, from their
@@ -243,7 +243,7 @@ def _up_zero_series(lam, x):
     small = lam < _UP_SERIES
     if not small.any():
         return None
-    at = np.flatnonzero(small & (x == 0.0) & (lam >= PMF_FLOOR))
+    at = np.flatnonzero(small & (x == 0.0))
     h = 0.5 * lam[at]
     w = h * h
     return (at, -h + w * (1 / 6 - w * (1 / 180 - w / 2835)),

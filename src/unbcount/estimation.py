@@ -318,25 +318,27 @@ class _Nb(_Family):
 
 
 class _Up(_Family):
-    """pmf(x) = P(N > x) / lam with N ~ Poisson(lam); P(N > x) is floored.
-    With a = lam pois(x; lam) / P(N > x), d/d eta = a - 1 and d2/d eta^2 =
-    a (1 + x - lam - a), since d P(N > x) / d lam = pois(x; lam); at x = 0
-    below lam = _UP_SERIES, their series (distributions._up_zero_series)."""
+    """pmf(x) = P(N > x) / lam with N ~ Poisson(lam), its log floored and
+    counted as in every family, and flat in eta where floored.  With a = lam
+    pois(x; lam) / P(N > x), d/d eta = a - 1 and d2/d eta^2 = a (1 + x - lam
+    - a), since d P(N > x) / d lam = pois(x; lam); at x = 0 below lam =
+    _UP_SERIES, their series (distributions._up_zero_series)."""
 
     n_shape = 0
 
     def logpmf_grad(self, eta, r, y, distinct=None):
         lam = 2.0 * np.exp(eta)
         lp, surv, series = _dist._up_logpmf(lam, y)
-        kept = np.maximum(surv, _dist.PMF_FLOOR)
         log_pois = (y * np.log(lam) - lam
                     - _per_count(lambda c: _sps.gammaln(c + 1.0), y, distinct))
-        a = lam * np.exp(log_pois) / kept
+        with np.errstate(divide="ignore", invalid="ignore"):  # P(N > x) = 0 floors
+            a = lam * np.exp(log_pois) / surv
         d_e, d_ee = a - 1.0, a * (1.0 + y - lam - a)
         if series is not None:
             at, _, d_e[at], d_ee[at] = series
-        return (np.maximum(lp, _LOG_FLOOR - np.log(lam)),
-                int(np.count_nonzero(surv < _dist.PMF_FLOOR)),
+        low = lp < _LOG_FLOOR
+        d_e[low] = d_ee[low] = 0.0
+        return (np.maximum(lp, _LOG_FLOOR), int(np.count_nonzero(low)),
                 d_e, None, d_ee, None, None)
 
     def law(self, theta):

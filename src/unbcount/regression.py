@@ -14,12 +14,12 @@ build_design, the row and rank checks, the distinct counts and, with
 unit weights, the Poisson quasi-likelihood beta, consistent under all
 three laws since they share the mean exp(eta), fitted by the same engine
 on the internal Poisson family; the dataset keeps it for its last spec,
-so the fits of every family on one dataset run it once, and puts the
-columns it was built from into the dataset as read-only arrays that no
-caller holds.  All-zero responses, which have no maximum-likelihood
-estimate, raise DegenerateDataError there, before any step.  The start
-adds log r from the family's moment equation at the setup's means, with
-no kernel pass.  The engine is Newton's method over
+so the fits of every family on one dataset run it once, and puts its own
+read-only arrays in place of the columns it was built from: its int64
+counts and the design's float64 columns.  All-zero responses, which have
+no maximum-likelihood estimate, raise DegenerateDataError there, before
+any step.  The start adds log r from the family's moment equation at the
+setup's means, with no kernel pass.  The engine is Newton's method over
 (beta, log r) on the log-likelihood, its gradient and its Hessian from
 one kernel pass (for UNB, means and variances of k and H_k = psi(r+k) -
 psi(r) over the terms nb(k)/(k+1) whose sum is the pmf).  Standard errors
@@ -160,13 +160,11 @@ def _setup(dataset: Dataset, spec: RegressionSpec):
     """(names, the estimation._Setup of every family's fit on dataset and
     spec): build_design, the row and rank checks and the shared Poisson
     start, with unit weights.  The dataset keeps the last spec's, reused
-    while each column it was built from is the same object.  Those columns
-    are replaced in ``dataset.columns`` by read-only arrays that no caller
-    holds: the design's own columns where a covariate is float64, else a
-    copy, as of the response.  So ``dataset.columns`` always shows what the
-    kept setup was built from, and a write into it raises.  Columns that a
-    new spec drops become copies, so that one design is kept; a failed
-    check keeps nothing and raises on every call."""
+    while each column it was built from is the same object, and shows in
+    its place the setup's own read-only array of any dtype (its copy of the
+    int64 counts, the design's float64 columns), so that a write raises.
+    Columns that a new spec drops become copies, so that one design is
+    kept; a failed check keeps nothing and raises on every call."""
     used = (spec.response, *spec.covariates)
     columns = tuple(dataset.columns.get(c) for c in used)
     held = dataset._regression_setup
@@ -185,13 +183,8 @@ def _setup(dataset: Dataset, spec: RegressionSpec):
         for c, a in zip(held[0].covariates, held[1][1:]):
             if c not in used and dataset.columns.get(c) is a:
                 dataset.columns[c] = _read_only(np.array(a))
-    response = _read_only(np.array(columns[0]))
-    if np.may_share_memory(y, columns[0]):  # int64 counts are the column itself
-        y = response
-    setup = _Setup(design, y, np.ones(n))
-    columns = (response, *(setup.design[:, j] if getattr(c, "dtype", None) == np.float64
-                           else _read_only(np.array(c))
-                           for j, c in enumerate(columns[1:], 1)))
+    setup = _Setup(design, np.array(y), np.ones(n))
+    columns = (setup.y, *setup.design.T[1:])
     dataset.columns.update(zip(used, columns))
     object.__setattr__(dataset, "_regression_setup", (spec, columns, names, setup))
     return names, setup

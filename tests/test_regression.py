@@ -440,20 +440,30 @@ def test_per_row_tail_takes_the_terms_each_row_needs(monkeypatch):
 
 def test_up_family_at_count_0_against_mpmath():
     # pmf(0) = (1 - e^-lam)/lam and its eta-derivatives, lam = 2 e^eta,
-    # within 1e-12 relative; where P(N > 0) underflows PMF_FLOOR, the
-    # family's floored values: log(PMF_FLOOR / lam), with a = lam e^-lam /
-    # PMF_FLOOR in d/d eta = a - 1 and d2/d eta^2 = a (1 - lam - a).
+    # within 1e-12 relative over the whole eta clamp: P(N > 0) does not
+    # underflow there, so nothing floors.  pmf(0) is 1 - lam/2 to 1e-304 at
+    # eta = -700, so the reference carries 350 digits.
     eta = np.array([-700.0, -40.0, -5.0, 0.0, 3.0, 6.0])
     lam = 2.0 * np.exp(eta)
     lp, floored, d_e, _, d_ee, _, _ = _FAMILIES["up"].logpmf_grad(eta, None, np.zeros(eta.size))
-    assert floored == 1
-    with mp.workdps(50):
+    assert floored == 0
+    with mp.workdps(350):
         for i, l in enumerate(map(mp.mpf, lam)):
-            kept = max(-mp.expm1(-l), mp.mpf(distributions.PMF_FLOOR))
-            a = l * mp.exp(-l) / kept
+            a = l * mp.exp(-l) / -mp.expm1(-l)
             for got, want in zip((lp[i], d_e[i], d_ee[i]),
-                                 (mp.log(kept / l), a - 1, a * (1 - l - a))):
+                                 (mp.log(-mp.expm1(-l) / l), a - 1, a * (1 - l - a))):
                 assert abs(got - float(want)) <= 1e-12 * abs(float(want)), (eta[i], got, want)
+
+
+def test_up_family_floors_like_every_family():
+    # Where P(N > x) underflows, the log pmf is floored at log PMF_FLOOR,
+    # counted, and flat in eta, as in every family.
+    eta = np.array([-650.0, -700.0, -650.0, -700.0])
+    x = np.array([1.0, 1.0, 30.0, 30.0])
+    lp, floored, d_e, _, d_ee, _, _ = _FAMILIES["up"].logpmf_grad(eta, None, x)
+    assert floored == 4
+    assert np.array_equal(lp, np.full(4, distributions._LOG_FLOOR))
+    assert not d_e.any() and not d_ee.any()
 
 
 @pytest.mark.parametrize("model", ["nb", "up", "geometric", "poisson"])
@@ -607,6 +617,22 @@ class TestSharedSetup:
         after = fit_nb_regression(data, self.SPEC)
         assert_same_fit(after, fit_nb_regression(dataset_of(data.columns), self.SPEC))
         assert_same_fit(after, before)
+
+    def test_spec_columns_are_the_kept_setups_own_arrays(self):
+        # Whatever dtype was passed, after a fit the response column is the
+        # setup's int64 counts and each covariate a float64 design column.
+        passed = nmes_columns()
+        passed["NUMCHRON"] = passed["NUMCHRON"].astype(np.int8)
+        data = Dataset(column_names=tuple(passed), columns=dict(passed),
+                       n=passed["y"].size)
+        fit = fit_nb_regression(data, self.SPEC)
+        setup = regression._setup(data, self.SPEC)[1]
+        for name in ("y", *gen.COVARIATES):
+            column = data.columns[name]
+            assert not column.flags.writeable, name
+            assert np.shares_memory(column, setup.y if name == "y" else setup.design), name
+            assert not any(np.shares_memory(column, a) for a in passed.values()), name
+        assert_same_fit(fit, fit_nb_regression(dataset_of(passed), self.SPEC))
 
     def test_a_new_spec_keeps_one_design(self):
         data = dataset_of(nmes_columns())
